@@ -161,21 +161,7 @@ def master_seed(cfg: dict) -> int:
     return seed
 
 
-def worker_threads() -> int:
-    raw = os.environ.get("WORKER_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise PreconditionError("WORKER_THREADS must be an integer",
-                                field="WORKER_THREADS")
-    if n < 1:
-        raise PreconditionError("WORKER_THREADS must be >= 1",
-                                field="WORKER_THREADS")
-    return n
-
-
 def _validate_env() -> None:
-    worker_threads()
     if "MASTER_SEED" in os.environ:
         master_seed({})
 

@@ -13,8 +13,10 @@ measuring eps, the exact tail, and the bound itself.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from itertools import product as iter_product
 
 import numpy as np
@@ -37,6 +39,10 @@ class DiscreteProbSpace:
         weights = list(weights)
         if len(points) != len(weights):
             raise PreconditionError("points and weights must align", field="weights")
+        weights_float = np.array(weights, dtype=float)
+        # a NaN weight passes every comparison below, so reject it first
+        if not np.isfinite(weights_float).all():
+            raise PreconditionError("weights must be finite", field="weights")
         if any(w < 0 for w in weights):
             raise PreconditionError("weights must be nonnegative", field="weights")
         total = sum(weights) if self._exact(weights) else math.fsum(weights)
@@ -46,6 +52,8 @@ class DiscreteProbSpace:
             )
         self.points = points
         self.weights = weights
+        weights_float.flags.writeable = False
+        self.weights_float = weights_float
 
     @staticmethod
     def _exact(seq) -> bool:
@@ -53,10 +61,6 @@ class DiscreteProbSpace:
 
     def __len__(self):
         return len(self.points)
-
-    @property
-    def weights_float(self) -> np.ndarray:
-        return np.array([float(w) for w in self.weights])
 
     def expectation(self, values):
         if self._exact(self.weights) and self._exact(list(values)):
@@ -91,7 +95,7 @@ def bernstein_bound(N: int, alpha: float, eps: float) -> float:
     """exp(-alpha^2 N / 8) + eps * exp(N / 4)."""
     if N < 1:
         raise PreconditionError("N must be >= 1", field="N")
-    if alpha < 0:
+    if not alpha >= 0:
         raise PreconditionError("alpha must be >= 0", field="alpha")
     if not 0 <= eps < 1:
         raise PreconditionError("eps must be in [0, 1)", field="eps")
@@ -99,9 +103,16 @@ def bernstein_bound(N: int, alpha: float, eps: float) -> float:
 
 
 def _validated_variables(space: DiscreteProbSpace, variables):
-    X = np.array([[float(v) for v in var] for var in variables])
+    try:
+        X = np.array(variables, dtype=float)
+    except (TypeError, ValueError):
+        raise PreconditionError("variables must be real sequences of one length",
+                                field="X")
     if X.ndim != 2 or X.shape[1] != len(space):
         raise PreconditionError("variables must align with the space")
+    # NaN passes the bound and mean checks below, and max() drops it later
+    if not np.isfinite(X).all():
+        raise PreconditionError("variables must be finite", field="X")
     for j, row in enumerate(X):
         if np.abs(row).max() > 1 + 1e-12:
             raise PreconditionError(f"|X_{j + 1}| exceeds 1", field=f"X_{j + 1}")
@@ -174,43 +185,53 @@ def check_almost_multiplicative(
     return MultiplicativeReport(mu, worst, verdict, exhaustive, checked)
 
 
+def _tails(space: DiscreteProbSpace, variables, X, mu: float, alphas) -> list:
+    """P{ (1/N) sum_j X_j < mu - alpha } for each alpha, from one sort of
+    the outcome means.  Exact weights and values give Fractions."""
+    # only NaN differs from itself; it would count every outcome as below
+    if any(a != a for a in alphas):
+        raise PreconditionError("alpha must not be NaN", field="alpha")
+    N = len(X)
+    if space._exact(space.weights) and all(space._exact(var) for var in variables):
+        # outcomes with one exact sum share a mean: weigh each distinct mean
+        mass = {}
+        for wt, total in zip(space.weights, map(sum, zip(*variables))):
+            mass[total] = mass.get(total, 0) + wt
+        totals = sorted(mass)
+        means = [Fraction(t) / N for t in totals]
+        below = list(accumulate((mass[t] for t in totals), initial=Fraction(0)))
+        return [below[bisect_left(means, Fraction(mu) - Fraction(a))] for a in alphas]
+    means = X.mean(axis=0)
+    order = np.argsort(means, kind="stable")
+    means, w = means[order], space.weights_float[order]
+    # fsum is correctly rounded, so the order of the summands is immaterial
+    return [math.fsum(w[: np.searchsorted(means, mu - a, side="left")])
+            for a in alphas]
+
+
 def tail_probability(space: DiscreteProbSpace, variables, alpha: float):
     """P{ (1/N) sum_j X_j < mu - alpha }, summed exactly over the space."""
-    X, w, mu = _validated_variables(space, variables)
-    N = len(X)
-    exact = space._exact(space.weights) and all(
-        space._exact(list(var)) for var in variables
-    )
-    if exact:
-        thr = Fraction(mu) - Fraction(alpha)
-        total = Fraction(0)
-        for i, wt in enumerate(space.weights):
-            s = sum((Fraction(var[i]) for var in variables), Fraction(0)) / N
-            if s < thr:
-                total += Fraction(wt)
-        return total
-    means = X.mean(axis=0)
-    mask = means < mu - alpha
-    return float(math.fsum(space.weights_float[mask]))
+    X, _, mu = _validated_variables(space, variables)
+    return _tails(space, variables, X, mu, [alpha])[0]
 
 
 def bernstein_battery(space: DiscreteProbSpace, variables, alphas=None, seed: int = 0):
     """Rows of (alpha, exact tail, bound at the measured deviation) for a
     grid of alphas; the CSV surface behind the CLI."""
-    X, w, mu = _validated_variables(space, variables)
+    X, _, mu = _validated_variables(space, variables)
     N = len(X)
+    # X is already checked and float, so the check does not convert again
     report = check_almost_multiplicative(
-        space, variables, eps=math.inf, seed=seed, sampled=N > _SUBSET_CAP
+        space, X, eps=math.inf, seed=seed, sampled=N > _SUBSET_CAP
     )
     eps_hat = report.max_deviation
-    if alphas is None:
-        alphas = [0.05 * k for k in range(1, 41)]
+    alphas = [0.05 * k for k in range(1, 41)] if alphas is None else list(alphas)
     rows = []
-    for a in alphas:
+    for a, tail in zip(alphas, _tails(space, variables, X, mu, alphas)):
         rows.append(
             {
                 "alpha": float(a),
-                "tail": float(tail_probability(space, variables, a)),
+                "tail": float(tail),
                 # the bound's premise needs eps < 1; report inf otherwise
                 "bound": bernstein_bound(N, a, eps_hat) if eps_hat < 1 else math.inf,
             }

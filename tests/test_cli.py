@@ -237,10 +237,6 @@ def test_env_validation(tmp_path, monkeypatch):
     monkeypatch.setenv("MASTER_SEED", "-4")
     assert run_cli("construct-phi", "--q", 4, "--gamma", 0.5,
                    "--out", tmp_path) == 2
-    monkeypatch.setenv("MASTER_SEED", "0")
-    monkeypatch.setenv("WORKER_THREADS", "zero")
-    assert run_cli("construct-phi", "--q", 4, "--gamma", 0.5,
-                   "--out", tmp_path) == 2
 
 
 def test_usage_error_exits_2():

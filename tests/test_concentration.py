@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from trigcert import PreconditionError, ResourceError
@@ -37,6 +38,8 @@ class TestBound:
             bernstein_bound(0, 0.1, 0.0)
         with pytest.raises(PreconditionError):
             bernstein_bound(4, 0.1, 1.0)
+        with pytest.raises(PreconditionError):
+            bernstein_bound(4, math.nan, 0.0)
 
 
 class TestSpace:
@@ -45,6 +48,13 @@ class TestSpace:
             DiscreteProbSpace([1, 2], [0.6, 0.6])
         with pytest.raises(PreconditionError):
             DiscreteProbSpace([1, 2], [-0.5, 1.5])
+
+    def test_non_finite_weights_rejected(self):
+        # the NaN once made the weight sum NaN, which no comparison caught
+        with pytest.raises(PreconditionError, match="finite"):
+            DiscreteProbSpace([0, 1, 2], [0.5, 0.5, math.nan])
+        with pytest.raises(PreconditionError, match="finite"):
+            DiscreteProbSpace([0, 1], [math.inf, 1.0])
 
     def test_exact_expectation(self):
         space = DiscreteProbSpace([0, 1], [Fraction(3, 4), Fraction(1, 4)])
@@ -88,6 +98,19 @@ class TestMultiplicative:
         with pytest.raises(PreconditionError):
             check_almost_multiplicative(space, [[1.5, 0.5]], eps=0.1)
 
+    def test_nan_variable_rejected(self):
+        # NaN fell through the bound, mean and max checks: deviation 0, "pass"
+        space = DiscreteProbSpace([0, 1], [0.5, 0.5])
+        with pytest.raises(PreconditionError, match="finite"):
+            check_almost_multiplicative(space, [[1.0, 0.5], [0.75, math.nan]], eps=0.1)
+        with pytest.raises(PreconditionError, match="finite"):
+            bernstein_battery(space, [[1.0, 0.5], [0.75, math.nan]])
+
+    def test_ragged_variables_rejected(self):
+        space = DiscreteProbSpace([0, 1], [0.5, 0.5])
+        with pytest.raises(PreconditionError):
+            check_almost_multiplicative(space, [[1.0, 0.5], [0.75]], eps=0.1)
+
     def test_unequal_means_rejected(self):
         space = DiscreteProbSpace([0, 1], [0.5, 0.5])
         with pytest.raises(PreconditionError):
@@ -121,6 +144,84 @@ class TestTail:
         space, xs = DiscreteProbSpace.coin_product(Fraction(3, 4), 8)
         tails = [float(tail_probability(space, xs, a)) for a in (0.05, 0.3, 0.6, 1.0)]
         assert all(b <= a for a, b in zip(tails, tails[1:]))
+
+    def test_nan_alpha_rejected(self):
+        space, xs = DiscreteProbSpace.coin_product(Fraction(3, 4), 3)
+        with pytest.raises(PreconditionError):
+            tail_probability(space, xs, math.nan)
+        with pytest.raises(PreconditionError):
+            bernstein_battery(space, xs, alphas=[0.1, math.nan])
+
+
+def _reference_exact_tail(space, xs, alpha):
+    """P{mean < mu - alpha} outcome by outcome, in exact arithmetic."""
+    thr = space.expectation(xs[0]) - Fraction(alpha)
+    return sum(
+        (Fraction(w) for i, w in enumerate(space.weights)
+         if Fraction(sum(x[i] for x in xs), len(xs)) < thr),
+        Fraction(0),
+    )
+
+
+def _reference_float_tail(space, xs, mu, alpha):
+    """The same tail as a mask over the outcomes in their given order."""
+    means = np.array(xs, dtype=float).mean(axis=0)
+    return math.fsum(w for w, m in zip(space.weights, means) if m < mu - alpha)
+
+
+def _tied_float_space():
+    """Float weights in equal pairs; the second variable swaps each pair's
+    values, so both have one expectation and many outcomes share a mean."""
+    weights = [0.05, 0.05, 0.1, 0.1, 0.15, 0.15, 0.2, 0.2]
+    x1 = [1.0, 0.5, 1.0, -0.5, 0.5, 0.0, 1.0, -1.0]
+    x2 = [0.5, 1.0, -0.5, 1.0, 0.0, 0.5, -1.0, 1.0]
+    return DiscreteProbSpace(range(8), weights), [x1, x2]
+
+
+class TestOnePass:
+    # mu = 1/2 and the means are (h - 4)/4, so alpha = 1/4, 1/2, 3/4, 1
+    # puts mu - alpha exactly on an attainable mean; 1.6 is past the support
+    ALPHAS = [0.75, 0.05, 0.25, 0.25, 1.6, Fraction(1, 2), 1.0, 0.3, 0.5, 0.0]
+
+    def test_exact_tails_match_reference(self):
+        space, xs = DiscreteProbSpace.coin_product(Fraction(3, 4), 8)
+        for a in self.ALPHAS:
+            got = tail_probability(space, xs, a)
+            assert isinstance(got, Fraction)
+            assert got == _reference_exact_tail(space, xs, a)
+        # the strict < leaves out the outcomes whose mean is exactly mu - alpha
+        p, q = Fraction(3, 4), Fraction(1, 4)
+        assert tail_probability(space, xs, 0.25) == sum(
+            math.comb(8, h) * p**h * q ** (8 - h) for h in range(5))
+
+    def test_float_tails_match_reference(self):
+        space, xs = _tied_float_space()
+        mu = check_almost_multiplicative(space, xs, eps=math.inf).mu
+        # mu - alpha lands exactly on the tied means 1/4 and 0 for the last two
+        for a in [0.3, -0.2, 0.05, 0.1, 0.1, 2.0, 0.0, 0.45, -1.0, mu - 0.25, mu]:
+            got = tail_probability(space, xs, a)
+            assert isinstance(got, float)
+            assert got == _reference_float_tail(space, xs, mu, a)
+        assert mu - (mu - 0.25) == 0.25
+        assert tail_probability(space, xs, mu - 0.25) == 0.4
+        assert tail_probability(space, xs, mu) == 0.0
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_battery_rows_equal_tail_probability(self, exact):
+        if exact:
+            space, xs = DiscreteProbSpace.coin_product(Fraction(3, 4), 8)
+        else:
+            space, xs = _tied_float_space()
+        for alphas in (None, self.ALPHAS):
+            out = bernstein_battery(space, xs, alphas=alphas)
+            want = [0.05 * k for k in range(1, 41)] if alphas is None else alphas
+            assert [row["alpha"] for row in out["rows"]] == [float(a) for a in want]
+            for row, a in zip(out["rows"], want):
+                assert row["tail"] == float(tail_probability(space, xs, a))
+
+    def test_no_alphas(self):
+        space, xs = DiscreteProbSpace.coin_product(Fraction(3, 4), 8)
+        assert bernstein_battery(space, xs, alphas=[])["rows"] == []
 
 
 class TestBattery:
