@@ -10,6 +10,8 @@ Core layers:
   bounds, Riesz-type products);
 - principal, helson, cyclicity: the assembled pipelines (thin supported
   smooth functions, staged Helson construction, l^p cyclicity probes);
+- descent: the smoothed minimizer behind the extension probe and the
+  multiplier deficit;
 - cli: subcommand front end with reproducible artifacts.
 """
 

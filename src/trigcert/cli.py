@@ -12,7 +12,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -40,35 +39,28 @@ from .riesz import (
     verify_moment_formula,
 )
 from .rudin_shapiro import build_phi
-from .trigpoly import CoeffSeq, Interval, TrigPoly
+from .trigpoly import TWO_PI, CoeffSeq, Interval, TrigPoly, f17
 
 SCHEMA_VERSION = 1
-TWO_PI = 2.0 * math.pi
 
 
 # -- serialization -------------------------------------------------------------
 
 
-def _f17(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _jsonable(obj):
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
-    if isinstance(obj, float):
-        return _f17(obj)
+    if isinstance(obj, (float, np.floating)):
+        return f17(obj)
     if isinstance(obj, Fraction):
         return (f"{obj.numerator}/{obj.denominator}"
                 if obj.denominator != 1 else str(obj.numerator))
     if isinstance(obj, complex):
-        return {"re": _f17(obj.real), "im": _f17(obj.imag)}
+        return {"re": f17(obj.real), "im": f17(obj.imag)}
     if isinstance(obj, Interval):
-        return {"lo": _f17(obj.lo), "hi": _f17(obj.hi)}
+        return {"lo": f17(obj.lo), "hi": f17(obj.hi)}
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.floating):
-        return _f17(float(obj))
     if isinstance(obj, np.complexfloating):
         return _jsonable(complex(obj))
     if isinstance(obj, dict):
@@ -91,7 +83,7 @@ def _csv_cell(v):
     if isinstance(v, bool):
         return str(v).lower()
     if isinstance(v, float):
-        return _f17(v)
+        return f17(v)
     if isinstance(v, Fraction):
         return _jsonable(v)
     return v
@@ -193,7 +185,7 @@ def _do_kahane(cfg: dict) -> str:
         "tv_bound": float(rho.tv_bound()),
         "exact_zero_moments": int(rho.n - 1),
     })
-    rows = [(k, _f17(abs(float(rho.moment(k))))) for k in range(1, kmax + 1)]
+    rows = [(k, f17(abs(float(rho.moment(k))))) for k in range(1, kmax + 1)]
     _write_csv(out, "report.csv", ("k", "moment_abs"), rows)
     return f"kahane: n={rho.n} tv={float(rho.total_variation()):.6g} -> {out}"
 
@@ -399,8 +391,7 @@ def _do_demo(cfg: dict) -> str:
     # g vanishes at the probe skeleton; no further zeros of g were found
     # off K on the scan grid
     t = np.arange(1 << 14) * (TWO_PI / (1 << 14))
-    bounds = np.asarray([e for arc in K.arcs for e in arc])
-    inside = np.searchsorted(bounds, t, side="right") % 2 == 1
+    inside = K.mask(t)
     g_abs = np.abs(g.eval_at(t))
     g_at_skeleton = float(np.abs(g.eval_at(pts)).max())
     zero_report = {

@@ -155,13 +155,16 @@ def check_almost_multiplicative(
     worst = 0.0
     if N <= _SUBSET_CAP:
         checked = (1 << N) - 1
-        # depth-first over include/skip so each node costs one vector product
-        stack = [(0, np.ones(len(space)), 0)]
+        # depth-first over include/skip so each node costs one vector
+        # product; vec carries the weights, so a leaf's expectation is a
+        # plain sum, whose order (unlike a BLAS dot) does not depend on
+        # the BLAS thread count
+        stack = [(0, w, 0)]
         while stack:
             j, vec, size = stack.pop()
             if j == N:
                 if size:
-                    ratio = float(np.dot(w, vec)) / mu**size
+                    ratio = float(vec.sum()) / mu**size
                     worst = max(worst, abs(ratio - 1.0))
                 continue
             stack.append((j + 1, vec, size))
@@ -173,10 +176,10 @@ def check_almost_multiplicative(
         for _ in range(checked):
             mask = rng.integers(1, 1 << N, dtype=np.uint64)
             idx = [j for j in range(N) if (int(mask) >> j) & 1]
-            vec = np.ones(len(space))
+            vec = w
             for j in idx:
                 vec = vec * X[j]
-            ratio = float(np.dot(w, vec)) / mu ** len(idx)
+            ratio = float(vec.sum()) / mu ** len(idx)
             worst = max(worst, abs(ratio - 1.0))
         exhaustive = False
     verdict = "pass" if worst <= eps else "fail"

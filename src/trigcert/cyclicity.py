@@ -13,12 +13,11 @@ import math
 
 import numpy as np
 
+from .descent import smoothed_descent
 from .errors import CertificateError, PreconditionError, ResourceError
 from .gridcert import ArcSet
 from .principal import outside_report
-from .trigpoly import CoeffSeq, Interval, TrigPoly
-
-TWO_PI = 2.0 * math.pi
+from .trigpoly import TWO_PI, CoeffSeq, Interval, TrigPoly
 
 _DIM_BUDGET = 1 << 24
 
@@ -55,8 +54,8 @@ def _p2_multiplier(fw: np.ndarray, M: int, d: int):
 
 def _smoothed_descent(fw: np.ndarray, M: int, d: int, p: float,
                       P_hat: np.ndarray) -> np.ndarray:
-    """Minimize sum (|1 - P*f|^2 + mu^2)^{p/2} over the window, with mu
-    continuation and monotone backtracking; spectral initial steps."""
+    """Minimize sum (|1 - P*f|^2 + mu^2)^{p/2} over the window by
+    smoothed_descent, warm started at P_hat."""
     e0 = np.zeros(2 * (M + d) + 1, dtype=complex)
     e0[M + d] = 1.0
 
@@ -73,33 +72,7 @@ def _smoothed_descent(fw: np.ndarray, M: int, d: int, p: float,
         # C^H s; correlate conjugates its second argument itself
         return -p * np.correlate(s, fw, mode="valid")
 
-    P = P_hat.copy()
-    for mu in (1e-2, 1e-4, 1e-8):
-        F = objective(P, mu)
-        step = 1.0
-        stall = 0
-        prev_P = prev_g = None
-        for _ in range(5000):
-            g = gradient(P, mu)
-            if prev_g is not None:
-                dP, dg = P - prev_P, g - prev_g
-                denom = float(np.real(np.vdot(dg, dg)))
-                if denom > 0:
-                    step = abs(float(np.real(np.vdot(dP, dg)))) / denom
-            prev_P, prev_g = P, g
-            cand = P - step * g
-            Fc = objective(cand, mu)
-            while Fc > F - 1e-15 and step > 1e-14:
-                step *= 0.5
-                cand = P - step * g
-                Fc = objective(cand, mu)
-            if step <= 1e-14:
-                break
-            rel = (F - Fc) / max(F, 1e-300)
-            P, F = cand, Fc
-            stall = stall + 1 if rel < 1e-10 else 0
-            if stall >= 50:
-                break
+    P, _ = smoothed_descent(P_hat, objective, gradient, stall_rel=1e-10)
     return P
 
 
@@ -218,13 +191,10 @@ def _tail_peak(f: CoeffSeq) -> float:
 def _gap_profiles(K: ArcSet):
     """(a, b, normalizer) per complementary gap; the profile on (a, b) is
     ((t-a)(b-t))^3 * normalizer, peaking at 1.  A gap running through 0
-    comes back from complement() split at the seam and is rejoined here
-    (its b then exceeds 2 pi), so the witness does not pick up a spurious
-    zero at t = 0."""
-    arcs = list(K.complement().arcs)
-    if len(arcs) >= 2 and arcs[0][0] <= 1e-15 and arcs[-1][1] >= TWO_PI - 1e-15:
-        arcs = arcs[1:-1] + [(arcs[-1][0], arcs[0][1] + TWO_PI)]
-    return [(a, b, (4.0 / ((b - a) ** 2)) ** 3) for a, b in arcs]
+    is taken whole from components() (its b then exceeds 2 pi), so the
+    witness does not pick up a spurious zero at t = 0."""
+    return [(a, b, (4.0 / ((b - a) ** 2)) ** 3)
+            for a, b in K.complement().components()]
 
 
 def witness_values(K: ArcSet, t) -> np.ndarray:

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ResourceError
-from .trigpoly import TrigPoly, synth_real
-
-TWO_PI = 2.0 * math.pi
+from .trigpoly import TWO_PI, TrigPoly, _window_convolve, f17, next_pow2, synth_real
 
 # grid-derived sup bounds are padded by this relative amount to absorb
 # FFT synthesis roundoff (worst case ~1e-15 relative at our sizes)
@@ -105,6 +103,12 @@ class ArcSet:
         t = t % TWO_PI
         return any(a - slack <= t <= b + slack for a, b in self.arcs)
 
+    def mask(self, t) -> np.ndarray:
+        """Membership of each angle t in [0, 2pi), every arc taken half-open
+        [a, b): a point on a left endpoint is inside, one on a right
+        endpoint outside."""
+        return np.searchsorted(np.ravel(self.arcs), t, side="right") % 2 == 1
+
     def union(self, other: "ArcSet") -> "ArcSet":
         return ArcSet(list(self.arcs) + list(other.arcs))
 
@@ -174,7 +178,7 @@ class ArcSet:
         return np.concatenate(pts) if pts else np.array([])
 
     def to_json_dict(self) -> dict:
-        return {"arcs": [{"a": f"{a:.17g}", "b": f"{b:.17g}"} for a, b in self.arcs]}
+        return {"arcs": [{"a": f17(a), "b": f17(b)} for a, b in self.arcs]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ArcSet":
@@ -193,12 +197,8 @@ class SupCertificate:
     method: str
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << max(0, int(n - 1).bit_length())
-
-
 def _grid_for(degree: int, grid_factor: int) -> int:
-    return _next_pow2(grid_factor * (degree + 1))
+    return next_pow2(grid_factor * (degree + 1))
 
 
 def _half_spectrum(f: TrigPoly) -> np.ndarray:
@@ -216,7 +216,7 @@ def grid_scan_real(f_or_half, degree: int, M: int):
     union is exactly the uniform M-grid, keeping memory bounded.
     """
     half = _half_spectrum(f_or_half) if isinstance(f_or_half, TrigPoly) else np.asarray(f_or_half)
-    base = max(min(M, _MAX_SYNTH), _next_pow2(2 * (degree + 1)))
+    base = max(min(M, _MAX_SYNTH), next_pow2(2 * (degree + 1)))
     passes = max(1, M // base)
     gmax, gmin = -math.inf, math.inf
     for j in range(passes):
@@ -321,9 +321,8 @@ def certified_min_abs_and_sign(f: TrigPoly, K: ArcSet, grid_factor: int = 4):
         M = min(_grid_for(d, grid_factor), _MAX_SYNTH)
         spacing = TWO_PI / M
         t = np.arange(M) * spacing
-        bounds = np.asarray([e for arc in K.arcs for e in arc])
-        inside = np.searchsorted(bounds, t, side="right") % 2 == 1
-        vals = np.concatenate([_real_grid(f, M)[inside], f.eval_at(bounds).real])
+        vals = np.concatenate([_real_grid(f, M)[K.mask(t)],
+                               f.eval_at(np.ravel(K.arcs)).real])
     else:
         pts = K.sample(spacing)
         vals = f.eval_at(pts).real
@@ -497,22 +496,14 @@ def restricted_fourier(
     dense coefficient window on [-M, M].
 
     (f 1_K)^(n) = sum_m f^(m) 1_K^(n - m): a finite convolution of the
-    window against exact indicator coefficients, evaluated by FFT.
+    window against exact indicator coefficients, evaluated by FFT once the
+    operands pass the direct-convolution cutoff of _window_convolve.
     """
     window = np.asarray(window, dtype=complex)
     if window.shape != (2 * M + 1,):
         raise PreconditionError("window length must be 2M+1")
     ind = indicator_coeffs(K, kmax + M, grid_bits)
-    full = _fft_convolve(window, ind)
+    full = _window_convolve(window, ind)
     # full covers offsets -(M + kmax + M) .. ; index of n is n + (2M + kmax)
     mid = (len(full) - 1) // 2
     return full[mid - kmax : mid + kmax + 1]
-
-
-def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = len(a) + len(b) - 1
-    size = _next_pow2(n)
-    fa = np.fft.fft(a, size)
-    fb = np.fft.fft(b, size)
-    out = np.fft.ifft(fa * fb)[:n]
-    return out

@@ -19,12 +19,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from .descent import smoothed_descent
 from .errors import CertificateError, PreconditionError
 from .gridcert import ArcSet
 from .principal import PrincipalConfig, outside_report, run_principal
-from .trigpoly import CoeffSeq, Interval, TrigPoly
-
-TWO_PI = 2.0 * math.pi
+from .trigpoly import TWO_PI, CoeffSeq, Interval, TrigPoly
 
 
 # -- dense enumeration of real trigonometric polynomials ---------------------
@@ -354,41 +353,15 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
     A = np.exp(1j * np.outer(points, freqs))
     A_pinv = np.linalg.pinv(A)
 
-    def project(c):
-        return c - A_pinv @ (A @ c - values)
+    def objective(c, mu):
+        return _probe_objective(c, mu, p, eps)
 
-    c = A_pinv @ values
-    trace = []
-    for mu in (1e-2, 1e-4, 1e-8):
-        F = _probe_objective(c, mu, p, eps)
-        step = 1.0
-        stall = 0
-        prev_c = prev_g = None
-        for _ in range(5000):
-            g = _probe_gradient(c, mu, p, eps)
-            g = g - A_pinv @ (A @ g)  # tangent to the constraint set
-            if prev_g is not None:
-                # spectral step, safeguarded by the monotone backtracking
-                dc, dg = c - prev_c, g - prev_g
-                denom = float(np.real(np.vdot(dg, dg)))
-                if denom > 0:
-                    step = abs(float(np.real(np.vdot(dc, dg)))) / denom
-            prev_c, prev_g = c, g
-            cand = c - step * g
-            Fc = _probe_objective(cand, mu, p, eps)
-            while Fc > F - 1e-15 and step > 1e-14:
-                step *= 0.5
-                cand = c - step * g
-                Fc = _probe_objective(cand, mu, p, eps)
-            if step <= 1e-14:
-                break
-            rel = (F - Fc) / max(F, 1e-300)
-            c, F = cand, Fc
-            trace.append(F)
-            stall = stall + 1 if rel < 1e-12 else 0
-            if stall >= 50:
-                break
-    c = project(c)
+    def gradient(c, mu):
+        g = _probe_gradient(c, mu, p, eps)
+        return g - A_pinv @ (A @ g)  # tangent to the constraint set
+
+    c, trace = smoothed_descent(A_pinv @ values, objective, gradient, stall_rel=1e-12)
+    c = c - A_pinv @ (A @ c - values)  # back onto the constraints
 
     residual = float(np.abs(A @ c - values).max())
     if residual >= 1e-8:

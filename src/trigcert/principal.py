@@ -26,9 +26,7 @@ from .gridcert import (
 from .kahane import build_rho, interval_constant
 from .riesz import RieszSpec, c2_constant, choose_nu, riesz_lambda
 from .rudin_shapiro import build_phi
-from .trigpoly import CoeffSeq, Interval, TrigPoly, synth_real
-
-TWO_PI = 2.0 * math.pi
+from .trigpoly import TWO_PI, CoeffSeq, Interval, TrigPoly, synth_real
 
 I0 = (Fraction(1, 4), Fraction(1, 3))
 
@@ -574,10 +572,7 @@ def outside_report(f: CoeffSeq, K: ArcSet, grid_cap: int = 1 << 23):
         M_g <<= 1
     vals = synth_real(f.window[f.M :], M_g)
     t = np.arange(M_g) * (TWO_PI / M_g)
-    bounds = np.asarray([e for arc in K.arcs for e in arc])
-    # side right: a grid point exactly on a left endpoint counts as inside
-    inside = np.searchsorted(bounds, t, side="right") % 2 == 1
-    outside = np.abs(vals[~inside])
+    outside = np.abs(vals[~K.mask(t)])
     mx = float(outside.max()) if outside.size else 0.0
     return mx, f.tail_l1()
 

@@ -19,7 +19,7 @@ import numpy as np
 from .concentration import DiscreteProbSpace
 from .errors import PreconditionError, ResourceError
 from .gridcert import certified_sup, indicator_coeffs, superlevel_arcs
-from .trigpoly import QComplex, TrigPoly
+from .trigpoly import TWO_PI, QComplex, TrigPoly
 
 # exact expansion cap: the dense window of lambda_s must stay addressable
 _EXACT_DEGREE_BUDGET = 1 << 20
@@ -132,7 +132,7 @@ def lambda_evaluator(spec: RieszSpec, s):
 def positivity_report(spec: RieszSpec, s, grid_log2: int = 12):
     """(grid minimum of lambda_s, closed-form lower bound (1-s)^N)."""
     ev = lambda_evaluator(spec, s)
-    t = 2.0 * math.pi * np.arange(1 << grid_log2) / (1 << grid_log2)
+    t = TWO_PI * np.arange(1 << grid_log2) / (1 << grid_log2)
     gmin = float(ev(t).min())
     closed = (1.0 - float(s)) ** spec.N
     return gmin, closed
@@ -173,7 +173,7 @@ def verify_moment_formula(spec: RieszSpec, s, A):
                 f"sampled-mode quadrature needs a grid of {M} > 2^24 points",
                 field="spec",
             )
-        t = 2.0 * math.pi * np.arange(M) / M
+        t = TWO_PI * np.arange(M) / M
         vals = lambda_evaluator(spec, s)(t)
         for j in A:
             vals = vals * spec.variable_poly(j).eval_at(t).real
@@ -197,11 +197,6 @@ def _as_real(x):
     if isinstance(x, complex):
         return x.real
     return x
-
-
-def expectation_of_variable(spec: RieszSpec, s, j: int):
-    lhs, _, _ = verify_moment_formula(spec, s, [j])
-    return lhs
 
 
 # -- L2 concentration --------------------------------------------------------
@@ -272,7 +267,7 @@ def l2_concentration_check(
         method, resolution = "exact-arcs", 1 << grid_bits
     else:
         M = 1 << min(22, max(14, (2 * spec.total_degree + 1).bit_length()))
-        t = 2.0 * math.pi * np.arange(M) / M
+        t = TWO_PI * np.arange(M) / M
         lam_vals = lambda_evaluator(spec, s)(t)
         x_vals = X.eval_at(t).real
         lhs = float(np.mean(lam_vals**2 * (x_vals < c1)))
@@ -296,7 +291,7 @@ def grid_space(spec: RieszSpec, s, extra_degree: int = 0):
     M = 1 << (deg + 1).bit_length()
     if M > (1 << 24):
         raise ResourceError("grid for exact quadrature too large", required=M)
-    t = 2.0 * math.pi * np.arange(M) / M
+    t = TWO_PI * np.arange(M) / M
     lam_vals = lambda_evaluator(spec, s)(t)
     total = float(lam_vals.sum())
     deviation = abs(total / M - 1.0)

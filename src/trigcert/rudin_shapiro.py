@@ -28,9 +28,7 @@ import numpy as np
 
 from .errors import CertificateError, PreconditionError, ResourceError
 from .gridcert import SupCertificate, grid_scan_real, sup_certificate, transported_max
-from .trigpoly import Interval, TrigPoly
-
-TWO_PI = 2.0 * math.pi
+from .trigpoly import TWO_PI, Interval, TrigPoly, f17
 
 SIGN_RULES = ("adjacent-pairs", "adjacent-pairs-shifted", "search")
 
@@ -155,12 +153,12 @@ class CosineSeries:
             return {
                 "format": "signed-cosine-rule",
                 "k": k,
-                "scale": f"{scale * float(np.abs(self.amps[0])):.17g}",
+                "scale": f17(scale * float(np.abs(self.amps[0]))),
                 "sign_rule": sign_rule,
             }
         return {
             "format": "cosine-amps",
-            "amps": [f"{a:.17g}" for a in self.amps],
+            "amps": [f17(a) for a in self.amps],
         }
 
     @classmethod
@@ -196,8 +194,8 @@ class FlatnessCert:
 
     def to_json_dict(self) -> dict:
         return {
-            "bound": f"{self.bound:.17g}",
-            "target": f"{self.target:.17g}",
+            "bound": f17(self.bound),
+            "target": f17(self.target),
             "k": self.k,
             "sign_rule": self.sign_rule,
             "upper_method": self.upper_method,
@@ -386,11 +384,11 @@ class PhiBundle:
         return {
             "poly": self.series.to_json_dict(sign_rule=self.sign_rule),
             "k": self.k,
-            "q": f"{self.q:.17g}",
-            "gamma": f"{self.gamma:.17g}",
-            "a_norm": f"{self.a_norm:.17g}",
-            "l2_norm_sq": f"{self.l2_norm_sq:.17g}",
-            "sup_bound": f"{self.sup_bound:.17g}",
+            "q": f17(self.q),
+            "gamma": f17(self.gamma),
+            "a_norm": f17(self.a_norm),
+            "l2_norm_sq": f17(self.l2_norm_sq),
+            "sup_bound": f17(self.sup_bound),
             "sign_rule": self.sign_rule,
             "floored": self.floored,
             "certificate": self.certificate.to_json_dict(),

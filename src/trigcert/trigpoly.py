@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import PreconditionError, ResourceError
 
+TWO_PI = 2.0 * math.pi
+
 # Default cap on the size of a coefficient table produced by multiply().
 COEFF_BUDGET = 1 << 23
 
@@ -324,10 +326,6 @@ class TrigPoly:
             raise PreconditionError("dilation factor must be >= 1", field="nu")
         return TrigPoly({nu * n: c for n, c in self.coeffs.items()})
 
-    def conj_reflect(self) -> "TrigPoly":
-        """Coefficientwise conjugate-reflect; the transform of conj(f)."""
-        return TrigPoly({-n: _conj(c) for n, c in self.coeffs.items()})
-
     def to_float(self) -> "TrigPoly":
         return TrigPoly({n: complex(c) for n, c in self.coeffs.items()})
 
@@ -457,27 +455,10 @@ class CoeffSeq:
         self.tail_const = float(tail_const)
         self.tail_exp = float(tail_exp)
 
-    @classmethod
-    def from_poly(cls, f: TrigPoly) -> "CoeffSeq":
-        return f.as_coeffseq()
-
     def coeff(self, n: int) -> complex:
         if abs(n) <= self.M:
             return complex(self.window[n + self.M])
         return complex(0)
-
-    @property
-    def is_poly(self) -> bool:
-        return self.tail_const == 0.0
-
-    def as_poly(self) -> TrigPoly:
-        if not self.is_poly:
-            raise PreconditionError("sequence has a nonzero tail")
-        table = {}
-        for k, c in enumerate(self.window):
-            if c != 0:
-                table[k - self.M] = complex(c)
-        return TrigPoly(table)
 
     # -- tail accounting ----------------------------------------------
 
@@ -583,19 +564,6 @@ class CoeffSeq:
         const = max(measured, self.tail_const)
         return CoeffSeq(window, M_out, const, exp)
 
-    # -- evaluation -------------------------------------------------------
-
-    def eval_window_at(self, t) -> np.ndarray:
-        """Window part evaluated pointwise; off by at most tail_l1()."""
-        return self.as_window_poly().eval_at(t)
-
-    def as_window_poly(self) -> TrigPoly:
-        table = {}
-        for k, c in enumerate(self.window):
-            if c != 0:
-                table[k - self.M] = complex(c)
-        return TrigPoly(table)
-
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self, window_out: int | None = None) -> dict:
@@ -626,10 +594,11 @@ class CoeffSeq:
 
 
 def _window_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution: direct for small operands, by FFT otherwise."""
     n = len(a) + len(b) - 1
     if len(a) * len(b) <= 1 << 20:
         return np.convolve(a, b)
-    size = 1 << (n - 1).bit_length()
+    size = next_pow2(n)
     return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:n]
 
 
@@ -653,6 +622,11 @@ def _tail_union(t1, t2, M_new):
 # -- shared JSON helpers -------------------------------------------------
 
 
+def f17(x) -> str:
+    """A float with 17 significant digits: enough to read back bit for bit."""
+    return format(float(x), ".17g")
+
+
 def _scalar_to_str(x) -> str:
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(
@@ -660,7 +634,7 @@ def _scalar_to_str(x) -> str:
         )
     if isinstance(x, int):
         return str(x)
-    return f"{float(x):.17g}"
+    return f17(x)
 
 
 def _scalar_from_str(s: str):
@@ -703,10 +677,14 @@ def _seq_json_dict(table, degree, M, tail_const, tail_exp) -> dict:
     }
 
 
+def next_pow2(n: int) -> int:
+    """Least power of two >= n (1 for n <= 1)."""
+    return 1 << max(0, int(n) - 1).bit_length()
+
+
 def grid_size(degree: int, factor: int = 1) -> int:
     """Least power of two >= factor * (2*degree + 1)."""
-    need = max(1, factor * (2 * int(degree) + 1))
-    return 1 << (need - 1).bit_length()
+    return next_pow2(factor * (2 * int(degree) + 1))
 
 
 def coeffs_from_grid(values: np.ndarray, degree: int) -> TrigPoly:

@@ -3,10 +3,15 @@ deterministic reruns, exit codes 2/3/4."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trigcert
 from trigcert.cli import main
 from trigcert.gridcert import ArcSet
 from trigcert.trigpoly import CoeffSeq, TrigPoly
@@ -76,6 +81,27 @@ def test_kahane_rerun_identical(tmp_path):
                        "--kmax", 6, "--out", out) == 0
     assert (a / "measure.json").read_bytes() == (b / "measure.json").read_bytes()
     assert (a / "report.csv").read_bytes() == (b / "report.csv").read_bytes()
+
+
+def test_bernstein_artifacts_independent_of_blas_threads(tmp_path):
+    # a BLAS reduction sums in an order set by its thread count; the
+    # battery's artifacts must not depend on it
+    cfg = tmp_path / "riesz.json"
+    cfg.write_text('{"space": "riesz", "N": 9, "s": "7/24", '
+                   '"phi": "cos", "w": "one"}\n')
+    src = str(Path(trigcert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=path,
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "trigcert.cli", "bernstein",
+                        "--config", str(cfg), "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=600)
+        outs.append(out)
+    for name in ("battery.json", "report.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_bernstein_seed_flag_and_env(tmp_path, monkeypatch):

@@ -59,6 +59,12 @@ class TestMultiplierDeficit:
         assert values[0] >= values[1] - 1e-9
         assert values[1] >= values[2] - 1e-9
 
+    def test_p43_value_pinned(self):
+        # the smoothed descent's exact result on one p < 2 problem
+        f = TrigPoly({0: 1.0, 1: -0.9, 3: 0.4})
+        value, _ = multiplier_deficit(f, 4.0 / 3.0, 4)
+        assert value.hi == pytest.approx(0.40885459253425877, abs=1e-12)
+
     def test_p2_matches_descent_solver(self):
         rng = np.random.default_rng(4)
         w = rng.normal(size=7) + 1j * rng.normal(size=7)

@@ -74,6 +74,30 @@ class TestArcSet:
         assert back.measure == pytest.approx(k.measure, abs=1e-12)
         assert ArcSet([(1.0, 1.1)]).erode(0.2).measure == 0.0
 
+    def test_mask_half_open(self):
+        k = ArcSet([(1.0, 2.0), (3.0, 4.0)])
+        got = k.mask(np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.999, 4.0, 5.0]))
+        assert got.tolist() == [False, True, True, False, False,
+                                True, True, False, False]
+
+    def test_mask_arc_split_at_zero(self):
+        k = ArcSet([(0.0, 0.5), (TWO_PI - 0.5, TWO_PI)])
+        assert len(k.components()) == 1
+        got = k.mask(np.array([0.0, 0.25, 0.5, 1.0, TWO_PI - 0.5, TWO_PI - 1e-9]))
+        assert got.tolist() == [True, True, False, False, True, True]
+
+    def test_mask_empty(self):
+        t = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+        got = ArcSet.empty().mask(t)
+        assert got.shape == t.shape and not got.any()
+
+    def test_mask_agrees_with_contains(self):
+        k = ArcSet([(0.0, 0.4), (1.0, 2.5), (3.0, 3.1), (5.0, TWO_PI)])
+        t = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
+        ends = np.ravel(k.arcs)
+        interior = t[np.abs(t[:, None] - ends[None, :]).min(axis=1) > 1e-9]
+        assert k.mask(interior).tolist() == [k.contains(x) for x in interior]
+
     def test_snap_inward(self):
         k = ArcSet([(0.1, 1.234567), (2.0, 2.0 + 1e-9)])
         s = k.snap_inward(16)

@@ -203,6 +203,14 @@ class TestExtensionProbe:
         trace = np.asarray(rep["objective_trace"])
         assert (np.diff(trace) <= 1e-15).all()
 
+    def test_descent_path_pinned(self, arc):
+        # the exact iteration count and norm of one probe: any change to the
+        # step rule, the backtracking or the stall test moves them
+        _, rep = extension_probe(arc, [0.7, 1.5, 2.2], [1.0, 1.0, 1.0],
+                                 1.5, 0.05, 24)
+        assert rep["iterations"] == 195
+        assert rep["a_norm"] == pytest.approx(1.3118395566890644, abs=1e-12)
+
     def test_degree_doubling_never_hurts(self, arc):
         pts, vals = [0.7, 1.5, 2.2], [1.0, 1.0, 1.0]
         prev = None

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigcert import CoeffSeq, Interval, PreconditionError, QComplex, ResourceError, TrigPoly
-from trigcert.trigpoly import coeffs_from_grid, grid_size, synth_real
+from trigcert.trigpoly import coeffs_from_grid, grid_size, next_pow2, synth_real
 
 
 def random_poly(rng, degree, real=False):
@@ -318,3 +318,10 @@ def test_interval_basics():
     assert iv.scale(2.0) == Interval(3.0, 5.0)
     with pytest.raises(PreconditionError):
         Interval(2.0, 1.0)
+
+
+def test_next_pow2():
+    assert [next_pow2(n) for n in (0, 1, 2, 3)] == [1, 1, 2, 4]
+    for k in range(1, 40):
+        assert next_pow2(1 << k) == 1 << k
+        assert next_pow2((1 << k) + 1) == 1 << (k + 1)
