@@ -53,8 +53,7 @@ def _jsonable(obj):
     if isinstance(obj, (float, np.floating)):
         return f17(obj)
     if isinstance(obj, Fraction):
-        return (f"{obj.numerator}/{obj.denominator}"
-                if obj.denominator != 1 else str(obj.numerator))
+        return str(obj)
     if isinstance(obj, complex):
         return {"re": f17(obj.real), "im": f17(obj.imag)}
     if isinstance(obj, Interval):

@@ -275,23 +275,6 @@ def certified_sup(f: TrigPoly, grid_factor: int = 4) -> float:
     return sup_certificate(f, grid_factor).bound
 
 
-def transported_max(grid_value: float, apriori: float, degree: int, M: int) -> float:
-    """Upper bound on sup f (signed, one-sided) from the grid max of f,
-    given an a-priori bound ||f||_inf <= apriori.
-
-    Szego form of the Bernstein inequality: arcsin(f/apriori) is
-    Lipschitz with constant deg, hence the true max is within
-    pi*deg/M of the grid max in the arcsine metric.
-    """
-    if apriori <= 0:
-        return 0.0
-    ratio = min(1.0, max(-1.0, grid_value / apriori))
-    phi = math.asin(ratio) + math.pi * degree / M
-    if phi >= math.pi / 2:
-        return apriori
-    return apriori * math.sin(phi) * (1.0 + _FP_PAD)
-
-
 # -- certified minimum and sign over an ArcSet ------------------------------
 
 

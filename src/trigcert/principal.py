@@ -26,7 +26,7 @@ from .gridcert import (
 from .kahane import build_rho, interval_constant
 from .riesz import RieszSpec, c2_constant, choose_nu, riesz_lambda
 from .rudin_shapiro import build_phi
-from .trigpoly import TWO_PI, CoeffSeq, Interval, TrigPoly, synth_real
+from .trigpoly import TWO_PI, CoeffSeq, Interval, TrigPoly, next_pow2, synth_real
 
 I0 = (Fraction(1, 4), Fraction(1, 3))
 
@@ -468,9 +468,10 @@ def run_principal(config: PrincipalConfig) -> PrincipalOutput:
     # 9. restricted coefficients of lambda over E, exactly
     lam_seq = lam.as_coeffseq()
     r = config.r
-    M_f = config.window or _auto_window(eta, r)
+    M_f, capped = (config.window, False) if config.window else _auto_window(eta, r)
     h_hat = restricted_fourier(lam_seq.window, lam_seq.M, E, M_f)
     note("f_window", M_f)
+    note("f_window_capped", capped)
 
     # 10. mollify: f_hat(n) = h_hat(n) chi_hat(n), with the closed-form
     # spline transform providing the power tail
@@ -524,6 +525,8 @@ def run_principal(config: PrincipalConfig) -> PrincipalOutput:
         "f_outside_max": out_max,
         "f_outside_bound": out_bound,
         "achieved_eps": defect.hi,
+        "f_window": M_f,
+        "f_window_capped": capped,
     }
 
     if mode == "theoretical":
@@ -535,14 +538,14 @@ def run_principal(config: PrincipalConfig) -> PrincipalOutput:
     )
 
 
-def _auto_window(eta: float, r: int) -> int:
+def _auto_window(eta: float, r: int) -> tuple[int, bool]:
+    """(window M, capped): the least power of two >= 2^14 reaching the
+    target, clipped to _MAX_WINDOW; capped says the clip fell short."""
     # 16 halvings of the spline factor past its decay knee 2r/eta; keeps
     # the truncation residue outside K a couple of orders under the tails
     target = int(16.0 * 2.0 * r / eta)
-    M = 1 << 14
-    while M < target and M < _MAX_WINDOW:
-        M <<= 1
-    return min(M, _MAX_WINDOW)
+    M = min(max(next_pow2(target), 1 << 14), _MAX_WINDOW)
+    return M, M < target
 
 
 def _a_q_window_norm(g: TrigPoly, q: float) -> float:

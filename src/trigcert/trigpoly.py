@@ -628,11 +628,8 @@ def f17(x) -> str:
 
 
 def _scalar_to_str(x) -> str:
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(
-            x.numerator
-        )
-    if isinstance(x, int):
+    # str(Fraction) is "p/q", or "p" when q = 1
+    if isinstance(x, _EXACT_TYPES):
         return str(x)
     return f17(x)
 

@@ -6,15 +6,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import trigcert
-from trigcert.cli import main
+from trigcert.cli import _csv_cell, _jsonable, main
 from trigcert.gridcert import ArcSet
-from trigcert.trigpoly import CoeffSeq, TrigPoly
+from trigcert.trigpoly import CoeffSeq, QComplex, TrigPoly
 
 P43 = "1.3333333333333333"
 
@@ -295,3 +296,16 @@ def test_demo_corollary_seeded_reruns_identical(tmp_path):
     assert float(zeros["g_at_skeleton_max"]) < 1e-9
     assert float(zeros["g_off_K_grid_min"]) > 0
     assert float(zeros["witness_on_K_exact_max"]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "x,text", [(Fraction(-7, 3), "-7/3"), (Fraction(5), "5"), (Fraction(0), "0")]
+)
+def test_fraction_format(x, text):
+    assert _jsonable(x) == text
+    assert _csv_cell(x) == text
+    poly = TrigPoly({1: QComplex(x, 1)})
+    data = json.loads(json.dumps(poly.to_json_dict()))
+    assert data["coeffs"][0]["re"] == text
+    back = TrigPoly.from_json_dict(data)
+    assert back.exact and back == poly

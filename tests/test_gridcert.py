@@ -19,7 +19,6 @@ from trigcert.gridcert import (
     restricted_fourier,
     sup_certificate,
     superlevel_arcs,
-    transported_max,
 )
 
 
@@ -159,18 +158,6 @@ class TestCertifiedSup:
         smax, smin = gc.grid_scan_real(f, 5, 1024)
         assert smax == pytest.approx(ref_max, abs=1e-11)
         assert smin == pytest.approx(ref_min, abs=1e-11)
-
-    def test_transported_max_valid(self):
-        rng = np.random.default_rng(19)
-        for _ in range(20):
-            d = int(rng.integers(1, 8))
-            f = random_real_poly(rng, d)
-            apriori = certified_sup(f, 8)
-            M = 256
-            g = float(f.eval_grid(M).real.max())
-            bound = transported_max(g, apriori, d, M)
-            true = float(f.eval_grid(1 << 14).real.max())
-            assert bound >= true - 1e-9
 
 
 # -- certified min / sign ----------------------------------------------------

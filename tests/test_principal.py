@@ -9,6 +9,7 @@ import pytest
 from trigcert import CertificateError, PreconditionError
 from trigcert.principal import (
     PrincipalConfig,
+    _auto_window,
     build_P,
     build_w,
     energy_threshold,
@@ -242,6 +243,10 @@ class TestRunPrincipal:
         for expected in ("nu", "E_arcs", "margin", "eta", "f_window"):
             assert expected in names
 
+    def test_window_reported(self, out):
+        assert out.certificates["f_window"] == out.f.M
+        assert out.certificates["f_window_capped"] is False
+
     def test_f_mass_positive(self, out):
         # f inherits most of the restricted lambda mass
         assert complex(out.f.coeff(0)).real > 0.3
@@ -251,6 +256,18 @@ class TestRunPrincipal:
         for s_mean in out.certificates["atom_means"]:
             assert s_mean == pytest.approx(s_mean, abs=0)
             assert 0.25 / 8 < s_mean < (1.0 / 3) / 8
+
+
+class TestAutoWindow:
+    def test_principal_n3_not_capped(self):
+        # eta of principal N=3 (q=4, eps=0.9, u=cos): target 499 420
+        assert _auto_window(0.00025629693955342425, 4) == (1 << 19, False)
+
+    def test_tiny_eta_capped(self):
+        assert _auto_window(1e-6, 4) == (1 << 22, True)
+
+    def test_floor(self):
+        assert _auto_window(1.0, 4) == (1 << 14, False)
 
 
 class TestTheoreticalMode:

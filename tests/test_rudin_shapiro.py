@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from trigcert import PreconditionError, ResourceError
+from trigcert import PreconditionError, ResourceError, TrigPoly
 from trigcert.rudin_shapiro import (
+    SIGN_RULE,
     CosineSeries,
     build_Q,
     build_phi,
@@ -22,37 +23,27 @@ class TestSignPattern:
     def test_plain_small_oracle(self):
         # n = 1..8: minus exactly where the binary expansion has an odd
         # number of adjacent 11 pairs (n = 3, 6)
-        assert sign_pattern(3).tolist() == [1, 1, -1, 1, 1, -1, 1, 1]
+        assert sign_pattern(4)[1:9].tolist() == [1, 1, -1, 1, 1, -1, 1, 1]
 
     def test_shifted_small_oracle(self):
-        assert sign_pattern(3, "adjacent-pairs-shifted").tolist() == [1, 1, 1, -1, 1, 1, -1, 1]
+        assert sign_pattern(3).tolist() == [1, 1, 1, -1, 1, 1, -1, 1]
 
     def test_formula_matches_recursion(self):
         for k in range(0, 13):
-            rec = signs_by_recursion(k)
-            shifted = sign_pattern(k, "adjacent-pairs-shifted")
-            assert np.array_equal(shifted, rec)
-            if k >= 1:
-                plain = sign_pattern(k)
-                assert np.array_equal(plain[: (1 << k) - 1], rec[1:])
-                assert plain[-1] == 1
+            assert np.array_equal(sign_pattern(k), signs_by_recursion(k))
 
     def test_doubling_identities(self):
-        n = np.arange(1, 1 << 14, dtype=np.uint64)
+        # r(2m) = r(m) and r(2m+1) = (-1)^m r(m)
         r = sign_pattern(14)
-
-        def rr(m):
-            return r[m - 1]
-
-        even = rr(2 * n[: 1 << 12]) == rr(n[: 1 << 12])
-        odd = rr(2 * n[: 1 << 12] + 1) == np.where(n[: 1 << 12] % 2 == 0, 1, -1) * rr(
-            n[: 1 << 12]
-        )
-        assert even.all() and odd.all()
+        m = np.arange(1 << 13)
+        assert np.array_equal(r[2 * m], r[m])
+        assert np.array_equal(r[2 * m + 1], np.where(m % 2 == 0, 1, -1) * r[m])
 
     def test_bad_rule(self):
+        data = CosineSeries(np.ones(8192)).to_json_dict(sign_rule=SIGN_RULE)
+        data["sign_rule"] = "no-such-rule"
         with pytest.raises(PreconditionError):
-            sign_pattern(3, "no-such-rule")
+            CosineSeries.from_json_dict(data)
 
 
 class TestParallelogram:
@@ -62,22 +53,13 @@ class TestParallelogram:
 
 
 class TestBuildQ:
-    def test_k1_plain(self):
-        series, cert = build_Q(1)
-        assert series.amps.tolist() == [1.0, 1.0]
-        assert cert.sign_rule == "adjacent-pairs"
-        assert cert.bound <= 2.0 * (1 + 1e-9)
-
-    def test_k2_plain(self):
-        series, cert = build_Q(2)
-        assert cert.sign_rule == "adjacent-pairs"
-        assert 2.659 <= cert.bound <= math.sqrt(8.0) * (1 + 1e-9)
-
-    def test_k3_falls_back_to_search(self):
-        series, cert = build_Q(3)
-        assert cert.sign_rule == "search"
-        assert cert.bound <= 4.0 * (1 + 1e-9)
-        assert series.l2_norm_sq() == pytest.approx(4.0)
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_shifted_rule(self, k):
+        series, cert = build_Q(k)
+        assert cert.sign_rule == "adjacent-pairs-shifted"
+        assert cert.bound == math.sqrt(2.0 ** (k + 1))
+        assert cert.grid_size == 0
+        assert np.array_equal(series.amps, signs_by_recursion(k))
 
     def test_k5_shifted_structural(self):
         series, cert = build_Q(5)
@@ -87,7 +69,7 @@ class TestBuildQ:
         assert cert.bound == math.sqrt(2.0**6)
 
     def test_bound_sound(self):
-        for k in (1, 2, 3, 5):
+        for k in range(1, 7):
             series, cert = build_Q(k)
             vals = series.eval_at(np.linspace(0, 2 * math.pi, 1 << (k + 10), endpoint=False))
             assert np.abs(vals).max() <= cert.bound + 1e-9
@@ -141,6 +123,12 @@ class TestBuildPhi:
         p = bundle.to_trigpoly()
         assert p.coeff(0) == 0
         assert p.is_real()
+
+    def test_q4_half_polynomial(self):
+        # the phi every pipeline uses: (cos t + cos 2t) / 2
+        assert build_phi(4.0, 0.5).to_trigpoly() == TrigPoly(
+            {1: 0.25, -1: 0.25, 2: 0.25, -2: 0.25}
+        )
 
     @pytest.mark.parametrize(
         "q,gamma,k",
