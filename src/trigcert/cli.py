@@ -1,6 +1,6 @@
 """Command line front end: subcommand dispatch, deterministic artifacts.
 
-Every subcommand writes versioned JSON (schema_version 1) and CSV into an
+Every subcommand writes versioned JSON (schema_version 2) and CSV into an
 output directory.  Scalars are serialized as strings: floats with 17
 significant digits, rationals as "p/q", so a rerun with the same inputs
 and seed reproduces the files byte for byte.  Exit codes: 2 for
@@ -41,7 +41,7 @@ from .riesz import (
 from .rudin_shapiro import build_phi
 from .trigpoly import TWO_PI, CoeffSeq, Interval, TrigPoly, f17
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # -- serialization -------------------------------------------------------------

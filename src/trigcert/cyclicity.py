@@ -110,8 +110,7 @@ def multiplier_deficit(f, p: float, d: int):
         P_hat = _smoothed_descent(fw, f.M, d, p, P_hat)
     P_hat = P_hat / scale
     value = _deficit_value(f, P_hat, d, p)
-    freqs = range(-d, d + 1)
-    P = TrigPoly({n: complex(c) for n, c in zip(freqs, P_hat) if c != 0})
+    P = TrigPoly.from_arrays(np.arange(-d, d + 1), P_hat)
     return value, P
 
 

@@ -4,10 +4,10 @@ Sup, min-abs and sign verdicts come with one-sided guarantees derived
 from grid values and the Bernstein derivative inequality
 ||f'|| <= deg(f) * ||f|| (in both its plain and arcsine/Szego forms).
 Superlevel sets are returned as inner/outer sandwiches of arc unions.
-Arc-restricted Fourier integrals use closed-form antiderivatives, so the
-only error is floating point roundoff; a batched variant handles
-millions of frequencies at once when the arc endpoints sit on a dyadic
-grid.
+Arc-restricted Fourier coefficients come from closed-form
+antiderivatives summed over the arc endpoints, millions of frequencies
+in one FFT when the endpoints sit on a dyadic grid, so the only error is
+floating point roundoff.
 """
 
 from __future__ import annotations
@@ -109,9 +109,6 @@ class ArcSet:
         endpoint outside."""
         return np.searchsorted(np.ravel(self.arcs), t, side="right") % 2 == 1
 
-    def union(self, other: "ArcSet") -> "ArcSet":
-        return ArcSet(list(self.arcs) + list(other.arcs))
-
     def intersect(self, other: "ArcSet") -> "ArcSet":
         out = []
         i = j = 0
@@ -150,11 +147,6 @@ class ArcSet:
         if not self.arcs:
             return self
         return ArcSet.from_raw([(a - eps, b + eps) for a, b in self.arcs])
-
-    def erode(self, eps: float) -> "ArcSet":
-        """Shrink every arc by eps on both sides, dropping emptied arcs."""
-        kept = [(a + eps, b - eps) for a, b in self.components() if b - a > 2 * eps]
-        return ArcSet.from_raw(kept) if kept else ArcSet.empty()
 
     def snap_inward(self, grid_bits: int) -> "ArcSet":
         """Round endpoints inward onto the dyadic grid 2pi * m / 2**grid_bits."""
@@ -203,9 +195,8 @@ def _grid_for(degree: int, grid_factor: int) -> int:
 
 def _half_spectrum(f: TrigPoly) -> np.ndarray:
     half = np.zeros(f.degree + 1, dtype=complex)
-    for n, c in f.coeffs.items():
-        if n >= 0:
-            half[n] = complex(c)
+    pos = f.freqs >= 0
+    half[f.freqs[pos]] = f.coeffs[pos]
     return half
 
 
@@ -242,14 +233,14 @@ def _grid_extrema(f: TrigPoly, M: int):
 def sup_certificate(f: TrigPoly, grid_factor: int = 4) -> SupCertificate:
     """Certified upper bound on sup |f| from one grid scan.
 
-    Three valid bounds are combined: the l^1 norm of the coefficients,
-    the linear Bernstein transport G / (1 - pi d / M), and the sharper
-    arcsine transport G / cos(pi d / M) (valid once M > 2d).  The
-    minimum of valid upper bounds is an upper bound.
+    Two valid bounds are combined: the l^1 norm of the coefficients and
+    the arcsine Bernstein transport G / cos(pi d / M) (valid once M > 2d).
+    The minimum of valid upper bounds is an upper bound.  The linear
+    transport G / (1 - pi d / M) is never smaller, since cos x > 1 - x.
     """
     if grid_factor < 4:
         raise PreconditionError("grid_factor must be >= 4", field="grid_factor")
-    if not f.coeffs:
+    if not f.freqs.size:
         return SupCertificate(0.0, 0, 0.0, 0.0, "zero")
     d = f.degree
     crude = f.coeff_l1()
@@ -263,10 +254,9 @@ def sup_certificate(f: TrigPoly, grid_factor: int = 4) -> SupCertificate:
         )
     gmax, gmin = _grid_extrema(f, M)
     G = max(abs(gmax), abs(gmin)) * (1.0 + _FP_PAD)
-    linear = G / (1.0 - x)
-    secant = G / math.cos(x) if x < math.pi / 2 else math.inf
-    bound = min(crude, linear, secant)
-    method = "l1" if bound == crude else ("secant" if bound == secant else "linear")
+    secant = G / math.cos(x)
+    bound = min(crude, secant)
+    method = "l1" if bound == crude else "secant"
     return SupCertificate(bound, M, gmax, gmin, method)
 
 
@@ -290,7 +280,7 @@ def certified_min_abs_and_sign(f: TrigPoly, K: ArcSet, grid_factor: int = 4):
         raise PreconditionError("K must be nonempty", field="K")
     if not f.is_real():
         raise PreconditionError("f must be real")
-    if not f.coeffs:
+    if not f.freqs.size:
         return 0.0, "unknown"
     d = f.degree
     supbound = certified_sup(f, grid_factor)
@@ -343,7 +333,7 @@ def superlevel_arcs(
     if not f.is_real():
         raise PreconditionError("f must be real")
     g = f - c
-    if not g.coeffs or certified_sup(g, grid_factor) == 0.0:
+    if not g.freqs.size or certified_sup(g, grid_factor) == 0.0:
         raise PreconditionError("level set not transverse (f is identically c)")
     d = max(g.degree, 1)
     supbound = certified_sup(g, grid_factor)
@@ -413,23 +403,6 @@ def _merge_cells(chunks):
 
 
 # -- arc-restricted Fourier integrals ---------------------------------------
-
-
-def arc_fourier_integral(f: TrigPoly, K: ArcSet, n: int) -> complex:
-    """(1/2pi) * integral over K of f(t) e^{-int} dt, by closed-form
-    antiderivatives of each exponential term.  Exact up to roundoff."""
-    total = 0.0 + 0.0j
-    for m, cm in f.coeffs.items():
-        k = m - n
-        cm = complex(cm)
-        if k == 0:
-            total += cm * K.measure / TWO_PI
-        else:
-            s = 0.0 + 0.0j
-            for a, b in K.arcs:
-                s += np.exp(1j * k * b) - np.exp(1j * k * a)
-            total += cm * s / (TWO_PI * 1j * k)
-    return complex(total)
 
 
 def indicator_coeffs(K: ArcSet, kmax: int, grid_bits: int = 24) -> np.ndarray:

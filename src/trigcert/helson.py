@@ -272,10 +272,10 @@ def helson_certificate(K: ArcSet, P_list, trials: int, M: int, seed: int = 0,
         best_lower = 0.0
         ok = True
         for P in P_list:
-            spec = sorted(P.coeffs)
             # pairing sum_n P_hat(-n) mu_hat(n) = sum_{k in spec} P_hat(k) mu_hat(-k)
-            pairing = sum(complex(P.coeffs[k]) * mu_hat[M - k] for k in spec)
-            sup_spec = max(abs_hat[M - k] for k in spec)
+            at_spec = M - P.freqs
+            pairing = complex(np.sum(P.coeffs * mu_hat[at_spec]))
+            sup_spec = float(abs_hat[at_spec].max())
             a1 = P.coeff_l1()
             if abs(pairing) > a1 * sup_spec * (1.0 + 1e-12):
                 ok = False
@@ -379,5 +379,5 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
     if delta_hat:
         report["guarantee"] = report["h_sup"] / delta_hat
         report["guarantee_ok"] = report["b_norm"] <= report["guarantee"]
-    f = TrigPoly({int(k): complex(v) for k, v in zip(freqs, c) if v != 0})
+    f = TrigPoly.from_arrays(freqs, c)
     return f, report

@@ -51,22 +51,8 @@ class AtomicMeasure:
             raise PreconditionError("moment order must be >= 0", field="k")
         return sum((m * s**k for s, m in zip(self.knots, self.masses)), Fraction(0))
 
-    def apply_poly(self, coeffs) -> Fraction:
-        """sum_j m_j p(s_j) for p given by exact coefficients (low to high)."""
-        total = Fraction(0)
-        for s, m in zip(self.knots, self.masses):
-            val = Fraction(0)
-            for c in reversed(coeffs):
-                val = val * s + Fraction(c)
-            total += m * val
-        return total
-
     def total_variation(self) -> Fraction:
         return sum((abs(m) for m in self.masses), Fraction(0))
-
-    def moment_bound(self, k: int) -> Fraction:
-        """(2b)^k, valid for k >= n."""
-        return (2 * self.b) ** k
 
     def tv_bound(self) -> float:
         """(2 e b / (b - a))^(n-1)."""

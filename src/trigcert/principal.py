@@ -90,7 +90,7 @@ class PrincipalConfig:
             raise PreconditionError("gamma must lie in (0, 1)", field="gamma")
         if self.r < 2:
             raise PreconditionError("mollifier order must be >= 2", field="r")
-        if not isinstance(self.u, TrigPoly) or not self.u.coeffs:
+        if not isinstance(self.u, TrigPoly) or not self.u.freqs.size:
             raise PreconditionError("u must be a nonzero TrigPoly", field="u")
         if not self.u.is_real():
             raise PreconditionError("u must be real", field="u")
@@ -162,14 +162,9 @@ def _fejer_step_weight(plus: ArcSet, minus: ArcSet, m: int) -> TrigPoly:
             half[1:] += sgn * (np.exp(-1j * n * b) - np.exp(-1j * n * a)) / (-2j * np.pi * n)
     taper = 1.0 - np.arange(m + 1) / (m + 1.0)
     half *= taper
-    coeffs = {}
-    for n in range(m + 1):
-        c = complex(half[n])
-        if c != 0:
-            coeffs[n] = c
-            if n:
-                coeffs[-n] = c.conjugate()
-    return TrigPoly(coeffs)
+    n = np.arange(1, m + 1)
+    return TrigPoly.from_arrays(np.concatenate([-n, np.arange(m + 1)]),
+                                np.concatenate([np.conj(half[1:]), half]))
 
 
 def _gf_for_spacing(degree: int, h: float, cap: int = 1 << 24) -> int:
@@ -245,7 +240,7 @@ def build_w(u: TrigPoly, N: int, c3: float, mode: str = "empirical",
     Candidates in order of degree: a constant (u sign-definite), u scaled
     to unit coefficient-l1 (sup <= 1 structurally), then Fejer means of
     a notched sign pattern of u at increasing degree."""
-    if not u.coeffs:
+    if not u.freqs.size:
         raise PreconditionError("u must be nonzero", field="u")
     if not u.is_real():
         raise PreconditionError("u must be real", field="u")
@@ -338,10 +333,7 @@ def _spline_hat(n: np.ndarray, eta: float, r: int) -> np.ndarray:
 
 def _deriv_l1_bound(f: TrigPoly) -> float:
     # int |f'| <= 2 pi sqrt(sum n^2 |c_n|^2) by Cauchy-Schwarz + Parseval
-    acc = 0.0
-    for n, c in f.coeffs.items():
-        acc += (n * abs(complex(c))) ** 2
-    return TWO_PI * math.sqrt(acc)
+    return TWO_PI * math.sqrt(float(np.sum((f.freqs * np.abs(f.coeffs)) ** 2)))
 
 
 def _level_floor(X: TrigPoly, K: ArcSet, c3: float):
@@ -549,11 +541,7 @@ def _auto_window(eta: float, r: int) -> tuple[int, bool]:
 
 
 def _a_q_window_norm(g: TrigPoly, q: float) -> float:
-    acc = 0.0
-    for n, c in g.coeffs.items():
-        if n == 0:
-            continue
-        acc += abs(complex(c)) ** q
+    acc = float(np.sum(np.abs(g.coeffs[g.freqs != 0]) ** q))
     zero_dev = abs(complex(g.coeff(0)) - 1.0) ** q
     return (acc + zero_dev) ** (1.0 / q)
 

@@ -129,15 +129,6 @@ def lambda_evaluator(spec: RieszSpec, s):
     return evaluate
 
 
-def positivity_report(spec: RieszSpec, s, grid_log2: int = 12):
-    """(grid minimum of lambda_s, closed-form lower bound (1-s)^N)."""
-    ev = lambda_evaluator(spec, s)
-    t = TWO_PI * np.arange(1 << grid_log2) / (1 << grid_log2)
-    gmin = float(ev(t).min())
-    closed = (1.0 - float(s)) ** spec.N
-    return gmin, closed
-
-
 def verify_moment_formula(spec: RieszSpec, s, A):
     """lhs = E[prod_{j in A} X_j] under d mu_s = lambda_s dm; rhs is the
     closed form (s ||phi||_L2^2)^|A| * mean(w^(2|A|)).

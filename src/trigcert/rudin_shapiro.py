@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CertificateError, PreconditionError, ResourceError
 from .gridcert import grid_scan_real
-from .trigpoly import Interval, TrigPoly, f17
+from .trigpoly import TrigPoly, f17
 
 SIGN_RULE = "adjacent-pairs-shifted"
 
@@ -56,136 +56,17 @@ def signs_by_recursion(k: int) -> np.ndarray:
     return r
 
 
-def parallelogram_residual(k: int) -> int:
-    """max |autocorr(r) + autocorr(s) - 2^(k+1) delta_0| over all lags,
-    computed exactly in integers.  Zero iff |P|^2 + |P'|^2 = 2^(k+1)."""
-    if k > 10:
-        raise ResourceError("exact autocorrelation check limited to k <= 10")
-    rr = np.array([1], dtype=np.int64)
-    ss = np.array([1], dtype=np.int64)
-    for _ in range(k):
-        rr, ss = np.concatenate([rr, ss]), np.concatenate([rr, -ss])
-    total = np.convolve(rr, rr[::-1]) + np.convolve(ss, ss[::-1])
-    total[len(rr) - 1] -= 2 ** (k + 1)
-    return int(np.abs(total).max())
-
-
-class CosineSeries:
-    """Q(t) = sum_{n=1}^{N} a_n cos(nt), dense amplitude array.
-
-    A lighter-weight carrier than TrigPoly for the large flat sums
-    (N = 2^23 would not fit a coefficient dict).
-    """
-
-    __slots__ = ("amps",)
-
-    def __init__(self, amps: np.ndarray):
-        amps = np.asarray(amps, dtype=float)
-        if amps.ndim != 1 or amps.size < 1:
-            raise PreconditionError("amps must be a nonempty 1-d array")
-        self.amps = amps
-        self.amps.setflags(write=False)
-
-    @property
-    def degree(self) -> int:
-        return len(self.amps)
-
-    def scale(self, c: float) -> "CosineSeries":
-        return CosineSeries(self.amps * c)
-
-    def coeff(self, n: int) -> complex:
-        n = abs(n)
-        if 1 <= n <= len(self.amps):
-            return complex(self.amps[n - 1] / 2.0)
-        return 0j
-
-    def l2_norm_sq(self) -> float:
-        # sum over +-n of |a_n/2|^2
-        return float((self.amps**2).sum() / 2.0)
-
-    def a_p_norm(self, p: float) -> Interval:
-        if p < 1:
-            raise PreconditionError("p must be >= 1", field="p")
-        val = float((2.0 * (np.abs(self.amps) / 2.0) ** p).sum() ** (1.0 / p))
-        return Interval(val, val)
-
-    def half_spectrum(self) -> np.ndarray:
-        half = np.zeros(len(self.amps) + 1, dtype=complex)
-        half[1:] = self.amps / 2.0
-        return half
-
-    def eval_at(self, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        n = np.arange(1, len(self.amps) + 1)
-        return np.cos(np.multiply.outer(t, n)) @ self.amps
-
-    def grid_extrema(self, M: int):
-        return grid_scan_real(self.half_spectrum(), self.degree, M)
-
-    def to_trigpoly(self, budget: int = _POLY_BUDGET) -> TrigPoly:
-        if 2 * len(self.amps) + 1 > budget:
-            raise ResourceError(
-                "cosine series too large for a coefficient table",
-                budget=budget,
-                required=2 * len(self.amps) + 1,
-            )
-        table = {}
-        for i, a in enumerate(self.amps):
-            if a != 0.0:
-                table[i + 1] = a / 2.0
-                table[-(i + 1)] = a / 2.0
-        return TrigPoly(table)
-
-    def to_json_dict(self, sign_rule: str | None = None) -> dict:
-        """Inline amplitudes when small; otherwise a compact descriptor
-        (rule + scale) from which the array is reproducible."""
-        if sign_rule is not None and len(self.amps) > 4096:
-            k = int(math.log2(len(self.amps)))
-            return {
-                "format": "signed-cosine-rule",
-                "k": k,
-                "scale": f17(np.abs(self.amps[0])),
-                "sign_rule": sign_rule,
-            }
-        return {
-            "format": "cosine-amps",
-            "amps": [f17(a) for a in self.amps],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CosineSeries":
-        if data["format"] == "signed-cosine-rule":
-            if data["sign_rule"] != SIGN_RULE:
-                raise PreconditionError(
-                    f"unknown sign rule {data['sign_rule']!r}", field="sign_rule"
-                )
-            signs = sign_pattern(int(data["k"]))
-            return cls(signs.astype(float) * float(data["scale"]))
-        return cls(np.array([float(a) for a in data["amps"]]))
-
-
 @dataclass(frozen=True)
 class FlatnessCert:
-    """Certified two-sided bound sup |Q| <= bound (<= target)."""
+    """Certified bound sup |Q| <= bound (<= target), by the parallelogram law."""
 
     bound: float
     target: float
     k: int
     sign_rule: str
-    upper_method: str
-    lower_method: str
-    grid_size: int
 
     def scaled(self, c: float) -> "FlatnessCert":
-        return FlatnessCert(
-            self.bound * c,
-            self.target * c,
-            self.k,
-            self.sign_rule,
-            self.upper_method,
-            self.lower_method,
-            self.grid_size,
-        )
+        return FlatnessCert(self.bound * c, self.target * c, self.k, self.sign_rule)
 
     def to_json_dict(self) -> dict:
         return {
@@ -193,9 +74,6 @@ class FlatnessCert:
             "target": f17(self.target),
             "k": self.k,
             "sign_rule": self.sign_rule,
-            "upper_method": self.upper_method,
-            "lower_method": self.lower_method,
-            "grid_size": self.grid_size,
         }
 
 
@@ -209,7 +87,8 @@ def build_Q(k: int, tol: float = 1e-9):
     holds for every k; target B * (1 + tol) is recorded alongside.  Two
     guards catch construction bugs: the bit formula must agree with the
     pair-doubling recursion, and no point of a spot grid may exceed B.
-    Returns (CosineSeries, FlatnessCert).
+    Returns (signs, FlatnessCert): Q(t) = sum_n signs[n-1] cos(nt), the
+    sign array read-only.
     """
     if k < 1:
         raise PreconditionError("k must be >= 1", field="k")
@@ -222,16 +101,16 @@ def build_Q(k: int, tol: float = 1e-9):
     signs = sign_pattern(k)
     if not np.array_equal(signs, signs_by_recursion(k)):
         raise CertificateError("sign-recursion", 1.0, 0.0, "bit rule disagrees with recursion")
-    series = CosineSeries(signs.astype(float))
+    signs.flags.writeable = False
+    half = np.zeros(len(signs) + 1, dtype=complex)
+    half[1:] = signs / 2.0
     # a grid value past B would disprove the code, not the bound
-    gmax, gmin = series.grid_extrema(1 << min(22, max(k + 4, 14)))
+    gmax, gmin = grid_scan_real(half, len(signs), 1 << min(22, max(k + 4, 14)))
     if max(abs(gmax), abs(gmin)) > B * (1.0 + 1e-12):
         raise CertificateError(
             "sup-bound", max(abs(gmax), abs(gmin)), B, "spot check violates structural bound"
         )
-    out = series, FlatnessCert(
-        B, B * (1.0 + tol), k, SIGN_RULE, "parallelogram", "parallelogram", 0
-    )
+    out = signs, FlatnessCert(B, B * (1.0 + tol), k, SIGN_RULE)
     _BUILD_CACHE[key] = out
     return out
 
@@ -264,10 +143,11 @@ def phi_k_for(q: float, gamma: float) -> tuple[int, bool]:
 
 @dataclass(frozen=True)
 class PhiBundle:
-    """Real polynomial with mean zero, certified sup <= 1 + tol, and
-    A_q norm strictly below gamma."""
+    """Real polynomial phi(t) = sum_n amps[n-1] cos(nt) with mean zero,
+    certified sup <= 1 + tol, and A_q norm strictly below gamma.  amps is
+    read-only."""
 
-    series: CosineSeries
+    amps: np.ndarray
     k: int
     q: float
     gamma: float
@@ -279,11 +159,32 @@ class PhiBundle:
     floored: bool
 
     def to_trigpoly(self, budget: int = _POLY_BUDGET) -> TrigPoly:
-        return self.series.to_trigpoly(budget)
+        N = len(self.amps)
+        if 2 * N + 1 > budget:
+            raise ResourceError(
+                "cosine sum too large for a coefficient table",
+                budget=budget,
+                required=2 * N + 1,
+            )
+        n = np.arange(1, N + 1)
+        return TrigPoly.from_arrays(np.concatenate([-n, n]),
+                                    np.concatenate([self.amps, self.amps]) / 2.0)
+
+    def _poly_json(self) -> dict:
+        """Inline amplitudes when small; otherwise a compact descriptor
+        (rule + scale) from which the array is reproducible."""
+        if len(self.amps) > 4096:
+            return {
+                "format": "signed-cosine-rule",
+                "k": self.k,
+                "scale": f17(np.abs(self.amps[0])),
+                "sign_rule": self.sign_rule,
+            }
+        return {"format": "cosine-amps", "amps": [f17(a) for a in self.amps]}
 
     def to_json_dict(self) -> dict:
         return {
-            "poly": self.series.to_json_dict(sign_rule=self.sign_rule),
+            "poly": self._poly_json(),
             "k": self.k,
             "q": f17(self.q),
             "gamma": f17(self.gamma),
@@ -306,17 +207,19 @@ def build_phi(q: float, gamma: float, tol: float = 1e-9) -> PhiBundle:
     2^{k+1} coefficients share one modulus.
     """
     k, floored = phi_k_for(q, gamma)
-    series, cert = build_Q(k, tol=tol)
+    signs, cert = build_Q(k, tol=tol)
     s = 2.0 ** (-(k + 1) / 2.0)
-    phi = series.scale(s)
-    a_norm = float(phi.a_p_norm(q).hi)
+    amps = signs.astype(float) * s
+    amps.flags.writeable = False
+    # each amplitude a_n splits into two coefficients a_n / 2 at +-n
+    a_norm = float((2.0 * (np.abs(amps) / 2.0) ** q).sum() ** (1.0 / q))
     return PhiBundle(
-        series=phi,
+        amps=amps,
         k=k,
         q=q,
         gamma=gamma,
         a_norm=a_norm,
-        l2_norm_sq=phi.l2_norm_sq(),
+        l2_norm_sq=float((amps**2).sum() / 2.0),
         sup_bound=cert.bound * s,
         certificate=cert.scaled(s),
         sign_rule=cert.sign_rule,

@@ -1,14 +1,16 @@
 """Trigonometric polynomials and tail-bounded coefficient sequences.
 
-Everything lives on the Fourier side.  A polynomial is a sparse table
-{frequency: coefficient}; a CoeffSeq is a dense coefficient window on
-[-M, M] together with a power-law bound on everything outside it.  A_p
-norms (l^p of the coefficient sequence) are returned as enclosing
-intervals so downstream certificates can quote one-sided bounds.
+Everything lives on the Fourier side.  A TrigPoly is two arrays: its
+frequencies, sorted and distinct, and the matching nonzero coefficients.
+A CoeffSeq is a dense coefficient window on [-M, M] together with a
+power-law bound on everything outside it.  A_p norms (l^p of the
+coefficient sequence) are returned as enclosing intervals so downstream
+certificates can quote one-sided bounds.
 
-Two scalar types coexist: python complex for numerics and QComplex (a
-pair of Fractions) where identities must cancel exactly.  Mixing an
-exact value with a float degrades the result to float.
+Two scalar types coexist: complex128 for numerics and QComplex (a pair
+of Fractions, held in an object array) where identities must cancel
+exactly.  Mixing an exact value with a float degrades the result to
+float.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ TWO_PI = 2.0 * math.pi
 
 # Default cap on the size of a coefficient table produced by multiply().
 COEFF_BUDGET = 1 << 23
+
+# frequencies are int64; each stays within 2^62, so the sum of two (a
+# frequency of a product) cannot wrap around
+_MAX_FREQ = 1 << 62
 
 _EXACT_TYPES = (int, Fraction)
 
@@ -117,14 +123,6 @@ def _is_exact(value) -> bool:
     return isinstance(value, (QComplex,) + _EXACT_TYPES)
 
 
-def _conj(value):
-    if isinstance(value, QComplex):
-        return value.conjugate()
-    if isinstance(value, _EXACT_TYPES):
-        return value
-    return value.conjugate() if isinstance(value, complex) else complex(value).conjugate()
-
-
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi], the result type of every norm computation."""
@@ -135,11 +133,6 @@ class Interval:
     def __post_init__(self):
         if not (self.lo <= self.hi):
             raise PreconditionError(f"empty interval [{self.lo}, {self.hi}]")
-
-    @classmethod
-    def point(cls, x) -> "Interval":
-        x = float(x)
-        return cls(x, x)
 
     @property
     def width(self) -> float:
@@ -164,34 +157,69 @@ def _as_scalar(value):
         return value
     if isinstance(value, _EXACT_TYPES):
         return QComplex(value)
-    if isinstance(value, float):
+    if isinstance(value, (float, complex)):
         return complex(value)
-    if isinstance(value, complex):
-        return value
     raise PreconditionError(f"unsupported coefficient type {type(value).__name__}")
+
+
+_SCALARS = (int, float, complex, Fraction, QComplex)
 
 
 class TrigPoly:
     """Finitely supported Fourier coefficient table on the circle.
 
-    Immutable.  ``coeffs`` maps integer frequency n to a nonzero
-    coefficient; absent entries are zero.  The polynomial is
-    t -> sum coeffs[n] * exp(i n t).
+    Immutable.  ``freqs`` holds the frequencies with a nonzero
+    coefficient, sorted and distinct (int64); ``coeffs`` the matching
+    coefficients.  The polynomial is t -> sum coeffs[i] exp(i freqs[i] t).
+    ``coeffs`` is an object array of QComplex when every coefficient is
+    exact (the zero polynomial included) and complex128 otherwise.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("freqs", "coeffs")
 
     def __init__(self, coeffs):
-        table = {}
-        for n, c in coeffs.items():
-            c = _as_scalar(c)
-            if (isinstance(c, QComplex) and c) or (
-                isinstance(c, complex) and c != 0
-            ):
-                table[int(n)] = c
-        object.__setattr__(self, "coeffs", table)
+        """From a mapping {frequency: coefficient}; zero entries are dropped."""
+        freqs = [int(n) for n in coeffs]
+        _check_degree(max(map(abs, freqs), default=0))
+        values = [_as_scalar(c) for c in coeffs.values()]
+        if all(isinstance(c, QComplex) for c in values):
+            array = np.empty(len(values), dtype=object)
+            array[:] = values
+        else:
+            array = np.array([complex(c) for c in values], dtype=complex)
+        self._assign(np.array(freqs, dtype=np.int64), array)
+
+    def _assign(self, freqs, coeffs):
+        order = np.argsort(freqs, kind="stable")
+        freqs, coeffs = freqs[order], coeffs[order]
+        if freqs.size > 1:
+            starts = np.flatnonzero(np.diff(freqs, prepend=freqs[0] - 1))
+            if starts.size < freqs.size:
+                # repeated frequencies add up, in the order given
+                coeffs = np.add.reduceat(coeffs, starts)
+                freqs = freqs[starts]
+        keep = coeffs != 0
+        freqs, coeffs = freqs[keep], coeffs[keep]
+        if not coeffs.size:
+            coeffs = coeffs.astype(object)  # no coefficient is inexact
+        freqs.flags.writeable = False
+        coeffs.flags.writeable = False
+        self.freqs, self.coeffs = freqs, coeffs
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def from_arrays(cls, freqs, coeffs) -> "TrigPoly":
+        """sum_i coeffs[i] exp(i freqs[i] t).  Repeated frequencies add
+        up and zero coefficients are dropped.  An object array must hold
+        QComplex values and stays exact; anything else becomes complex128.
+        """
+        coeffs = np.asarray(coeffs)
+        if coeffs.dtype != object:
+            coeffs = coeffs.astype(complex)
+        poly = cls.__new__(cls)
+        poly._assign(np.asarray(freqs, dtype=np.int64).ravel(), coeffs.ravel())
+        return poly
 
     @classmethod
     def zero(cls) -> "TrigPoly":
@@ -215,65 +243,89 @@ class TrigPoly:
         """amp * sin(n t)."""
         if n == 0:
             return cls.zero()
-        return cls({n: _neg_i_half(amp, exact), -n: _pos_i_half(amp, exact)})
+        # sin nt = (e^{int} - e^{-int}) / (2i): amp/(2i) = -i amp/2 at +n
+        if exact or _is_exact(amp):
+            at_n = QComplex(0, -Fraction(amp) / 2)
+        else:
+            at_n = complex(0, -amp / 2)
+        return cls({n: at_n, -n: at_n.conjugate()})
 
     # -- basic queries -------------------------------------------------
 
     @property
     def degree(self) -> int:
-        return max((abs(n) for n in self.coeffs), default=0)
+        if not self.freqs.size:
+            return 0
+        return int(max(-self.freqs[0], self.freqs[-1]))
 
     @property
     def exact(self) -> bool:
-        return all(isinstance(c, QComplex) for c in self.coeffs.values())
+        return self.coeffs.dtype == object
+
+    def _values(self) -> np.ndarray:
+        """The coefficients as complex128."""
+        return self.coeffs.astype(complex) if self.exact else self.coeffs
+
+    def _dense(self) -> bool:
+        return 10 * self.coeffs.size >= 2 * self.degree + 1
 
     def coeff(self, n: int):
-        return self.coeffs.get(n, 0)
+        i = int(np.searchsorted(self.freqs, n))
+        if i < self.freqs.size and self.freqs[i] == n:
+            return self.coeffs[i]
+        return 0
 
     def is_real(self, tol: float = 1e-12) -> bool:
         """Whether coeff(-n) == conj(coeff(n)) for all n (within tol for floats)."""
-        scale = max((abs(complex(c)) for c in self.coeffs.values()), default=0.0)
-        bar = tol * max(1.0, scale)
-        for n, c in self.coeffs.items():
-            d = self.coeffs.get(-n, 0)
-            if self.exact:
-                if _conj(_as_scalar(d)) != c:
-                    return False
-            elif abs(complex(c) - _conj(_as_scalar(d))) > bar:
-                return False
-        return True
+        if not self.freqs.size:
+            return True
+        idx = np.minimum(np.searchsorted(self.freqs, -self.freqs), self.freqs.size - 1)
+        paired = self.freqs[idx] == -self.freqs
+        if self.exact:
+            mirror = np.where(paired, self.coeffs[idx], 0)
+            return bool(np.all(self.coeffs == np.conjugate(mirror)))
+        c = self.coeffs
+        bar = tol * max(1.0, float(np.abs(c).max()))
+        mirror = np.where(paired, c[idx], 0)
+        return not np.any(np.abs(c - np.conj(mirror)) > bar)
 
     def __eq__(self, other):
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        if set(self.coeffs) != set(other.coeffs):
-            return False
-        return all(self.coeffs[n] == other.coeffs[n] for n in self.coeffs)
+        return np.array_equal(self.freqs, other.freqs) and bool(
+            np.all(self.coeffs == other.coeffs)
+        )
 
     def __repr__(self):
-        terms = ", ".join(f"{n}: {c!r}" for n, c in sorted(self.coeffs.items())[:6])
-        more = "..." if len(self.coeffs) > 6 else ""
+        terms = ", ".join(f"{n}: {c!r}" for n, c in
+                          zip(self.freqs[:6].tolist(), self.coeffs[:6].tolist()))
+        more = "..." if self.freqs.size > 6 else ""
         return f"TrigPoly({{{terms}{more}}})"
 
     # -- algebra -------------------------------------------------------
 
+    def _paired_values(self, other: "TrigPoly"):
+        """Both coefficient arrays in one dtype: exact only if both are."""
+        if self.exact and other.exact:
+            return self.coeffs, other.coeffs
+        return self._values(), other._values()
+
     def __add__(self, other):
-        if isinstance(other, (int, float, complex, Fraction, QComplex)):
+        if isinstance(other, _SCALARS):
             other = TrigPoly.const(other)
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        table = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            table[n] = table[n] + c if n in table else c
-        return TrigPoly(table)
+        a, b = self._paired_values(other)
+        return TrigPoly.from_arrays(np.concatenate([self.freqs, other.freqs]),
+                                    np.concatenate([a, b]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TrigPoly({n: -c for n, c in self.coeffs.items()})
+        return TrigPoly.from_arrays(self.freqs, -self.coeffs)
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, complex, Fraction, QComplex)):
+        if isinstance(other, _SCALARS):
             other = TrigPoly.const(other)
         return self.__add__(-other)
 
@@ -281,39 +333,50 @@ class TrigPoly:
         return (-self).__add__(other)
 
     def scale(self, c) -> "TrigPoly":
-        c = c if _is_exact(c) or isinstance(c, QComplex) else complex(c)
-        return TrigPoly({n: v * c for n, v in self.coeffs.items()})
+        if self.exact and _is_exact(c):
+            return TrigPoly.from_arrays(self.freqs, self.coeffs * _as_scalar(c))
+        return TrigPoly.from_arrays(self.freqs, self._values() * complex(c))
 
     def multiply(self, other: "TrigPoly", budget: int = COEFF_BUDGET) -> "TrigPoly":
         """Coefficient convolution; realizes the pointwise product.
 
-        Raises ResourceError when the result table could exceed ``budget``
+        Two dense operands are convolved as windows; otherwise every pair
+        of terms is formed and equal frequencies are summed.  Raises
+        ResourceError when the result table could exceed ``budget``
         entries.
         """
         if not isinstance(other, TrigPoly):
             raise PreconditionError("multiply expects a TrigPoly")
-        if not self.coeffs or not other.coeffs:
+        if not self.freqs.size or not other.freqs.size:
             return TrigPoly.zero()
+        _check_degree(self.degree + other.degree)
         span = 2 * (self.degree + other.degree) + 1
-        if min(len(self.coeffs) * len(other.coeffs), span) > budget:
+        if min(self.freqs.size * other.freqs.size, span) > budget:
             raise ResourceError(
                 f"product would need up to {span} coefficients, "
                 f"budget is {budget}",
                 budget=budget,
                 required=span,
             )
-        table = {}
-        for n1, c1 in self.coeffs.items():
-            for n2, c2 in other.coeffs.items():
-                n = n1 + n2
-                prod = c1 * c2
-                table[n] = table[n] + prod if n in table else prod
-        return TrigPoly(table)
+        a, b = self._paired_values(other)
+        if self._dense() and other._dense():
+            d = (span - 1) // 2
+            full = _window_convolve(self._window(a), other._window(b))
+            return TrigPoly.from_arrays(np.arange(-d, d + 1), full)
+        return TrigPoly.from_arrays(np.add.outer(self.freqs, other.freqs),
+                                    np.multiply.outer(a, b))
+
+    def _window(self, values) -> np.ndarray:
+        """values placed on the dense window of frequencies -degree..degree."""
+        d = self.degree
+        window = np.zeros(2 * d + 1, dtype=values.dtype)
+        window[self.freqs + d] = values
+        return window
 
     def __mul__(self, other):
         if isinstance(other, TrigPoly):
             return self.multiply(other)
-        if isinstance(other, (int, float, complex, Fraction, QComplex)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
         return NotImplemented
 
@@ -324,10 +387,11 @@ class TrigPoly:
         nu = int(nu)
         if nu < 1:
             raise PreconditionError("dilation factor must be >= 1", field="nu")
-        return TrigPoly({nu * n: c for n, c in self.coeffs.items()})
+        _check_degree(self.degree * nu)
+        return TrigPoly.from_arrays(self.freqs * nu, self.coeffs)
 
     def to_float(self) -> "TrigPoly":
-        return TrigPoly({n: complex(c) for n, c in self.coeffs.items()})
+        return TrigPoly.from_arrays(self.freqs, self._values())
 
     # -- evaluation ----------------------------------------------------
 
@@ -342,8 +406,7 @@ class TrigPoly:
         if M < 1:
             raise PreconditionError("grid size must be >= 1", field="M")
         spec = np.zeros(M, dtype=complex)
-        for n, c in self.coeffs.items():
-            spec[n % M] += complex(c)
+        np.add.at(spec, self.freqs % M, self._values())
         return M * np.fft.ifft(spec)
 
     def eval_at(self, t) -> np.ndarray:
@@ -354,23 +417,22 @@ class TrigPoly:
         larger than the number of nonzero coefficients.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if not self.coeffs:
+        if not self.freqs.size:
             return np.zeros_like(t, dtype=complex)
-        d = self.degree
-        if 10 * len(self.coeffs) < 2 * d + 1:
+        values = self._values()
+        if not self._dense():
             acc = np.zeros(t.shape, dtype=complex)
-            for n, c in self.coeffs.items():
-                acc += complex(c) * np.exp((1j * n) * t)
+            for n, c in zip(self.freqs.tolist(), values.tolist()):
+                acc += c * np.exp((1j * n) * t)
             return acc
         z = np.exp(1j * t)
         # Horner on frequencies d, d-1, ..., -d, then shift by z^{-d}.
         acc = np.zeros_like(z)
-        for n in range(d, -d - 1, -1):
+        for c in self._window(values)[::-1].tolist():
             acc *= z
-            c = self.coeffs.get(n)
-            if c is not None:
-                acc += complex(c)
-        return acc * z ** (-d)
+            if c:
+                acc += c
+        return acc * z ** (-self.degree)
 
     def mean(self):
         """The 0th coefficient: (1/2pi) * integral of f."""
@@ -379,12 +441,12 @@ class TrigPoly:
     def l2_norm_sq(self):
         """Parseval: squared L2 norm (normalized measure) as sum |c_n|^2."""
         if self.exact:
-            return sum((c.abs2() for c in self.coeffs.values()), Fraction(0))
-        return float(sum(abs(complex(c)) ** 2 for c in self.coeffs.values()))
+            return sum((c.abs2() for c in self.coeffs), Fraction(0))
+        return float(np.sum(np.abs(self.coeffs) ** 2))
 
     def coeff_l1(self) -> float:
         """l^1 of coefficients; an always-valid upper bound for sup|f|."""
-        return float(sum(abs(complex(c)) for c in self.coeffs.values()))
+        return float(np.sum(np.abs(self._values())))
 
     # -- norms ---------------------------------------------------------
 
@@ -393,39 +455,28 @@ class TrigPoly:
         return self.as_coeffseq().a_p_norm(p)
 
     def as_coeffseq(self) -> "CoeffSeq":
-        d = self.degree
-        window = np.zeros(2 * d + 1, dtype=complex)
-        for n, c in self.coeffs.items():
-            window[n + d] = complex(c)
-        return CoeffSeq(window, d, 0.0, 0.0)
+        return CoeffSeq(self._window(self._values()), self.degree, 0.0, 0.0)
 
     # -- serialization -------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return _seq_json_dict(self.coeffs, self.degree, 0, 0.0, 0.0)
+        return _seq_json_dict(self.freqs, self.coeffs, self.degree, 0, 0.0, 0.0)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TrigPoly":
         tail = data.get("tail") or {}
         if float(_scalar_from_str(str(tail.get("const", "0")))) != 0.0:
             raise PreconditionError("TrigPoly artifact must have zero tail")
-        table = {}
-        for entry in data["coeffs"]:
-            table[int(entry["n"])] = _scalar_pair(entry["re"], entry["im"])
-        return cls(table)
+        return cls({int(e["n"]): _scalar_pair(e["re"], e["im"]) for e in data["coeffs"]})
 
 
-def _neg_i_half(amp, exact):
-    # sin nt = (e^{int} - e^{-int}) / (2i); coefficient at +n is amp/(2i) = -i*amp/2
-    if exact or _is_exact(amp):
-        return QComplex(0, -Fraction(amp) / 2)
-    return complex(0, -amp / 2)
-
-
-def _pos_i_half(amp, exact):
-    if exact or _is_exact(amp):
-        return QComplex(0, Fraction(amp) / 2)
-    return complex(0, amp / 2)
+def _check_degree(degree: int) -> None:
+    if degree > _MAX_FREQ:
+        raise ResourceError(
+            f"frequency {degree} is past the int64 range kept for products",
+            budget=_MAX_FREQ,
+            required=degree,
+        )
 
 
 class CoeffSeq:
@@ -568,12 +619,9 @@ class CoeffSeq:
 
     def to_json_dict(self, window_out: int | None = None) -> dict:
         seq = self if window_out is None else self.truncate(window_out)
-        table = {
-            k - seq.M: seq.window[k]
-            for k in range(len(seq.window))
-            if seq.window[k] != 0
-        }
-        return _seq_json_dict(table, seq.M, seq.M, seq.tail_const, seq.tail_exp)
+        nz = np.flatnonzero(seq.window)
+        return _seq_json_dict(nz - seq.M, seq.window[nz], seq.M, seq.M,
+                              seq.tail_const, seq.tail_exp)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoeffSeq":
@@ -594,9 +642,10 @@ class CoeffSeq:
 
 
 def _window_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution: direct for small operands, by FFT otherwise."""
+    """Full linear convolution: direct for small or exact (object)
+    operands, by FFT otherwise."""
     n = len(a) + len(b) - 1
-    if len(a) * len(b) <= 1 << 20:
+    if a.dtype == object or len(a) * len(b) <= 1 << 20:
         return np.convolve(a, b)
     size = next_pow2(n)
     return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:n]
@@ -658,10 +707,11 @@ def _split_parts(c):
     return c.real, c.imag
 
 
-def _seq_json_dict(table, degree, M, tail_const, tail_exp) -> dict:
+def _seq_json_dict(freqs, values, degree, M, tail_const, tail_exp) -> dict:
+    """Shared artifact layout; freqs must be sorted."""
     coeffs = []
-    for n in sorted(table):
-        re, im = _split_parts(table[n])
+    for n, c in zip(freqs.tolist(), values.tolist()):
+        re, im = _split_parts(c)
         coeffs.append({"n": n, "re": _scalar_to_str(re), "im": _scalar_to_str(im)})
     return {
         "degree": int(degree),
@@ -682,23 +732,6 @@ def next_pow2(n: int) -> int:
 def grid_size(degree: int, factor: int = 1) -> int:
     """Least power of two >= factor * (2*degree + 1)."""
     return next_pow2(factor * (2 * int(degree) + 1))
-
-
-def coeffs_from_grid(values: np.ndarray, degree: int) -> TrigPoly:
-    """Inverse of eval_grid on a grid with M >= 2*degree + 1."""
-    values = np.asarray(values, dtype=complex)
-    M = len(values)
-    if M < 2 * degree + 1:
-        raise PreconditionError(
-            f"grid of {M} points cannot resolve degree {degree}"
-        )
-    spec = np.fft.fft(values) / M
-    table = {}
-    for n in range(-degree, degree + 1):
-        c = spec[n % M]
-        if c != 0:
-            table[n] = complex(c)
-    return TrigPoly(table)
 
 
 def synth_real(half_spectrum: np.ndarray, M: int, offset: float = 0.0) -> np.ndarray:

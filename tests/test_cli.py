@@ -55,7 +55,7 @@ def test_construct_phi_artifact(tmp_path):
     assert run_cli("construct-phi", "--q", 4, "--gamma", 0.5,
                    "--out", tmp_path) == 0
     doc = read_json(tmp_path / "phi.json")
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     # floats travel as 17-significant-digit strings
     assert isinstance(doc["a_norm"], str)
     assert float(doc["a_norm"]) < 0.5

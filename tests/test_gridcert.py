@@ -11,7 +11,6 @@ from trigcert import PreconditionError, TrigPoly
 from trigcert.gridcert import (
     TWO_PI,
     ArcSet,
-    arc_fourier_integral,
     certified_min_abs_and_sign,
     certified_sup,
     grid_scan_real,
@@ -30,6 +29,21 @@ def random_real_poly(rng, degree):
         table[-n] = c.conjugate()
     table[0] = complex(rng.standard_normal())
     return TrigPoly(table)
+
+
+def arc_fourier_integral(f: TrigPoly, K: ArcSet, n: int) -> complex:
+    """(1/2pi) * integral over K of f(t) e^{-int} dt, by closed-form
+    antiderivatives of each exponential term, one arc at a time: the
+    oracle for the batched indicator_coeffs / restricted_fourier."""
+    total = 0.0 + 0.0j
+    for m, cm in zip(f.freqs.tolist(), f.coeffs.astype(complex).tolist()):
+        k = m - n
+        if k == 0:
+            total += cm * K.measure / TWO_PI
+        else:
+            s = sum(np.exp(1j * k * b) - np.exp(1j * k * a) for a, b in K.arcs)
+            total += cm * s / (TWO_PI * 1j * k)
+    return complex(total)
 
 
 # -- ArcSet ------------------------------------------------------------------
@@ -61,17 +75,18 @@ class TestArcSet:
         assert inter.arcs == [(1.0, 2.0), (3.0, 4.0)]
         comp = k1.complement()
         assert comp.measure == pytest.approx(TWO_PI - 4.0)
-        assert k1.union(comp).measure == pytest.approx(TWO_PI)
+        assert ArcSet(k1.arcs + comp.arcs).measure == pytest.approx(TWO_PI)
         assert k1.intersect(comp).measure == pytest.approx(0.0)
 
-    def test_dilate_erode(self):
+    def test_dilate(self):
         k = ArcSet([(0.1, 0.3)])
         big = k.dilate(0.2)
         assert big.components()[0][1] - big.components()[0][0] == pytest.approx(0.6)
         assert len(big.arcs) == 2  # wrapped through 0
-        back = big.erode(0.2)
-        assert back.measure == pytest.approx(k.measure, abs=1e-12)
-        assert ArcSet([(1.0, 1.1)]).erode(0.2).measure == 0.0
+        assert big.measure == pytest.approx(k.measure + 0.4, abs=1e-12)
+        grown = ArcSet([(1.0, 1.1)]).dilate(0.2)
+        assert len(grown.arcs) == 1 and list(grown.arcs[0]) == pytest.approx([0.8, 1.3])
+        assert ArcSet([(1.0, 1.1)]).dilate(0.0).measure == pytest.approx(0.1)
 
     def test_mask_half_open(self):
         k = ArcSet([(1.0, 2.0), (3.0, 4.0)])
@@ -284,7 +299,7 @@ class TestArcFourier:
     def test_additive_in_arcs(self):
         f = TrigPoly({1: 0.5, -1: 0.5, 3: 0.25j, -3: -0.25j})
         k1, k2 = ArcSet([(0.2, 1.0)]), ArcSet([(2.0, 2.7)])
-        whole = arc_fourier_integral(f, k1.union(k2), 2)
+        whole = arc_fourier_integral(f, ArcSet(k1.arcs + k2.arcs), 2)
         assert whole == pytest.approx(
             arc_fourier_integral(f, k1, 2) + arc_fourier_integral(f, k2, 2), abs=1e-14
         )

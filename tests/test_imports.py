@@ -1,5 +1,7 @@
 """Every name a trigcert module imports is used there or listed in its
-``__all__``, checked on the syntax tree with the standard library."""
+``__all__``, and every function and method it defines is referenced
+somewhere in the package, checked on the syntax tree with the standard
+library."""
 
 import ast
 from pathlib import Path
@@ -35,3 +37,62 @@ def test_checker_flags_unused():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Defined in src/ and referenced only from outside it, on purpose.
+KEEP = {
+    "concentration.tail_probability":
+        "the benchmark's tracer wraps it (bench/tracing.py LAYERS)",
+    "concentration.DiscreteProbSpace.expectation":
+        "the tail oracle in tests/test_concentration.py compares against it",
+}
+
+
+def unreferenced(sources: dict) -> list:
+    """'module.function' and 'module.Class.method' names defined at the
+    top level of the given sources (module name -> text) that no Name or
+    attribute access in any of them mentions and no ``__all__`` lists.
+    Dunder methods are called by the language and are skipped."""
+    defined, mentioned = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((f"{module}.{node.name}", node.name))
+            elif isinstance(node, ast.ClassDef):
+                defined.extend(
+                    (f"{module}.{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__")))
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                mentioned.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                mentioned.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                mentioned.add(node.attr)
+    return sorted(qual for qual, name in defined if name not in mentioned)
+
+
+def test_dead_api_checker_flags_unreferenced():
+    sources = {
+        "a": "def used():\n    pass\n\n"
+             "def unused():\n    pass\n\n"
+             "class C:\n"
+             "    def __init__(self):\n        pass\n\n"
+             "    def m(self):\n        return used()\n\n"
+             "    @property\n    def p(self):\n        return 1\n",
+        "b": "from a import C\n__all__ = ['exported']\n\n"
+             "def exported():\n    return C().p\n",
+    }
+    assert unreferenced(sources) == ["a.C.m", "a.unused"]
+
+
+def test_every_function_referenced():
+    dead = unreferenced({p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))})
+    assert sorted(set(dead) - set(KEEP)) == []
+    # a kept name that gains a caller in src/ leaves the keep-list
+    assert sorted(set(KEEP) - set(dead)) == []

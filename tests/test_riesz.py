@@ -16,7 +16,6 @@ from trigcert.riesz import (
     grid_space,
     l2_concentration_check,
     lambda_evaluator,
-    positivity_report,
     riesz_lambda,
     verify_moment_formula,
 )
@@ -71,7 +70,7 @@ class TestLambda:
     def test_single_factor_spectrum(self):
         spec = spec_cos(N=1, nu=3)
         lam = riesz_lambda(spec, Fraction(1, 4))
-        assert set(lam.coeffs) == {0, 3, -3}
+        assert lam.freqs.tolist() == [-3, 0, 3]
 
     def test_small_s_near_one(self):
         spec = spec_cos(N=3, nu=3)
@@ -87,10 +86,12 @@ class TestLambda:
         assert np.allclose(lam.eval_at(t).real, ev(t), atol=1e-10)
 
     def test_positivity(self):
+        # every factor 1 + s w phi is at least 1 - s, so lambda >= (1 - s)^N
         spec = spec_cos(N=3, nu=3)
-        gmin, closed = positivity_report(spec, 0.3)
-        assert gmin >= closed - 1e-12
-        assert closed == pytest.approx(0.7**3)
+        t = 2 * math.pi * np.arange(1 << 12) / (1 << 12)
+        gmin = float(lambda_evaluator(spec, 0.3)(t).min())
+        assert gmin >= 0.7**3 - 1e-12
+        assert gmin == pytest.approx(0.7**3, abs=1e-12)  # cos(3^j t) = -1 at t = pi
 
     def test_s_range(self):
         with pytest.raises(PreconditionError):

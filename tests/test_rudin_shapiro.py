@@ -1,5 +1,6 @@
 """Sign patterns, flatness certificates, and the scaled phi builder."""
 
+import json
 import math
 
 import numpy as np
@@ -8,15 +9,31 @@ import pytest
 from trigcert import PreconditionError, ResourceError, TrigPoly
 from trigcert.rudin_shapiro import (
     SIGN_RULE,
-    CosineSeries,
     build_Q,
     build_phi,
-    parallelogram_residual,
     phi_a_norm,
     phi_k_for,
     sign_pattern,
     signs_by_recursion,
 )
+
+
+def parallelogram_residual(k: int) -> int:
+    """max |autocorr(r) + autocorr(s) - 2^(k+1) delta_0| over all lags,
+    computed exactly in integers from the pair recursion.  Zero iff
+    |P|^2 + |P'|^2 = 2^(k+1)."""
+    rr = ss = np.array([1], dtype=np.int64)
+    for _ in range(k):
+        rr, ss = np.concatenate([rr, ss]), np.concatenate([rr, -ss])
+    total = np.convolve(rr, rr[::-1]) + np.convolve(ss, ss[::-1])
+    total[len(rr) - 1] -= 2 ** (k + 1)
+    return int(np.abs(total).max())
+
+
+def cosine_sum(amps, t):
+    """sum_n amps[n-1] cos(nt), evaluated directly."""
+    n = np.arange(1, len(amps) + 1)
+    return np.cos(np.multiply.outer(t, n)) @ amps
 
 
 class TestSignPattern:
@@ -39,12 +56,6 @@ class TestSignPattern:
         assert np.array_equal(r[2 * m], r[m])
         assert np.array_equal(r[2 * m + 1], np.where(m % 2 == 0, 1, -1) * r[m])
 
-    def test_bad_rule(self):
-        data = CosineSeries(np.ones(8192)).to_json_dict(sign_rule=SIGN_RULE)
-        data["sign_rule"] = "no-such-rule"
-        with pytest.raises(PreconditionError):
-            CosineSeries.from_json_dict(data)
-
 
 class TestParallelogram:
     def test_identity_exact(self):
@@ -55,23 +66,22 @@ class TestParallelogram:
 class TestBuildQ:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_shifted_rule(self, k):
-        series, cert = build_Q(k)
+        signs, cert = build_Q(k)
         assert cert.sign_rule == "adjacent-pairs-shifted"
         assert cert.bound == math.sqrt(2.0 ** (k + 1))
-        assert cert.grid_size == 0
-        assert np.array_equal(series.amps, signs_by_recursion(k))
+        assert np.array_equal(signs, signs_by_recursion(k))
+        assert not signs.flags.writeable
 
     def test_k5_shifted_structural(self):
-        series, cert = build_Q(5)
+        _, cert = build_Q(5)
         assert cert.sign_rule == "adjacent-pairs-shifted"
-        assert cert.upper_method == "parallelogram"
-        assert cert.grid_size == 0
         assert cert.bound == math.sqrt(2.0**6)
+        assert sorted(cert.to_json_dict()) == ["bound", "k", "sign_rule", "target"]
 
     def test_bound_sound(self):
         for k in range(1, 7):
-            series, cert = build_Q(k)
-            vals = series.eval_at(np.linspace(0, 2 * math.pi, 1 << (k + 10), endpoint=False))
+            signs, cert = build_Q(k)
+            vals = cosine_sum(signs, np.linspace(0, 2 * math.pi, 1 << (k + 10), endpoint=False))
             assert np.abs(vals).max() <= cert.bound + 1e-9
 
     def test_bad_k(self):
@@ -87,29 +97,37 @@ class TestBuildQ:
 
 
 class TestCosineSeries:
+    """phi as amplitudes of cos(nt): its polynomial and its phi.json form."""
+
     def test_eval_matches_trigpoly(self):
-        series, _ = build_Q(3)
+        bundle = build_phi(4.0, 0.1)
         t = np.linspace(0, 2 * math.pi, 37)
-        poly_vals = series.to_trigpoly().eval_at(t).real
-        assert np.allclose(series.eval_at(t), poly_vals, atol=1e-12)
+        poly_vals = bundle.to_trigpoly().eval_at(t)
+        assert np.allclose(cosine_sum(bundle.amps, t), poly_vals.real, atol=1e-12)
+        assert np.abs(poly_vals.imag).max() < 1e-12
+        assert not bundle.amps.flags.writeable
 
     def test_trigpoly_budget(self):
-        series = CosineSeries(np.ones(1000))
+        bundle = build_phi(4.0, 0.1)  # 2^9 amplitudes, 1025 coefficients
+        assert bundle.to_trigpoly(budget=1025).degree == 512
         with pytest.raises(ResourceError):
-            series.to_trigpoly(budget=100)
+            bundle.to_trigpoly(budget=1024)
 
     def test_json_inline_roundtrip(self):
-        series = CosineSeries(np.array([0.5, -0.25, 0.125]))
-        back = CosineSeries.from_json_dict(series.to_json_dict())
-        assert np.array_equal(back.amps, series.amps)
+        bundle = build_phi(4.0, 0.1)
+        data = json.loads(json.dumps(bundle.to_json_dict()))["poly"]
+        assert data["format"] == "cosine-amps"
+        assert np.array_equal(np.array([float(a) for a in data["amps"]]), bundle.amps)
 
     def test_json_descriptor_roundtrip(self):
-        series, cert = build_Q(13)
-        scaled = series.scale(2.0 ** (-7))
-        data = scaled.to_json_dict(sign_rule=cert.sign_rule)
-        assert data["format"] == "signed-cosine-rule"
-        back = CosineSeries.from_json_dict(data)
-        assert np.array_equal(back.amps, scaled.amps)
+        # past 4096 amplitudes phi.json keeps the rule and the scale only;
+        # the signs must come back from sign_pattern
+        bundle = build_phi(3.0, 0.1)
+        data = json.loads(json.dumps(bundle.to_json_dict()))["poly"]
+        assert data == {"format": "signed-cosine-rule", "k": 13,
+                        "scale": data["scale"], "sign_rule": SIGN_RULE}
+        rebuilt = sign_pattern(data["k"]).astype(float) * float(data["scale"])
+        assert np.array_equal(rebuilt, bundle.amps)
 
 
 class TestBuildPhi:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigcert import CoeffSeq, Interval, PreconditionError, QComplex, ResourceError, TrigPoly
-from trigcert.trigpoly import coeffs_from_grid, grid_size, next_pow2, synth_real
+from trigcert.trigpoly import TWO_PI, grid_size, next_pow2, synth_real
 
 
 def random_poly(rng, degree, real=False):
@@ -163,9 +163,9 @@ def test_eval_grid_roundtrip():
     rng = np.random.default_rng(13)
     f = random_poly(rng, 8)
     vals = f.eval_grid(32)
-    back = coeffs_from_grid(vals, 8)
+    spec = np.fft.fft(vals) / 32
     for n in range(-8, 9):
-        assert abs(complex(back.coeff(n)) - complex(f.coeff(n))) < 1e-12
+        assert abs(spec[n % 32] - complex(f.coeff(n))) < 1e-12
 
 
 def test_eval_grid_rejects_empty():
@@ -233,13 +233,13 @@ def test_multiply_commutes_and_associates(seed):
     f, g, h = (random_poly(rng, 3) for _ in range(3))
     fg = f * g
     gf = g * f
-    assert set(fg.coeffs) == set(gf.coeffs)
-    for n in fg.coeffs:
+    assert np.array_equal(fg.freqs, gf.freqs)
+    for n in fg.freqs.tolist():
         assert abs(complex(fg.coeff(n)) - complex(gf.coeff(n))) < 1e-12
     lhs = (f * g) * h
     rhs = f * (g * h)
-    scale = max(abs(complex(c)) for c in lhs.coeffs.values())
-    for n in set(lhs.coeffs) | set(rhs.coeffs):
+    scale = float(np.abs(lhs.coeffs).max())
+    for n in set(lhs.freqs.tolist()) | set(rhs.freqs.tolist()):
         assert abs(complex(lhs.coeff(n)) - complex(rhs.coeff(n))) <= 1e-12 * max(
             1.0, scale
         )
@@ -277,8 +277,8 @@ def test_poly_json_roundtrip_float():
     f = random_poly(rng, 3)
     data = json.loads(json.dumps(f.to_json_dict(), sort_keys=True))
     g = TrigPoly.from_json_dict(data)
-    for n in set(f.coeffs) | set(g.coeffs):
-        assert complex(f.coeff(n)) == complex(g.coeff(n))  # 17 digits are lossless
+    assert np.array_equal(f.freqs, g.freqs)
+    assert np.array_equal(f.coeffs, g.coeffs)  # 17 digits are lossless
 
 
 def test_poly_json_roundtrip_rational():
@@ -313,7 +313,7 @@ def test_truncate_keeps_bounds_sound():
 
 
 def test_interval_basics():
-    iv = Interval(1.0, 2.0) + Interval.point(0.5)
+    iv = Interval(1.0, 2.0) + Interval(0.5, 0.5)
     assert iv == Interval(1.5, 2.5)
     assert iv.scale(2.0) == Interval(3.0, 5.0)
     with pytest.raises(PreconditionError):
@@ -325,3 +325,165 @@ def test_next_pow2():
     for k in range(1, 40):
         assert next_pow2(1 << k) == 1 << k
         assert next_pow2((1 << k) + 1) == 1 << (k + 1)
+
+
+# -- a dict-based reference ---------------------------------------------
+#
+# Every operation again on plain {frequency: coefficient} dicts, one term
+# at a time.  Exact polynomials must agree exactly, float ones to 1e-12
+# relative to their largest coefficient.
+
+
+def ref_of(f):
+    return dict(zip(f.freqs.tolist(), f.coeffs.tolist()))
+
+
+def ref_clean(table):
+    return {n: c for n, c in table.items() if c != 0}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for n, c in b.items():
+        out[n] = out[n] + c if n in out else c
+    return ref_clean(out)
+
+
+def ref_multiply(a, b):
+    out = {}
+    for n1, c1 in a.items():
+        for n2, c2 in b.items():
+            out[n1 + n2] = out[n1 + n2] + c1 * c2 if n1 + n2 in out else c1 * c2
+    return ref_clean(out)
+
+
+def ref_eval(a, t):
+    return sum((complex(c) * np.exp(1j * n * t) for n, c in a.items()), np.zeros_like(t, complex))
+
+
+def ref_is_real(a, exact):
+    for n, c in a.items():
+        mirror = a.get(-n, QComplex(0) if exact else 0j)
+        if exact and mirror.conjugate() != c:
+            return False
+        if not exact and abs(complex(c) - complex(mirror).conjugate()) > 1e-12 * max(
+                1.0, max(abs(complex(v)) for v in a.values())):
+            return False
+    return True
+
+
+def assert_matches(poly, ref, exact):
+    assert poly.freqs.tolist() == sorted(ref)
+    assert poly.exact == (exact or not ref)
+    if exact:
+        assert all(isinstance(c, QComplex) for c in poly.coeffs)
+        assert list(poly.coeffs) == [ref[n] for n in sorted(ref)]
+    elif ref:
+        assert poly.coeffs.dtype == complex
+        want = np.array([complex(ref[n]) for n in sorted(ref)])
+        assert np.abs(poly.coeffs - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def random_table(rng, kind, exact, real=False):
+    if kind == "sparse":
+        # few terms at a high degree: eval_at sums term by term
+        freqs = rng.choice(np.arange(-300, 301), size=int(rng.integers(1, 7)), replace=False)
+    else:
+        d = int(rng.integers(2, 9))
+        freqs = np.arange(-d, d + 1)[rng.random(2 * d + 1) < 0.8]
+    if real:
+        freqs = np.unique(np.abs(freqs))
+
+    def value():
+        if exact:
+            return QComplex(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8))),
+                            Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8))))
+        return complex(rng.standard_normal(), rng.standard_normal())
+
+    table = {}
+    for n in freqs.tolist():
+        c = value()
+        if real:
+            if n == 0:
+                c = QComplex(c.re) if exact else complex(c.real)
+            table[-n] = c.conjugate()
+        table[n] = c
+    return ref_clean(table)
+
+
+CASES = [(kind, exact, seed) for kind in ("sparse", "dense")
+         for exact in (False, True) for seed in range(4)]
+
+
+@pytest.mark.parametrize("kind,exact,seed", CASES)
+def test_dict_reference(kind, exact, seed):
+    rng = np.random.default_rng(1000 * seed + 10 * (kind == "dense") + exact)
+    a, b = random_table(rng, kind, exact), random_table(rng, "dense", exact)
+    f, g = TrigPoly(a), TrigPoly(b)
+    assert_matches(f, a, exact)
+    assert f == TrigPoly(dict(reversed(list(a.items()))))  # insertion order is immaterial
+
+    assert_matches(f + g, ref_add(a, b), exact)
+    assert_matches(f - g, ref_add(a, {n: -c for n, c in b.items()}), exact)
+    assert_matches(f - f, {}, exact)
+    assert (f - f) == TrigPoly.zero()
+    s = Fraction(-3, 7)
+    assert_matches(f.scale(s), ref_clean({n: c * QComplex(s) if exact else c * complex(s)
+                                          for n, c in a.items()}), exact)
+    assert_matches(f.scale(0), {}, exact)
+    assert_matches(f.multiply(g), ref_multiply(a, b), exact)
+    assert_matches(f.multiply(f), ref_multiply(a, a), exact)
+    assert_matches(f.dilate(3), {3 * n: c for n, c in a.items()}, exact)
+
+    t = rng.uniform(0.0, TWO_PI, size=33)
+    l1 = sum(abs(complex(c)) for c in a.values())
+    assert np.abs(f.eval_at(t) - ref_eval(a, t)).max() <= 1e-12 * l1
+    for M in (1, 7, 64, 1024):
+        grid = TWO_PI * np.arange(M) / M
+        assert np.abs(f.eval_grid(M) - ref_eval(a, grid)).max() <= 1e-12 * l1
+    for p in (1.0, 1.5, 2.0, 4.0):
+        want = sum(abs(complex(c)) ** p for c in a.values()) ** (1.0 / p)
+        got = f.a_p_norm(p)
+        assert got.lo == got.hi == pytest.approx(want, rel=1e-12)
+
+    real = random_table(rng, kind, exact, real=True)
+    assert TrigPoly(real).is_real() and ref_is_real(real, exact)
+    assert f.is_real() == ref_is_real(a, exact)
+
+    back = TrigPoly.from_json_dict(json.loads(json.dumps(f.to_json_dict())))
+    assert back == f and back.exact == exact
+    assert np.array_equal(back.freqs, f.freqs) and np.array_equal(back.coeffs, f.coeffs)
+
+
+def test_dict_reference_exact_times_float_degrades():
+    rng = np.random.default_rng(77)
+    a, b = random_table(rng, "dense", True), random_table(rng, "sparse", False)
+    f, g = TrigPoly(a), TrigPoly(b)
+    as_float = {n: complex(c) for n, c in a.items()}
+    assert_matches(f + g, ref_add(as_float, b), False)
+    assert_matches(f.multiply(g), ref_multiply(as_float, b), False)
+    assert_matches(f.scale(0.5), {n: c * 0.5 for n, c in as_float.items()}, False)
+    assert_matches(f.to_float(), as_float, False)
+    assert f.to_float() == f  # QComplex compares equal to its complex value
+
+
+def test_dict_reference_multiply_budget():
+    f = TrigPoly({1000 * k: 1.0 for k in range(-20, 21)})  # sparse, 41 terms
+    assert_matches(f.multiply(f, budget=41 * 41), ref_multiply(ref_of(f), ref_of(f)), False)
+    with pytest.raises(ResourceError) as info:
+        f.multiply(f, budget=41 * 41 - 1)
+    assert info.value.budget == 41 * 41 - 1 and info.value.required == 2 * 40000 + 1
+
+
+def test_frequencies_never_wrap_int64():
+    # frequencies are int64: past 2^62 the algebra refuses instead of
+    # wrapping around, where python ints would have grown
+    big = TrigPoly({1 << 61: 1.0, 0: 1.0})
+    assert big.dilate(2).degree == 1 << 62
+    with pytest.raises(ResourceError):
+        big.dilate(3)
+    assert (big * big).coeff(1 << 62) == 1.0
+    with pytest.raises(ResourceError):
+        big.dilate(2) * big
+    with pytest.raises(ResourceError):
+        TrigPoly({(1 << 62) + 1: 1.0})
