@@ -322,7 +322,8 @@ def _do_helson(cfg: dict) -> str:
 
 
 def _skeleton(K: ArcSet) -> np.ndarray:
-    return np.array([(a + b) / 2.0 for a, b in K.components()])
+    comps = K.components()
+    return (comps[:, 0] + comps[:, 1]) / 2.0
 
 
 def _do_probe(cfg: dict) -> str:

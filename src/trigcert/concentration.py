@@ -71,9 +71,10 @@ class DiscreteProbSpace:
         return float(np.dot(self.weights_float, np.asarray(values, dtype=float)))
 
     @classmethod
-    def coin_product(cls, p_heads, n: int, values=(1, -1)):
+    def coin_product(cls, p_heads, n: int):
         """Product of n independent coins; returns (space, variables)
-        where variable j reads coordinate j.  Exact when p_heads is."""
+        where variable j is +1 on heads and -1 on tails of coin j.  Exact
+        when p_heads is."""
         if n < 1 or n > 24:
             raise PreconditionError("n must be in 1..24", field="n")
         p = Fraction(p_heads) if not isinstance(p_heads, float) else p_heads
@@ -84,10 +85,7 @@ class DiscreteProbSpace:
             heads = sum(om)
             weights.append(p**heads * q ** (n - heads))
         space = cls(outcomes, weights)
-        vals = (values[0], values[1])
-        variables = [
-            [vals[0] if om[j] == 1 else vals[1] for om in outcomes] for j in range(n)
-        ]
+        variables = [[1 if om[j] == 1 else -1 for om in outcomes] for j in range(n)]
         return space, variables
 
 

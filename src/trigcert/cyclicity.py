@@ -131,13 +131,12 @@ def cyclicity_profile(f, p: float, d_max: int, ds=None):
             ds.append(d_max)
     rows = []
     best = None
-    best_P = None
     for d in sorted(set(ds)):
-        value, P = multiplier_deficit(f, p, d)
+        value, _ = multiplier_deficit(f, p, d)
         if best is None or value.hi < best.hi:
-            best, best_P = value, P
-        rows.append((d, best, best_P))
-    return [(d, v) for d, v, _ in rows]
+            best = value
+        rows.append((d, best))
+    return rows
 
 
 def obstruction_bound(S, f, p: float, d: int):
@@ -163,10 +162,12 @@ def obstruction_bound(S, f, p: float, d: int):
     aq = S.a_p_norm(q)
     if aq.hi == 0.0:
         raise PreconditionError("S must be nonzero", field="S")
-    conv = np.convolve(S.window, f.window)
-    center = S.M + f.M
-    lo = max(0, center - d)
-    seg = conv[lo : center + d + 1]
+    # only the 2d+1 central entries of S * f are read; they need S's window
+    # on |n| <= f.M + d, zero-padded where it is shorter
+    reach = f.M + d
+    Sw = np.pad(S.window, max(0, reach - S.M))
+    mid = (len(Sw) - 1) // 2
+    seg = np.convolve(Sw[mid - reach : mid + reach + 1], f.window, mode="valid")
     sup_f_hat = float(np.abs(f.window).max())
     sup_s_hat = float(np.abs(S.window).max())
     slack = (S.tail_l1() * max(sup_f_hat, _tail_peak(f))
@@ -193,7 +194,7 @@ def _gap_profiles(K: ArcSet):
     is taken whole from components() (its b then exceeds 2 pi), so the
     witness does not pick up a spurious zero at t = 0."""
     return [(a, b, (4.0 / ((b - a) ** 2)) ** 3)
-            for a, b in K.complement().components()]
+            for a, b in K.complement().components().tolist()]
 
 
 def witness_values(K: ArcSet, t) -> np.ndarray:

@@ -27,48 +27,58 @@ _FP_PAD = 1e-12
 # largest single FFT synthesis; larger grids are scanned in staggered passes
 _MAX_SYNTH = 1 << 22
 
+# superlevel bisection: cells narrower than this stay undecided, and a cell
+# still undecided after this many halvings means a tangential level set
+_BISECT_TOL = 1e-10
+_MAX_DEPTH = 64
+
 
 class ArcSet:
     """Finite union of disjoint closed arcs of the circle.
 
-    Stored canonically: arcs sorted by left endpoint, pairwise disjoint,
-    contained in [0, 2pi].  A component that crosses 0 is stored split in
-    two ([0, b] first and [a, 2pi] last); ``components()`` rejoins it.
+    ``arcs`` is a read-only (n, 2) float64 array of arcs sorted by left
+    endpoint, pairwise disjoint and contained in [0, 2pi].  A component
+    that crosses 0 is stored split in two ([0, b] first and [a, 2pi]
+    last); ``components()`` rejoins it.
     """
 
     __slots__ = ("arcs",)
 
     def __init__(self, arcs):
-        canonical = []
-        for a, b in sorted((float(a), float(b)) for a, b in arcs):
-            if not (0.0 <= a < b <= TWO_PI + 1e-15):
-                raise PreconditionError(f"bad arc [{a}, {b}]")
-            b = min(b, TWO_PI)
-            if canonical and a <= canonical[-1][1]:
-                canonical[-1][1] = max(canonical[-1][1], b)
-            else:
-                canonical.append([a, b])
-        self.arcs = [tuple(arc) for arc in canonical]
+        """Canonical form of (a, b) pairs with 0 <= a < b <= 2pi, in any
+        order: sorted, overlapping and touching arcs merged."""
+        raw = np.array(arcs, dtype=float).reshape(-1, 2)
+        bad = ~((0.0 <= raw[:, 0]) & (raw[:, 0] < raw[:, 1])
+                & (raw[:, 1] <= TWO_PI + 1e-15))
+        if bad.any():
+            a, b = raw[np.argmax(bad)].tolist()
+            raise PreconditionError(f"bad arc [{a}, {b}]")
+        order = np.argsort(raw[:, 0])
+        a, b = raw[order, 0], np.minimum(raw[order, 1], TWO_PI)
+        # an arc opens a new component when it starts past every end before
+        # it; arcs with one start never do after the first, in any order
+        starts = np.flatnonzero(a > np.maximum.accumulate(np.concatenate([[-1.0], b]))[:-1])
+        arcs = np.stack([a[starts], np.maximum.reduceat(b, starts)], axis=1)
+        arcs.flags.writeable = False
+        self.arcs = arcs
 
     @classmethod
     def from_raw(cls, pairs) -> "ArcSet":
         """Build from arbitrary (a, b) pairs, reducing mod 2pi and
         splitting arcs that wrap through 0."""
-        out = []
-        for a0, b0 in pairs:
-            length = float(b0) - float(a0)
-            if length <= 0:
-                raise PreconditionError(f"empty arc [{a0}, {b0}]")
-            if length >= TWO_PI:
-                return cls.full_circle()
-            a = float(a0) % TWO_PI
-            b = a + length
-            if b <= TWO_PI:
-                out.append((a, b))
-            else:
-                out.append((a, TWO_PI))
-                out.append((0.0, b - TWO_PI))
-        return cls(out)
+        raw = np.array(pairs, dtype=float).reshape(-1, 2)
+        length = raw[:, 1] - raw[:, 0]
+        if not np.all(length > 0):
+            a, b = raw[np.argmax(~(length > 0))].tolist()
+            raise PreconditionError(f"empty arc [{a}, {b}]")
+        if np.any(length >= TWO_PI):
+            return cls.full_circle()
+        a = raw[:, 0] % TWO_PI
+        b = a + length
+        wrap = b > TWO_PI
+        lo = np.concatenate([a, np.zeros(np.count_nonzero(wrap))])
+        hi = np.concatenate([np.minimum(b, TWO_PI), b[wrap] - TWO_PI])
+        return cls(np.stack([lo, hi], axis=1))
 
     @classmethod
     def full_circle(cls) -> "ArcSet":
@@ -79,98 +89,79 @@ class ArcSet:
         return cls([])
 
     def __bool__(self):
-        return bool(self.arcs)
+        return len(self.arcs) > 0
 
     def __eq__(self, other):
-        return isinstance(other, ArcSet) and self.arcs == other.arcs
+        return isinstance(other, ArcSet) and np.array_equal(self.arcs, other.arcs)
 
     def __repr__(self):
         return f"ArcSet({len(self.arcs)} arcs, measure {self.measure:.6g})"
 
     @property
     def measure(self) -> float:
-        return sum(b - a for a, b in self.arcs)
+        # summed left to right, as a loop over the arcs would
+        lengths = self.arcs[:, 1] - self.arcs[:, 0]
+        return float(np.cumsum(lengths)[-1]) if lengths.size else 0.0
 
-    def components(self):
-        """Arcs with the 0-crossing pair rejoined (last one may end > 2pi)."""
-        if len(self.arcs) >= 2:
-            (a0, b0), (al, bl) = self.arcs[0], self.arcs[-1]
-            if a0 == 0.0 and bl == TWO_PI and self.measure < TWO_PI:
-                return self.arcs[1:-1] + [(al, b0 + TWO_PI)]
-        return list(self.arcs)
-
-    def contains(self, t: float, slack: float = 0.0) -> bool:
-        t = t % TWO_PI
-        return any(a - slack <= t <= b + slack for a, b in self.arcs)
+    def components(self) -> np.ndarray:
+        """Arcs with the 0-crossing pair rejoined, as an (m, 2) array; the
+        rejoined component comes last and ends past 2pi."""
+        arcs = self.arcs
+        if len(arcs) >= 2 and arcs[0, 0] == 0.0 and arcs[-1, 1] == TWO_PI:
+            return np.concatenate([arcs[1:-1], [[arcs[-1, 0], arcs[0, 1] + TWO_PI]]])
+        return arcs
 
     def mask(self, t) -> np.ndarray:
         """Membership of each angle t in [0, 2pi), every arc taken half-open
         [a, b): a point on a left endpoint is inside, one on a right
         endpoint outside."""
-        return np.searchsorted(np.ravel(self.arcs), t, side="right") % 2 == 1
+        return np.searchsorted(self.arcs.ravel(), t, side="right") % 2 == 1
 
     def intersect(self, other: "ArcSet") -> "ArcSet":
-        out = []
-        i = j = 0
-        while i < len(self.arcs) and j < len(other.arcs):
-            a1, b1 = self.arcs[i]
-            a2, b2 = other.arcs[j]
-            lo, hi = max(a1, a2), min(b1, b2)
-            if lo < hi:
-                out.append((lo, hi))
-            if b1 <= b2:
-                i += 1
-            else:
-                j += 1
-        return ArcSet(out)
+        # no endpoint of either set lies inside a piece between consecutive
+        # breakpoints, so a piece is in both sets when its left end is
+        cuts = np.union1d(self.arcs.ravel(), other.arcs.ravel())
+        keep = self.mask(cuts[:-1]) & other.mask(cuts[:-1])
+        return ArcSet(np.stack([cuts[:-1][keep], cuts[1:][keep]], axis=1))
 
     def complement(self) -> "ArcSet":
-        if not self.arcs:
-            return ArcSet.full_circle()
-        out = []
-        prev = 0.0
-        for a, b in self.arcs:
-            if a > prev:
-                out.append((prev, a))
-            prev = b
-        if prev < TWO_PI:
-            out.append((prev, TWO_PI))
-        return ArcSet(out)
+        gaps = np.concatenate([[0.0], self.arcs.ravel(), [TWO_PI]]).reshape(-1, 2)
+        return ArcSet(gaps[gaps[:, 0] < gaps[:, 1]])
 
-    def subset_of(self, other: "ArcSet", slack: float = 1e-12) -> bool:
-        return self.intersect(other).measure >= self.measure - slack
+    def subset_of(self, other: "ArcSet") -> bool:
+        """Exact containment: each arc lies inside one arc of other."""
+        if not other:
+            return not self
+        i = np.searchsorted(other.arcs[:, 0], self.arcs[:, 0], side="right") - 1
+        return bool(np.all((i >= 0) & (self.arcs[:, 1] <= other.arcs[i, 1])))
 
     def dilate(self, eps: float) -> "ArcSet":
         """Minkowski enlargement by eps on both sides (wraps through 0)."""
         if eps < 0:
             raise PreconditionError("dilation must be nonnegative")
-        if not self.arcs:
+        if not self:
             return self
-        return ArcSet.from_raw([(a - eps, b + eps) for a, b in self.arcs])
+        return ArcSet.from_raw(self.arcs + np.array([-eps, eps]))
 
     def snap_inward(self, grid_bits: int) -> "ArcSet":
         """Round endpoints inward onto the dyadic grid 2pi * m / 2**grid_bits."""
         G = 1 << grid_bits
         scale = G / TWO_PI
-        out = []
-        for a, b in self.arcs:
-            ma = math.ceil(a * scale - 1e-9)
-            mb = math.floor(b * scale + 1e-9)
-            if mb > ma:
-                out.append((ma * TWO_PI / G, mb * TWO_PI / G))
-        return ArcSet(out)
+        m = np.stack([np.ceil(self.arcs[:, 0] * scale - 1e-9),
+                      np.floor(self.arcs[:, 1] * scale + 1e-9)], axis=1)
+        return ArcSet(m[m[:, 1] > m[:, 0]] * TWO_PI / G)
 
-    def sample(self, max_spacing: float, min_per_arc: int = 2) -> np.ndarray:
+    def sample(self, max_spacing: float) -> np.ndarray:
         """Sample points covering the set: arc endpoints included, spacing
         between consecutive samples at most max_spacing."""
         pts = []
-        for a, b in self.arcs:
-            n = max(min_per_arc, int(math.ceil((b - a) / max_spacing)) + 1)
+        for a, b in self.arcs.tolist():
+            n = max(2, int(math.ceil((b - a) / max_spacing)) + 1)
             pts.append(np.linspace(a, b, n))
         return np.concatenate(pts) if pts else np.array([])
 
     def to_json_dict(self) -> dict:
-        return {"arcs": [{"a": f17(a), "b": f17(b)} for a, b in self.arcs]}
+        return {"arcs": [{"a": f17(a), "b": f17(b)} for a, b in self.arcs.tolist()]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ArcSet":
@@ -319,24 +310,22 @@ def superlevel_arcs(
     f: TrigPoly,
     c: float,
     grid_factor: int = 4,
-    tol: float = 1e-10,
-    max_depth: int = 64,
 ):
     """Inner and outer arc approximations of {t : f(t) >= c}.
 
     inner is certified a subset of the superlevel set; outer certified a
     superset.  Cells whose endpoint values clear the Lipschitz slack are
-    classified outright; the rest are bisected until narrower than tol.
-    A cell pinned at the level beyond max_depth means the level set is
-    tangential there and is reported as an error.
+    classified outright; the rest are bisected until narrower than
+    _BISECT_TOL.  A cell pinned at the level beyond _MAX_DEPTH bisections
+    means the level set is tangential there and is reported as an error.
     """
     if not f.is_real():
         raise PreconditionError("f must be real")
     g = f - c
-    if not g.freqs.size or certified_sup(g, grid_factor) == 0.0:
+    supbound = certified_sup(g, grid_factor)
+    if supbound == 0.0:
         raise PreconditionError("level set not transverse (f is identically c)")
     d = max(g.degree, 1)
-    supbound = certified_sup(g, grid_factor)
     lam = d * supbound  # Lipschitz constant via Bernstein
     M = _grid_for(d, grid_factor)
     grid = np.arange(M + 1) * (TWO_PI / M)
@@ -344,15 +333,17 @@ def superlevel_arcs(
     vals[:M] = _real_grid(g, M)
     vals[M] = vals[0]
 
-    pos_cells, unknown_cells = [], []
+    # cells go to ArcSet, whose constructor merges them; the empty block
+    # keeps the concatenation defined when no cell is certified
+    pos_cells, unknown_cells = [np.empty((0, 2))], []
     lo, hi = grid[:-1], grid[1:]
     flo, fhi = vals[:-1], vals[1:]
     depth = 0
     while lo.size:
-        if depth > max_depth:
+        if depth > _MAX_DEPTH:
             raise PreconditionError(
                 "level set not transverse: bisection stalled at depth "
-                f"{max_depth} near t={lo[0]:.12f}"
+                f"{_MAX_DEPTH} near t={lo[0]:.12f}"
             )
         width = hi - lo
         slack = lam * width / 2.0 + _FP_PAD * supbound
@@ -362,7 +353,7 @@ def superlevel_arcs(
         if np.any(is_pos):
             pos_cells.append(np.stack([lo[is_pos], hi[is_pos]], axis=1))
         rest = ~(is_pos | is_neg)
-        narrow = rest & (width <= tol)
+        narrow = rest & (width <= _BISECT_TOL)
         if np.any(narrow):
             unknown_cells.append(np.stack([lo[narrow], hi[narrow]], axis=1))
         todo = rest & ~narrow
@@ -377,29 +368,11 @@ def superlevel_arcs(
         fhi = np.concatenate([fmid, fhi])
         depth += 1
 
-    pos = _merge_cells(pos_cells)
-    unk = _merge_cells(unknown_cells)
-    inner = ArcSet(pos) if pos else ArcSet.empty()
-    outer = ArcSet(pos + unk) if (pos or unk) else ArcSet.empty()
-    return inner, outer
+    return ArcSet(np.concatenate(pos_cells)), ArcSet(np.concatenate(pos_cells + unknown_cells))
 
 
 def _real_grid(g: TrigPoly, M: int) -> np.ndarray:
     return synth_real(_half_spectrum(g), M)
-
-
-def _merge_cells(chunks):
-    if not chunks:
-        return []
-    cells = np.concatenate(chunks)
-    cells = cells[np.argsort(cells[:, 0])]
-    out = []
-    for a, b in cells:
-        if out and a <= out[-1][1] + 1e-15:
-            out[-1][1] = max(out[-1][1], b)
-        else:
-            out.append([a, b])
-    return [tuple(x) for x in out]
 
 
 # -- arc-restricted Fourier integrals ---------------------------------------
@@ -422,19 +395,17 @@ def indicator_coeffs(K: ArcSet, kmax: int, grid_bits: int = 24) -> np.ndarray:
             budget=G // 2,
             required=2 * kmax + 1,
         )
-    scale = G / TWO_PI
+    m = K.arcs * (G / TWO_PI)
+    idx = np.rint(m)
+    if np.any(np.abs(m - idx) > 1e-6):
+        raise PreconditionError(
+            "arc endpoints must sit on the dyadic grid; snap_inward first"
+        )
+    idx = idx.astype(np.int64)
     scatter = np.zeros(G)
-    measure = 0.0
-    for a, b in K.arcs:
-        ma, mb = a * scale, b * scale
-        ia, ib = round(ma), round(mb)
-        if abs(ma - ia) > 1e-6 or abs(mb - ib) > 1e-6:
-            raise PreconditionError(
-                "arc endpoints must sit on the dyadic grid; snap_inward first"
-            )
-        scatter[ia % G] += 1.0
-        scatter[ib % G] -= 1.0
-        measure += (ib - ia) / G
+    np.add.at(scatter, idx[:, 0] % G, 1.0)
+    np.add.at(scatter, idx[:, 1] % G, -1.0)
+    measure = int(np.sum(idx[:, 1] - idx[:, 0])) / G
     F = np.fft.rfft(scatter)  # F[k] = sum of e^{-ik a} - e^{-ik b}
     k = np.arange(1, kmax + 1)
     pos = F[1 : kmax + 1] / (TWO_PI * 1j * k)

@@ -215,8 +215,8 @@ class SampledMeasure:
 
 
 def _atoms_uniform(K: ArcSet, count: int, rng) -> np.ndarray:
-    lens = np.array([b - a for a, b in K.arcs])
-    starts = np.array([a for a, _ in K.arcs])
+    starts = K.arcs[:, 0]
+    lens = K.arcs[:, 1] - starts
     cum = np.cumsum(lens)
     x = rng.random(count) * cum[-1]
     idx = np.searchsorted(cum, x, side="right")
@@ -331,9 +331,8 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
     if len(points) > 2 * d + 1:
         raise PreconditionError("underdetermined interpolation: more than 2d+1 points",
                                 field="d")
-    for t in points:
-        if not K.contains(float(t) % TWO_PI, slack=1e-9):
-            raise PreconditionError("sample point outside K", field="points")
+    if not np.all(K.dilate(1e-9).mask(points % TWO_PI)):
+        raise PreconditionError("sample point outside K", field="points")
     wrapped = np.sort(points % TWO_PI)
     if len(wrapped) > 1:
         gaps = np.diff(np.concatenate([wrapped, [wrapped[0] + TWO_PI]]))

@@ -33,6 +33,9 @@ I0 = (Fraction(1, 4), Fraction(1, 3))
 # window cap: complex arrays of 2M+1 entries must stay well under memory
 _MAX_WINDOW = 1 << 22
 
+# _dilation_margin reports at most this much room around E
+_MARGIN_CAP = 0.5
+
 
 @dataclass(frozen=True)
 class WeightCert:
@@ -156,7 +159,7 @@ def _fejer_step_weight(plus: ArcSet, minus: ArcSet, m: int) -> TrigPoly:
     norm whenever the arc families are disjoint."""
     half = np.zeros(m + 1, dtype=complex)
     for sgn, arcs in ((1.0, plus), (-1.0, minus)):
-        for a, b in arcs.arcs:
+        for a, b in arcs.arcs.tolist():
             half[0] += sgn * (b - a) / TWO_PI
             n = np.arange(1, m + 1)
             half[1:] += sgn * (np.exp(-1j * n * b) - np.exp(-1j * n * a)) / (-2j * np.pi * n)
@@ -167,9 +170,10 @@ def _fejer_step_weight(plus: ArcSet, minus: ArcSet, m: int) -> TrigPoly:
                                 np.concatenate([np.conj(half[1:]), half]))
 
 
-def _gf_for_spacing(degree: int, h: float, cap: int = 1 << 24) -> int:
-    # grid factor whose sample spacing 2 pi / next_pow2(gf (d+1)) is <= h
-    target = min(cap, int(math.ceil(TWO_PI / h)))
+def _gf_for_spacing(degree: int, h: float) -> int:
+    # grid factor whose sample spacing 2 pi / next_pow2(gf (d+1)) is <= h,
+    # the grid capped at 2^24 points
+    target = min(1 << 24, int(math.ceil(TWO_PI / h)))
     return max(4, -(-target // (degree + 1)))
 
 
@@ -214,14 +218,13 @@ def _l2_mass(w: TrigPoly) -> float:
 
 def _min_gap(plus: ArcSet, minus: ArcSet) -> float:
     """Smallest circular gap between a plus arc and an adjacent minus arc."""
-    labeled = sorted([(a, b, 0) for a, b in plus.arcs]
-                     + [(a, b, 1) for a, b in minus.arcs])
-    gap = TWO_PI
-    for i, (_, b, lab) in enumerate(labeled):
-        a_next, _, lab_next = labeled[(i + 1) % len(labeled)]
-        if lab != lab_next:
-            gap = min(gap, (a_next - b) % TWO_PI)
-    return gap
+    arcs = np.concatenate([plus.arcs, minus.arcs])
+    label = np.repeat([0, 1], [len(plus.arcs), len(minus.arcs)])
+    order = np.lexsort((label, arcs[:, 1], arcs[:, 0]))
+    arcs, label = arcs[order], label[order]
+    # from each arc to the next one around the circle, where the sign flips
+    gaps = (np.roll(arcs[:, 0], -1) - arcs[:, 1]) % TWO_PI
+    return float(np.min(gaps[label != np.roll(label, -1)], initial=TWO_PI))
 
 
 def energy_threshold(N: int, mode: str) -> float:
@@ -352,21 +355,21 @@ def _level_floor(X: TrigPoly, K: ArcSet, c3: float):
     return 0.0, False
 
 
-def _dilation_margin(E: ArcSet, G: ArcSet, cap: float = 0.5) -> float:
-    """Largest m (up to cap, within bisection tolerance) with
-    dilate(E, m) still inside G."""
+def _dilation_margin(E: ArcSet, G: ArcSet) -> float:
+    """Largest m, up to _MARGIN_CAP, with E dilated by m still inside G:
+    the least distance from a component of E to the ends of the G
+    component that holds it; 0 when E is not inside G."""
     if not E.subset_of(G):
         return 0.0
-    lo, hi = 0.0, cap
-    if E.dilate(cap).subset_of(G):
-        return cap
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if E.dilate(mid).subset_of(G):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if G == ArcSet.full_circle():
+        return _MARGIN_CAP
+    e, g = E.components(), G.components()
+    # the last G component, shifted back by 2pi, holds the E components
+    # that start in the part of it past 0
+    g = np.concatenate([g[-1:] - TWO_PI, g])
+    i = np.searchsorted(g[:, 0], e[:, 0], side="right") - 1
+    gaps = np.concatenate([e[:, 0] - g[i, 0], g[i, 1] - e[:, 1]])
+    return float(np.min(gaps, initial=_MARGIN_CAP))
 
 
 def _exact_delta(delta: float) -> Fraction:
@@ -552,14 +555,14 @@ def _defect_interval(f: CoeffSeq, q: float) -> Interval:
     return CoeffSeq(window, f.M, f.tail_const, f.tail_exp).a_p_norm(q)
 
 
-def outside_report(f: CoeffSeq, K: ArcSet, grid_cap: int = 1 << 23):
-    """Max of the windowed f over a uniform grid restricted to the
-    complement of K, plus the rigorous off-window slack."""
+def outside_report(f: CoeffSeq, K: ArcSet):
+    """Max of the windowed f over a uniform grid of up to 2^23 points
+    restricted to the complement of K, plus the rigorous off-window slack."""
     comp = K.complement()
     if not comp:
         return 0.0, f.tail_l1()
     M_g = 1 << 12
-    while M_g < 2 * (f.M + 1) and M_g < grid_cap:
+    while M_g < 2 * (f.M + 1) and M_g < (1 << 23):
         M_g <<= 1
     vals = synth_real(f.window[f.M :], M_g)
     t = np.arange(M_g) * (TWO_PI / M_g)

@@ -269,16 +269,13 @@ def l2_concentration_check(
 # -- bridge to finite probability spaces -------------------------------------
 
 
-def grid_space(spec: RieszSpec, s, extra_degree: int = 0):
+def grid_space(spec: RieszSpec, s):
     """(space, variables, normalization deviation): weights proportional
     to lambda_s on a grid strictly finer than every integrand degree, so
     subset-product expectations by quadrature are exact.
-
-    extra_degree widens the grid for integrands beyond the products of
-    the X_j themselves.
     """
     _check_s(s)
-    deg = 2 * spec.total_degree + extra_degree
+    deg = 2 * spec.total_degree
     M = 1 << (deg + 1).bit_length()
     if M > (1 << 24):
         raise ResourceError("grid for exact quadrature too large", required=M)

@@ -79,12 +79,15 @@ class FlatnessCert:
 
 _BUILD_CACHE: dict = {}
 
+# relative headroom of the recorded target over the structural bound
+_TARGET_TOL = 1e-9
 
-def build_Q(k: int, tol: float = 1e-9):
+
+def build_Q(k: int):
     """Signed cosine sum of length 2^k with certified sup <= B = sqrt(2^(k+1)).
 
     The bound is the parallelogram law (see the module docstring), so it
-    holds for every k; target B * (1 + tol) is recorded alongside.  Two
+    holds for every k; target B * (1 + _TARGET_TOL) is recorded alongside.  Two
     guards catch construction bugs: the bit formula must agree with the
     pair-doubling recursion, and no point of a spot grid may exceed B.
     Returns (signs, FlatnessCert): Q(t) = sum_n signs[n-1] cos(nt), the
@@ -94,9 +97,8 @@ def build_Q(k: int, tol: float = 1e-9):
         raise PreconditionError("k must be >= 1", field="k")
     if k > MAX_K:
         raise ResourceError(f"k = {k} exceeds the builder limit", budget=MAX_K, required=k)
-    key = (k, tol)
-    if key in _BUILD_CACHE:
-        return _BUILD_CACHE[key]
+    if k in _BUILD_CACHE:
+        return _BUILD_CACHE[k]
     B = math.sqrt(2.0 ** (k + 1))
     signs = sign_pattern(k)
     if not np.array_equal(signs, signs_by_recursion(k)):
@@ -110,8 +112,8 @@ def build_Q(k: int, tol: float = 1e-9):
         raise CertificateError(
             "sup-bound", max(abs(gmax), abs(gmin)), B, "spot check violates structural bound"
         )
-    out = signs, FlatnessCert(B, B * (1.0 + tol), k, SIGN_RULE)
-    _BUILD_CACHE[key] = out
+    out = signs, FlatnessCert(B, B * (1.0 + _TARGET_TOL), k, SIGN_RULE)
+    _BUILD_CACHE[k] = out
     return out
 
 
@@ -144,7 +146,7 @@ def phi_k_for(q: float, gamma: float) -> tuple[int, bool]:
 @dataclass(frozen=True)
 class PhiBundle:
     """Real polynomial phi(t) = sum_n amps[n-1] cos(nt) with mean zero,
-    certified sup <= 1 + tol, and A_q norm strictly below gamma.  amps is
+    certified sup <= 1 + 1e-9, and A_q norm strictly below gamma.  amps is
     read-only."""
 
     amps: np.ndarray
@@ -197,8 +199,8 @@ class PhiBundle:
         }
 
 
-def build_phi(q: float, gamma: float, tol: float = 1e-9) -> PhiBundle:
-    """Mean-zero real polynomial phi with certified sup|phi| <= 1 + tol
+def build_phi(q: float, gamma: float) -> PhiBundle:
+    """Mean-zero real polynomial phi with certified sup|phi| <= 1 + 1e-9
     and ||phi||_{A_q} < gamma, at the smallest admissible k.
 
     phi = 2^{-(k+1)/2} Q_k with Q_k from build_Q, so the structural bound
@@ -207,7 +209,7 @@ def build_phi(q: float, gamma: float, tol: float = 1e-9) -> PhiBundle:
     2^{k+1} coefficients share one modulus.
     """
     k, floored = phi_k_for(q, gamma)
-    signs, cert = build_Q(k, tol=tol)
+    signs, cert = build_Q(k)
     s = 2.0 ** (-(k + 1) / 2.0)
     amps = signs.astype(float) * s
     amps.flags.writeable = False

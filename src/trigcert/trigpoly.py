@@ -275,8 +275,9 @@ class TrigPoly:
             return self.coeffs[i]
         return 0
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        """Whether coeff(-n) == conj(coeff(n)) for all n (within tol for floats)."""
+    def is_real(self) -> bool:
+        """Whether coeff(-n) == conj(coeff(n)) for all n (within 1e-12 of the
+        largest modulus for floats)."""
         if not self.freqs.size:
             return True
         idx = np.minimum(np.searchsorted(self.freqs, -self.freqs), self.freqs.size - 1)
@@ -285,7 +286,7 @@ class TrigPoly:
             mirror = np.where(paired, self.coeffs[idx], 0)
             return bool(np.all(self.coeffs == np.conjugate(mirror)))
         c = self.coeffs
-        bar = tol * max(1.0, float(np.abs(c).max()))
+        bar = 1e-12 * max(1.0, float(np.abs(c).max()))
         mirror = np.where(paired, c[idx], 0)
         return not np.any(np.abs(c - np.conj(mirror)) > bar)
 
@@ -727,11 +728,6 @@ def _seq_json_dict(freqs, values, degree, M, tail_const, tail_exp) -> dict:
 def next_pow2(n: int) -> int:
     """Least power of two >= n (1 for n <= 1)."""
     return 1 << max(0, int(n) - 1).bit_length()
-
-
-def grid_size(degree: int, factor: int = 1) -> int:
-    """Least power of two >= factor * (2*degree + 1)."""
-    return next_pow2(factor * (2 * int(degree) + 1))
 
 
 def synth_real(half_spectrum: np.ndarray, M: int, offset: float = 0.0) -> np.ndarray:

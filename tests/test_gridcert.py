@@ -46,13 +46,219 @@ def arc_fourier_integral(f: TrigPoly, K: ArcSet, n: int) -> complex:
     return complex(total)
 
 
+class RefArcSet:
+    """The arc set as a sorted list of (a, b) tuples, built and combined
+    one arc at a time: the reference the array-backed ArcSet must match
+    exactly."""
+
+    def __init__(self, arcs):
+        canonical = []
+        for a, b in sorted((float(a), float(b)) for a, b in arcs):
+            if not (0.0 <= a < b <= TWO_PI + 1e-15):
+                raise PreconditionError(f"bad arc [{a}, {b}]")
+            b = min(b, TWO_PI)
+            if canonical and a <= canonical[-1][1]:
+                canonical[-1][1] = max(canonical[-1][1], b)
+            else:
+                canonical.append([a, b])
+        self.arcs = [tuple(arc) for arc in canonical]
+
+    @classmethod
+    def from_raw(cls, pairs):
+        out = []
+        for a0, b0 in pairs:
+            length = float(b0) - float(a0)
+            if length <= 0:
+                raise PreconditionError(f"empty arc [{a0}, {b0}]")
+            if length >= TWO_PI:
+                return cls([(0.0, TWO_PI)])
+            a = float(a0) % TWO_PI
+            b = a + length
+            if b <= TWO_PI:
+                out.append((a, b))
+            else:
+                out.append((a, TWO_PI))
+                out.append((0.0, b - TWO_PI))
+        return cls(out)
+
+    @property
+    def measure(self):
+        return sum(b - a for a, b in self.arcs)
+
+    def components(self):
+        if len(self.arcs) >= 2:
+            (a0, b0), (al, bl) = self.arcs[0], self.arcs[-1]
+            if a0 == 0.0 and bl == TWO_PI and self.measure < TWO_PI:
+                return self.arcs[1:-1] + [(al, b0 + TWO_PI)]
+        return list(self.arcs)
+
+    def contains(self, t):
+        """Closed-arc membership."""
+        t = t % TWO_PI
+        return any(a <= t <= b for a, b in self.arcs)
+
+    def contains_half_open(self, t):
+        return any(a <= t < b for a, b in self.arcs)
+
+    def intersect(self, other):
+        out = []
+        i = j = 0
+        while i < len(self.arcs) and j < len(other.arcs):
+            a1, b1 = self.arcs[i]
+            a2, b2 = other.arcs[j]
+            lo, hi = max(a1, a2), min(b1, b2)
+            if lo < hi:
+                out.append((lo, hi))
+            if b1 <= b2:
+                i += 1
+            else:
+                j += 1
+        return RefArcSet(out)
+
+    def complement(self):
+        if not self.arcs:
+            return RefArcSet([(0.0, TWO_PI)])
+        out = []
+        prev = 0.0
+        for a, b in self.arcs:
+            if a > prev:
+                out.append((prev, a))
+            prev = b
+        if prev < TWO_PI:
+            out.append((prev, TWO_PI))
+        return RefArcSet(out)
+
+    def subset_of(self, other):
+        return all(any(c <= a and b <= d for c, d in other.arcs) for a, b in self.arcs)
+
+    def dilate(self, eps):
+        if not self.arcs:
+            return self
+        return RefArcSet.from_raw([(a - eps, b + eps) for a, b in self.arcs])
+
+    def snap_inward(self, grid_bits):
+        G = 1 << grid_bits
+        scale = G / TWO_PI
+        out = []
+        for a, b in self.arcs:
+            ma = math.ceil(a * scale - 1e-9)
+            mb = math.floor(b * scale + 1e-9)
+            if mb > ma:
+                out.append((ma * TWO_PI / G, mb * TWO_PI / G))
+        return RefArcSet(out)
+
+    def to_json_dict(self):
+        return {"arcs": [{"a": format(a, ".17g"), "b": format(b, ".17g")}
+                         for a, b in self.arcs]}
+
+
+def random_pairs(rng):
+    """Up to 7 arcs inside [0, 2pi], with touching, nested and repeated
+    arcs, arcs at 0 and at 2pi, and now and then the whole circle."""
+    pairs = []
+    for _ in range(int(rng.integers(0, 8))):
+        kind = rng.integers(0, 6)
+        if kind == 0 and pairs:  # touches an earlier arc at its right end
+            a = pairs[int(rng.integers(len(pairs)))][1]
+            if a >= TWO_PI:
+                continue
+            pairs.append((a, min(TWO_PI, a + float(rng.uniform(0.01, 1.0)))))
+        elif kind == 1:
+            pairs.append((0.0, float(rng.uniform(0.01, 1.0))))
+        elif kind == 2:
+            pairs.append((float(rng.uniform(TWO_PI - 1.0, TWO_PI - 0.01)), TWO_PI))
+        elif kind == 3 and pairs:  # a repeat of an earlier arc
+            pairs.append(pairs[int(rng.integers(len(pairs)))])
+        elif kind == 4 and rng.random() < 0.2:
+            pairs.append((0.0, TWO_PI))
+        else:
+            a = float(rng.uniform(0.0, TWO_PI - 0.01))
+            pairs.append((a, min(TWO_PI, a + float(rng.exponential(0.7)) + 1e-3)))
+    return pairs
+
+
+def same(k: ArcSet, ref: RefArcSet) -> bool:
+    return k.arcs.tolist() == [list(arc) for arc in ref.arcs]
+
+
+class TestAgainstReference:
+    SEEDS = range(300)
+
+    def test_canonical_form_measure_components(self):
+        for seed in self.SEEDS:
+            pairs = random_pairs(np.random.default_rng(seed))
+            k, ref = ArcSet(pairs), RefArcSet(pairs)
+            assert same(k, ref), pairs
+            assert k.arcs.dtype == np.float64 and not k.arcs.flags.writeable
+            assert k.measure == ref.measure
+            assert k.components().tolist() == [list(c) for c in ref.components()]
+            assert bool(k) == bool(ref.arcs)
+
+    def test_from_raw(self):
+        for seed in self.SEEDS:
+            rng = np.random.default_rng(seed)
+            pairs = []
+            for _ in range(int(rng.integers(0, 6))):
+                a = float(rng.uniform(-10.0, 10.0))
+                pairs.append((a, a + float(rng.choice([rng.uniform(1e-3, 2.0),
+                                                       rng.uniform(2.0, 7.0)]))))
+            assert same(ArcSet.from_raw(pairs), RefArcSet.from_raw(pairs)), pairs
+        assert same(ArcSet.from_raw([(-0.5, 0.5)]), RefArcSet.from_raw([(-0.5, 0.5)]))
+        assert ArcSet.from_raw([(1.0, 1.0 + TWO_PI)]) == ArcSet.full_circle()
+        with pytest.raises(PreconditionError, match="empty arc"):
+            ArcSet.from_raw([(0.5, 1.0), (2.0, 2.0)])
+
+    def test_intersect_complement_subset(self):
+        for seed in self.SEEDS:
+            rng = np.random.default_rng(seed)
+            p1, p2 = random_pairs(rng), random_pairs(rng)
+            k1, k2, r1, r2 = ArcSet(p1), ArcSet(p2), RefArcSet(p1), RefArcSet(p2)
+            assert same(k1.intersect(k2), r1.intersect(r2)), (p1, p2)
+            assert same(k1.complement(), r1.complement()), p1
+            assert k1.subset_of(k2) == r1.subset_of(r2), (p1, p2)
+            inter = k1.intersect(k2)
+            assert inter.subset_of(k1) and inter.subset_of(k2)
+
+    def test_dilate_snap_inward(self):
+        for seed in self.SEEDS:
+            rng = np.random.default_rng(seed)
+            pairs = random_pairs(rng)
+            k, ref = ArcSet(pairs), RefArcSet(pairs)
+            eps = float(rng.choice([0.0, rng.uniform(0.0, 0.3), rng.uniform(2.0, 4.0)]))
+            assert same(k.dilate(eps), ref.dilate(eps)), (pairs, eps)
+            bits = int(rng.integers(4, 25))
+            assert same(k.snap_inward(bits), ref.snap_inward(bits)), (pairs, bits)
+
+    def test_mask_and_json(self):
+        for seed in self.SEEDS:
+            rng = np.random.default_rng(seed)
+            pairs = random_pairs(rng)
+            k, ref = ArcSet(pairs), RefArcSet(pairs)
+            t = np.concatenate([rng.uniform(0.0, TWO_PI, 64), k.arcs.ravel()])
+            t = t[t < TWO_PI]
+            assert k.mask(t).tolist() == [ref.contains_half_open(x) for x in t]
+            assert k.to_json_dict() == ref.to_json_dict()
+            assert ArcSet.from_json_dict(k.to_json_dict()) == k
+
+    def test_empty_and_full_circle(self):
+        empty, full = ArcSet.empty(), ArcSet.full_circle()
+        assert empty.arcs.shape == (0, 2) and empty.measure == 0.0 and not empty
+        assert same(full, RefArcSet([(0.0, TWO_PI)]))
+        assert empty.complement() == full and full.complement() == empty
+        assert empty.subset_of(full) and empty.subset_of(empty)
+        assert not full.subset_of(empty)
+        assert empty.dilate(1.0) == empty and full.dilate(1.0) == full
+        assert full.intersect(empty) == empty
+        assert ArcSet.from_json_dict(empty.to_json_dict()) == empty
+
+
 # -- ArcSet ------------------------------------------------------------------
 
 
 class TestArcSet:
     def test_canonical_merge(self):
         k = ArcSet([(1.0, 2.0), (1.5, 3.0), (4.0, 5.0)])
-        assert k.arcs == [(1.0, 3.0), (4.0, 5.0)]
+        assert k.arcs.tolist() == [[1.0, 3.0], [4.0, 5.0]]
         assert k.measure == pytest.approx(3.0)
 
     def test_rejects_reversed(self):
@@ -66,17 +272,26 @@ class TestArcSet:
         assert len(comps) == 1
         a, b = comps[0]
         assert b - a == pytest.approx(1.0)
-        assert k.contains(0.0) and k.contains(TWO_PI - 0.25) and not k.contains(1.0)
+        assert k.mask(np.array([0.0, TWO_PI - 0.25, 1.0])).tolist() == [True, True, False]
 
     def test_intersect_complement_union(self):
         k1 = ArcSet([(0.0, 2.0), (3.0, 5.0)])
         k2 = ArcSet([(1.0, 4.0)])
         inter = k1.intersect(k2)
-        assert inter.arcs == [(1.0, 2.0), (3.0, 4.0)]
+        assert inter.arcs.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         comp = k1.complement()
         assert comp.measure == pytest.approx(TWO_PI - 4.0)
-        assert ArcSet(k1.arcs + comp.arcs).measure == pytest.approx(TWO_PI)
+        assert ArcSet(np.concatenate([k1.arcs, comp.arcs])).measure == pytest.approx(TWO_PI)
         assert k1.intersect(comp).measure == pytest.approx(0.0)
+
+    def test_subset_is_exact(self):
+        # within 1e-12 of measure, but one end sticks out
+        assert not ArcSet([(1.0, 2.0 + 1e-13)]).subset_of(ArcSet([(1.0, 2.0)]))
+        assert ArcSet([(1.0, 2.0)]).subset_of(ArcSet([(1.0, 2.0)]))
+        assert not ArcSet([(0.5, 1.0), (1.5, 2.0)]).subset_of(ArcSet([(0.5, 2.0 - 1e-13)]))
+        wide = ArcSet.from_raw([(-0.3, 0.5)])
+        assert ArcSet.from_raw([(-0.1, 0.2)]).subset_of(wide)
+        assert not ArcSet.from_raw([(-0.4, 0.2)]).subset_of(wide)
 
     def test_dilate(self):
         k = ArcSet([(0.1, 0.3)])
@@ -106,11 +321,12 @@ class TestArcSet:
         assert got.shape == t.shape and not got.any()
 
     def test_mask_agrees_with_contains(self):
-        k = ArcSet([(0.0, 0.4), (1.0, 2.5), (3.0, 3.1), (5.0, TWO_PI)])
+        arcs = [(0.0, 0.4), (1.0, 2.5), (3.0, 3.1), (5.0, TWO_PI)]
+        k, ref = ArcSet(arcs), RefArcSet(arcs)
         t = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
         ends = np.ravel(k.arcs)
         interior = t[np.abs(t[:, None] - ends[None, :]).min(axis=1) > 1e-9]
-        assert k.mask(interior).tolist() == [k.contains(x) for x in interior]
+        assert k.mask(interior).tolist() == [ref.contains(x) for x in interior]
 
     def test_snap_inward(self):
         k = ArcSet([(0.1, 1.234567), (2.0, 2.0 + 1e-9)])
@@ -275,7 +491,7 @@ class TestSuperlevel:
         vals = f.eval_at(ts).real
         for t, v in zip(ts, vals):
             if v >= c + 1e-7:
-                assert outer.contains(t, slack=1e-12)
+                assert outer.dilate(1e-12).mask(t)
         if inner:
             pts = inner.sample(1e-3)
             assert f.eval_at(pts).real.min() >= c - 1e-9
@@ -299,7 +515,7 @@ class TestArcFourier:
     def test_additive_in_arcs(self):
         f = TrigPoly({1: 0.5, -1: 0.5, 3: 0.25j, -3: -0.25j})
         k1, k2 = ArcSet([(0.2, 1.0)]), ArcSet([(2.0, 2.7)])
-        whole = arc_fourier_integral(f, ArcSet(k1.arcs + k2.arcs), 2)
+        whole = arc_fourier_integral(f, ArcSet(np.concatenate([k1.arcs, k2.arcs])), 2)
         assert whole == pytest.approx(
             arc_fourier_integral(f, k1, 2) + arc_fourier_integral(f, k2, 2), abs=1e-14
         )

@@ -136,8 +136,7 @@ class TestHelsonCertificate:
         delta, worst = helson_certificate(K, [], trials=10, M=16, seed=11)
         assert 0.0 < delta <= 1.0 + 1e-12
         assert isinstance(worst, SampledMeasure)
-        for t in worst.atoms:
-            assert K.contains(t, slack=1e-12)
+        assert K.dilate(1e-12).mask(np.array(worst.atoms) % (2 * math.pi)).all()
         assert sum(abs(m) for m in worst.masses) == pytest.approx(1.0)
         assert abs(worst.argmax_n) <= 16
 

@@ -52,7 +52,9 @@ def unreferenced(sources: dict) -> list:
     """'module.function' and 'module.Class.method' names defined at the
     top level of the given sources (module name -> text) that no Name or
     attribute access in any of them mentions and no ``__all__`` lists.
-    Dunder methods are called by the language and are skipped."""
+    Dunder methods are called by the language and are skipped.  An
+    annotated class field such as ``size: int`` declares a name and does
+    not use it, so it is no mention."""
     defined, mentioned = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -69,8 +71,10 @@ def unreferenced(sources: dict) -> list:
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
             ):
                 mentioned.update(ast.literal_eval(node.value))
+        fields = {id(node.target) for node in ast.walk(tree)
+                  if isinstance(node, ast.AnnAssign)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and id(node) not in fields:
                 mentioned.add(node.id)
             elif isinstance(node, ast.Attribute):
                 mentioned.add(node.attr)
@@ -84,11 +88,14 @@ def test_dead_api_checker_flags_unreferenced():
              "class C:\n"
              "    def __init__(self):\n        pass\n\n"
              "    def m(self):\n        return used()\n\n"
-             "    @property\n    def p(self):\n        return 1\n",
+             "    @property\n    def p(self):\n        return 1\n\n"
+             "def size():\n    return 2\n\n"
+             "class Cert:\n    size: int\n",
         "b": "from a import C\n__all__ = ['exported']\n\n"
              "def exported():\n    return C().p\n",
     }
-    assert unreferenced(sources) == ["a.C.m", "a.unused"]
+    # the field annotation 'size: int' does not keep the function size alive
+    assert unreferenced(sources) == ["a.C.m", "a.size", "a.unused"]
 
 
 def test_every_function_referenced():

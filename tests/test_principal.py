@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from trigcert import CertificateError, PreconditionError
+from trigcert.gridcert import ArcSet
 from trigcert.principal import (
     PrincipalConfig,
     _auto_window,
+    _dilation_margin,
     build_P,
     build_w,
     energy_threshold,
@@ -256,6 +258,29 @@ class TestRunPrincipal:
         for s_mean in out.certificates["atom_means"]:
             assert s_mean == pytest.approx(s_mean, abs=0)
             assert 0.25 / 8 < s_mean < (1.0 / 3) / 8
+
+
+class TestDilationMargin:
+    def test_component_crossing_zero(self):
+        E = ArcSet.from_raw([(-0.1, 0.2), (1.2, 1.3)])
+        G = ArcSet.from_raw([(-0.3, 0.5), (1.0, 2.0)])
+        m = _dilation_margin(E, G)
+        assert m == pytest.approx(0.2, abs=1e-12)
+        assert E.dilate(m * (1.0 - 1e-9)).subset_of(G)
+        assert not E.dilate(m * (1.0 + 1e-9)).subset_of(G)
+
+    def test_inside_the_part_of_a_component_past_zero(self):
+        E = ArcSet([(0.05, 0.1)])
+        G = ArcSet.from_raw([(-0.3, 0.5)])
+        assert _dilation_margin(E, G) == pytest.approx(0.35, abs=1e-12)
+
+    def test_full_circle_gives_cap(self):
+        assert _dilation_margin(ArcSet([(1.0, 2.0)]), ArcSet.full_circle()) == 0.5
+        assert _dilation_margin(ArcSet([(1.0, 1.1)]), ArcSet([(0.2, 3.0)])) == 0.5
+
+    def test_not_inside_gives_zero(self):
+        assert _dilation_margin(ArcSet([(1.0, 2.5)]), ArcSet([(0.5, 2.0)])) == 0.0
+        assert _dilation_margin(ArcSet([(1.0, 2.0 + 1e-13)]), ArcSet([(1.0, 2.0)])) == 0.0
 
 
 class TestAutoWindow:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigcert import CoeffSeq, Interval, PreconditionError, QComplex, ResourceError, TrigPoly
-from trigcert.trigpoly import TWO_PI, grid_size, next_pow2, synth_real
+from trigcert.trigpoly import TWO_PI, next_pow2, synth_real
 
 
 def random_poly(rng, degree, real=False):
@@ -196,7 +196,7 @@ def test_synth_real_matches_eval_grid():
 def test_parseval(deg, seed):
     rng = np.random.default_rng(seed)
     f = random_poly(rng, deg)
-    M = grid_size(deg)
+    M = next_pow2(2 * deg + 1)
     vals = f.eval_grid(M)
     quad = float(np.mean(np.abs(vals) ** 2))
     coef = float(f.l2_norm_sq())
