@@ -3,11 +3,13 @@
 Sup, min-abs and sign verdicts come with one-sided guarantees derived
 from grid values and the Bernstein derivative inequality
 ||f'|| <= deg(f) * ||f|| (in both its plain and arcsine/Szego forms).
-Superlevel sets are returned as inner/outer sandwiches of arc unions.
-Arc-restricted Fourier coefficients come from closed-form
-antiderivatives summed over the arc endpoints, millions of frequencies
-in one FFT when the endpoints sit on a dyadic grid, so the only error is
-floating point roundoff.
+Superlevel sets are returned as inner/outer sandwiches of arc unions,
+built by one adaptive bisection; whether the inner arcs cover a given
+arc set is decided by the same bisection, restricted to the cells that
+meet it.  Arc-restricted Fourier coefficients come from closed-form
+antiderivatives summed over arc endpoints on a dyadic grid, directly for
+few arcs and frequencies and by one sparse FFT otherwise, so the only
+error is floating point roundoff.
 """
 
 from __future__ import annotations
@@ -31,6 +33,13 @@ _MAX_SYNTH = 1 << 22
 # still undecided after this many halvings means a tangential level set
 _BISECT_TOL = 1e-10
 _MAX_DEPTH = 64
+
+# indicator_coeffs sums its endpoint exponentials directly up to this many
+# terms (endpoints times frequencies) and by one 2**grid_bits-point rfft
+# beyond.  The direct sum costs a few ns a term, the rfft about 1 s at
+# grid_bits 24 whatever the arcs; at the cutoff the direct sum takes a
+# fifth of that
+_DIRECT_TERMS = 1 << 26
 
 
 class ArcSet:
@@ -319,6 +328,57 @@ def superlevel_arcs(
     _BISECT_TOL.  A cell pinned at the level beyond _MAX_DEPTH bisections
     means the level set is tangential there and is reported as an error.
     """
+    # cells go to ArcSet, whose constructor merges them; the empty block
+    # keeps the concatenation defined when no cell is certified
+    pos_cells, unknown_cells = [np.empty((0, 2))], []
+    for lo, hi, is_pos, _, narrow in _level_cells(f, c, grid_factor):
+        pos_cells.append(np.stack([lo[is_pos], hi[is_pos]], axis=1))
+        unknown_cells.append(np.stack([lo[narrow], hi[narrow]], axis=1))
+    return ArcSet(np.concatenate(pos_cells)), ArcSet(np.concatenate(pos_cells + unknown_cells))
+
+
+def _superlevel_covers(f: TrigPoly, c: float, K: ArcSet, grid_factor: int = 4) -> bool:
+    """Exactly ``bool(inner) and K.subset_of(inner)`` for ``inner, _ =
+    superlevel_arcs(f, c, grid_factor)``, bisecting only the cells that
+    meet K.
+
+    A cell's verdict depends only on its own endpoint values, so the cells
+    kept are exactly those of the full bisection that meet K, and they are
+    the only ones that can cover a point of K.  A negative cell meeting K
+    ends the search: a point of K inside it is covered by no other cell,
+    and an endpoint it shares with K cannot be covered by a positive
+    neighbour, whose value there would have to be positive.  Narrow
+    undecided cells end nothing, since one may touch K only at an endpoint
+    that a positive neighbour covers.
+    """
+    if not K:
+        inner, _ = superlevel_arcs(f, c, grid_factor)
+        return bool(inner)
+    a, b = K.arcs[:, 0], K.arcs[:, 1]
+
+    def meets(lo, hi):
+        # the first arc ending at or after lo is the only candidate: arcs
+        # are disjoint and sorted, so later ones start further right
+        i = np.minimum(np.searchsorted(b, lo), len(b) - 1)
+        return (b[i] >= lo) & (a[i] <= hi)
+
+    pos_cells = [np.empty((0, 2))]
+    for lo, hi, is_pos, is_neg, _ in _level_cells(f, c, grid_factor, meets):
+        if np.any(is_neg):
+            return False
+        pos_cells.append(np.stack([lo[is_pos], hi[is_pos]], axis=1))
+    return K.subset_of(ArcSet(np.concatenate(pos_cells)))
+
+
+def _level_cells(f: TrigPoly, c: float, grid_factor: int, keep=None):
+    """The adaptive bisection behind superlevel_arcs, one depth at a time.
+
+    Yields (lo, hi, is_pos, is_neg, narrow) for the cells of each depth:
+    certified f > c, certified f < c, and undecided but narrower than
+    _BISECT_TOL.  The rest are halved for the next depth.  When keep is
+    given, only cells [lo, hi] with keep(lo, hi) true are classified, at
+    every depth.
+    """
     if not f.is_real():
         raise PreconditionError("f must be real")
     g = f - c
@@ -333,13 +393,15 @@ def superlevel_arcs(
     vals[:M] = _real_grid(g, M)
     vals[M] = vals[0]
 
-    # cells go to ArcSet, whose constructor merges them; the empty block
-    # keeps the concatenation defined when no cell is certified
-    pos_cells, unknown_cells = [np.empty((0, 2))], []
     lo, hi = grid[:-1], grid[1:]
     flo, fhi = vals[:-1], vals[1:]
     depth = 0
-    while lo.size:
+    while True:
+        if keep is not None:
+            kept = keep(lo, hi)
+            lo, hi, flo, fhi = lo[kept], hi[kept], flo[kept], fhi[kept]
+        if not lo.size:
+            return
         if depth > _MAX_DEPTH:
             raise PreconditionError(
                 "level set not transverse: bisection stalled at depth "
@@ -347,18 +409,14 @@ def superlevel_arcs(
             )
         width = hi - lo
         slack = lam * width / 2.0 + _FP_PAD * supbound
-        m = np.minimum(flo, fhi)
-        is_pos = m > slack
+        is_pos = np.minimum(flo, fhi) > slack
         is_neg = np.maximum(flo, fhi) < -slack
-        if np.any(is_pos):
-            pos_cells.append(np.stack([lo[is_pos], hi[is_pos]], axis=1))
         rest = ~(is_pos | is_neg)
         narrow = rest & (width <= _BISECT_TOL)
-        if np.any(narrow):
-            unknown_cells.append(np.stack([lo[narrow], hi[narrow]], axis=1))
+        yield lo, hi, is_pos, is_neg, narrow
         todo = rest & ~narrow
         if not np.any(todo):
-            break
+            return
         lo, hi, flo, fhi = lo[todo], hi[todo], flo[todo], fhi[todo]
         mid = 0.5 * (lo + hi)
         fmid = g.eval_at(mid).real
@@ -367,8 +425,6 @@ def superlevel_arcs(
         flo = np.concatenate([flo, fmid])
         fhi = np.concatenate([fmid, fhi])
         depth += 1
-
-    return ArcSet(np.concatenate(pos_cells)), ArcSet(np.concatenate(pos_cells + unknown_cells))
 
 
 def _real_grid(g: TrigPoly, M: int) -> np.ndarray:
@@ -383,8 +439,11 @@ def indicator_coeffs(K: ArcSet, kmax: int, grid_bits: int = 24) -> np.ndarray:
 
     Requires every arc endpoint to lie on the dyadic grid
     2pi * m / 2**grid_bits (use ArcSet.snap_inward first).  The endpoint
-    exponential sums are then exactly one sparse FFT of size 2**grid_bits;
-    no quadrature or interpolation error enters.
+    exponential sums sum_j e^{-ik a_j} - e^{-ik b_j} then have exact
+    phases (k m mod 2**grid_bits); no quadrature or interpolation error
+    enters.  They are summed directly when the arcs times the frequencies
+    number at most _DIRECT_TERMS, and read off one sparse FFT of size
+    2**grid_bits otherwise.
 
     Returns an array indexed k = -kmax..kmax (offset kmax).
     """
@@ -402,11 +461,14 @@ def indicator_coeffs(K: ArcSet, kmax: int, grid_bits: int = 24) -> np.ndarray:
             "arc endpoints must sit on the dyadic grid; snap_inward first"
         )
     idx = idx.astype(np.int64)
-    scatter = np.zeros(G)
-    np.add.at(scatter, idx[:, 0] % G, 1.0)
-    np.add.at(scatter, idx[:, 1] % G, -1.0)
     measure = int(np.sum(idx[:, 1] - idx[:, 0])) / G
-    F = np.fft.rfft(scatter)  # F[k] = sum of e^{-ik a} - e^{-ik b}
+    if idx.size * (kmax + 1) <= _DIRECT_TERMS:
+        F = _endpoint_sums(idx, kmax, G)
+    else:
+        scatter = np.zeros(G)
+        np.add.at(scatter, idx[:, 0] % G, 1.0)
+        np.add.at(scatter, idx[:, 1] % G, -1.0)
+        F = np.fft.rfft(scatter)  # F[k] = sum of e^{-ik a} - e^{-ik b}
     k = np.arange(1, kmax + 1)
     pos = F[1 : kmax + 1] / (TWO_PI * 1j * k)
     out = np.empty(2 * kmax + 1, dtype=complex)
@@ -414,6 +476,28 @@ def indicator_coeffs(K: ArcSet, kmax: int, grid_bits: int = 24) -> np.ndarray:
     out[kmax + 1 :] = pos
     out[:kmax] = np.conj(pos[::-1])
     return out
+
+
+def _endpoint_sums(idx: np.ndarray, kmax: int, G: int) -> np.ndarray:
+    """F[k] = sum_j e^{-2pi i k a_j / G} - e^{-2pi i k b_j / G} for
+    k = 0..kmax, the endpoints given as grid indices (a_j, b_j).
+
+    Blocked as k = B p + r with B about sqrt(kmax), each term is a product
+    of two small twiddle tables; k m is reduced mod G in int64, exactly.
+    einsum without path optimization sums in a fixed order and never calls
+    BLAS, so the bits do not depend on its thread count.
+    """
+    ends = idx.ravel() % G
+    signs = np.tile([1.0, -1.0], len(idx))
+    B = math.isqrt(kmax) + 1
+    rows = -(-(kmax + 1) // B)
+
+    def twiddle(steps):
+        return np.exp(-1j * (TWO_PI / G) * (np.multiply.outer(steps, ends) % G))
+
+    outer = twiddle(B * np.arange(rows, dtype=np.int64))
+    inner = twiddle(np.arange(B, dtype=np.int64)) * signs
+    return np.einsum("pj,rj->pr", outer, inner, optimize=False).ravel()[: kmax + 1]
 
 
 def restricted_fourier(

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import CertificateError, PreconditionError, ResourceError
 from .gridcert import (
     ArcSet,
+    _superlevel_covers,
     certified_min_abs_and_sign,
     certified_sup,
     restricted_fourier,
@@ -345,11 +346,13 @@ def _level_floor(X: TrigPoly, K: ArcSet, c3: float):
     Pointwise Lipschitz certification of min_K X is hopeless here: the
     slack scales with deg X while the true gap above c3 is tiny.  The
     adaptive superlevel bisection refines only near the level set, so we
-    ladder down levels c3 + beta until the inner arcs swallow K."""
+    ladder down levels c3 + beta until the inner arcs swallow K.  Each
+    rung bisects only the cells that meet K and stops at the first cell
+    certified below the level there; its verdict is the one the inner
+    arcs over the whole circle would give."""
     beta = 0.25 * c3
     while beta > 1e-6 * c3:
-        inner, _ = superlevel_arcs(X, c3 + beta, grid_factor=8)
-        if inner and K.subset_of(inner):
+        if _superlevel_covers(X, c3 + beta, K, grid_factor=8):
             return c3 + beta, True
         beta *= 0.5
     return 0.0, False

@@ -1,16 +1,22 @@
 """Certified bounds, superlevel arcs, and arc-restricted integrals."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trigcert import PreconditionError, TrigPoly
+from trigcert import PreconditionError, TrigPoly, gridcert
 from trigcert.gridcert import (
     TWO_PI,
     ArcSet,
+    _grid_for,
+    _superlevel_covers,
     certified_min_abs_and_sign,
     certified_sup,
     grid_scan_real,
@@ -497,6 +503,81 @@ class TestSuperlevel:
             assert f.eval_at(pts).real.min() >= c - 1e-9
 
 
+class TestSuperlevelCovers:
+    """The K-restricted bisection must give exactly the verdict of the
+    whole-circle inner arcs."""
+
+    @staticmethod
+    def carriers(rng, f, c, grid_factor, inner, outer):
+        """Carriers that stress the pruning: random arcs, arcs crossing 0,
+        arcs ending on grid and bisection points, the inner arcs and
+        components of them (whose ends touch undecided cells), and the
+        empty set."""
+        M = _grid_for(max((f - c).degree, 1), grid_factor)
+        grid = np.arange(M + 1) * (TWO_PI / M)
+        mids = 0.5 * (grid[:-1] + grid[1:])
+        quarters = 0.5 * (grid[:-1] + mids)
+        out = [ArcSet.empty(), ArcSet.full_circle(), inner, outer]
+        if inner:
+            out.append(ArcSet(inner.arcs[:1]))
+            out.append(ArcSet(inner.arcs[-1:]))
+            out.append(inner.dilate(1e-9))
+            shrunk = inner.arcs + np.array([1e-9, -1e-9])
+            out.append(ArcSet(shrunk[shrunk[:, 0] < shrunk[:, 1]]))
+        for _ in range(4):
+            n = int(rng.integers(1, 4))
+            ends = np.sort(rng.uniform(0, TWO_PI, 2 * n)).reshape(-1, 2)
+            out.append(ArcSet(ends))
+            out.append(ArcSet.from_raw([(-rng.uniform(0, 1), rng.uniform(0, 1))]))
+            for points in (grid, mids, quarters):
+                i, j = np.sort(rng.choice(len(points), 2, replace=False))
+                out.append(ArcSet([(points[i], points[j])]))
+            i = int(rng.integers(0, len(mids)))
+            out.append(ArcSet([(grid[i], mids[i]), (quarters[(i + 2) % M], TWO_PI)]))
+        return out
+
+    def test_matches_full_verdict(self):
+        rng = np.random.default_rng(2024)
+        verdicts = []
+        for _ in range(12):
+            f = random_real_poly(rng, int(rng.integers(1, 9)))
+            grid_factor = int(rng.choice([4, 8]))
+            vals = f.eval_at(np.linspace(0, TWO_PI, 4096, endpoint=False)).real
+            levels = [float(rng.uniform(vals.min(), vals.max())),
+                      float(np.quantile(vals, 0.2))]
+            for c in levels:
+                inner, outer = superlevel_arcs(f, c, grid_factor)
+                for K in self.carriers(rng, f, c, grid_factor, inner, outer):
+                    want = bool(inner) and K.subset_of(inner)
+                    assert _superlevel_covers(f, c, K, grid_factor) == want, (c, K)
+                    verdicts.append(want)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_levels_just_above_min_on_K(self):
+        rng = np.random.default_rng(77)
+        verdicts = []
+        for _ in range(8):
+            f = random_real_poly(rng, 5)
+            K = ArcSet.from_raw([(-0.4, 0.3), (2.0, 2.0 + rng.uniform(0.1, 1.0))])
+            floor = float(f.eval_at(K.sample(1e-5)).real.min())
+            for gap in (-1e-2, -1e-5, 1e-9, 1e-5, 1e-2):
+                c = floor + gap
+                inner, _ = superlevel_arcs(f, c, 8)
+                want = bool(inner) and K.subset_of(inner)
+                assert _superlevel_covers(f, c, K, 8) == want, (floor, gap)
+                verdicts.append(want)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_empty_carrier_asks_for_nonempty_inner(self):
+        f = TrigPoly.cosine(1)
+        assert _superlevel_covers(f, 0.5, ArcSet.empty(), 8)
+        assert not _superlevel_covers(f, 2.0, ArcSet.empty(), 8)
+
+    def test_rejects_like_superlevel_arcs(self):
+        with pytest.raises(PreconditionError, match="not transverse"):
+            _superlevel_covers(TrigPoly.const(0.5), 0.5, ArcSet([(1.0, 2.0)]))
+
+
 # -- arc Fourier integrals ---------------------------------------------------
 
 
@@ -529,6 +610,61 @@ class TestArcFourier:
             assert coeffs[n + 24] == pytest.approx(
                 arc_fourier_integral(one, k, n), abs=1e-12
             )
+
+    INDICATOR_CASES = [
+        (ArcSet.empty(), 40, 20),
+        (ArcSet.full_circle(), 40, 20),
+        (ArcSet([(0.0, 1.0), (5.0, TWO_PI)]).snap_inward(20), 40, 20),
+        (ArcSet.from_raw([(-0.7, 0.4)]).snap_inward(20), 40, 20),
+        (ArcSet([(0.3, 1.1), (2.0, 4.7), (5.5, 6.0)]).snap_inward(20), 0, 20),
+        (ArcSet([(0.3, 1.1), (2.0, 4.7), (5.5, 6.0)]).snap_inward(8), 127, 8),
+        (ArcSet.from_raw([(-1.5, 0.25), (3.0, 3.75)]).snap_inward(6), 31, 6),
+    ]
+
+    @pytest.mark.parametrize("K, kmax, bits", INDICATOR_CASES)
+    def test_indicator_paths_agree_with_oracle(self, monkeypatch, K, kmax, bits):
+        paths = {}
+        for name, cutoff in (("direct", 1 << 62), ("fft", -1)):
+            monkeypatch.setattr(gridcert, "_DIRECT_TERMS", cutoff)
+            paths[name] = indicator_coeffs(K, kmax, grid_bits=bits)
+        assert np.max(np.abs(paths["direct"] - paths["fft"])) <= 1e-12
+        one = TrigPoly.const(1.0)
+        want = np.array([arc_fourier_integral(one, K, n) for n in range(-kmax, kmax + 1)])
+        for got in paths.values():
+            assert got.shape == (2 * kmax + 1,)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_indicator_direct_path_many_arcs(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        K = ArcSet(np.sort(rng.uniform(0, TWO_PI, 60)).reshape(-1, 2)).snap_inward(24)
+        kmax = 5_000
+        assert 2 * len(K.arcs) * (kmax + 1) <= gridcert._DIRECT_TERMS
+        direct = indicator_coeffs(K, kmax)
+        monkeypatch.setattr(gridcert, "_DIRECT_TERMS", -1)
+        assert np.max(np.abs(direct - indicator_coeffs(K, kmax))) <= 1e-12
+
+    def test_indicator_direct_path_independent_of_blas_threads(self, tmp_path):
+        # the direct endpoint sums must not route through BLAS, whose
+        # reductions sum in an order set by the thread count
+        script = (
+            "import sys, numpy as np\n"
+            "from trigcert.gridcert import ArcSet, indicator_coeffs\n"
+            "rng = np.random.default_rng(5)\n"
+            "K = ArcSet(np.sort(rng.uniform(0, 6.28, 540)).reshape(-1, 2))\n"
+            "K = K.snap_inward(24)\n"
+            "sys.stdout.buffer.write(indicator_coeffs(K, 20_000).tobytes())\n"
+        )
+        src = str(Path(gridcert.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path,
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 check=True, capture_output=True, timeout=600)
+            outs.append(run.stdout)
+        assert len(outs[0]) == 16 * 40_001
+        assert outs[0] == outs[1]
 
     def test_indicator_requires_dyadic(self):
         with pytest.raises(PreconditionError, match="dyadic"):

@@ -260,6 +260,17 @@ class TestRunPrincipal:
             assert 0.25 / 8 < s_mean < (1.0 / 3) / 8
 
 
+def test_principal_n3_level_floor():
+    # the benchmark's N=3 config: the ladder must stop on the same rung,
+    # c3 + beta with beta = c3/16 and c3 = 0.025, whether it bisects the
+    # whole circle or only the cells that meet K
+    cfg = PrincipalConfig(q=4.0, eps=0.9, u=COS, N=3, mode="empirical")
+    certs = run_principal(cfg).certificates
+    assert certs["min_X_on_K"] == 0.026562500000000003
+    assert certs["sign_Pu"] == "positive"
+    assert certs["min_abs_P_ok"]
+
+
 class TestDilationMargin:
     def test_component_crossing_zero(self):
         E = ArcSet.from_raw([(-0.1, 0.2), (1.2, 1.3)])
