@@ -59,8 +59,14 @@ def _smoothed_descent(fw: np.ndarray, M: int, d: int, p: float,
     e0 = np.zeros(2 * (M + d) + 1, dtype=complex)
     e0[M + d] = 1.0
 
+    # the gradient at an accepted point reads the residual the objective
+    # just formed there, so the last one is kept (P is never modified)
+    last = [None, None]
+
     def residual(P):
-        return e0 - np.convolve(P, fw)
+        if P is not last[0]:
+            last[:] = P, e0 - np.convolve(P, fw)
+        return last[1]
 
     def objective(P, mu):
         r = residual(P)

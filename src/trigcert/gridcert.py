@@ -4,12 +4,14 @@ Sup, min-abs and sign verdicts come with one-sided guarantees derived
 from grid values and the Bernstein derivative inequality
 ||f'|| <= deg(f) * ||f|| (in both its plain and arcsine/Szego forms).
 Superlevel sets are returned as inner/outer sandwiches of arc unions,
-built by one adaptive bisection; whether the inner arcs cover a given
+built by one adaptive bisection that evaluates a sparse polynomial at its
+midpoints as a real cosine series; whether the inner arcs cover a given
 arc set is decided by the same bisection, restricted to the cells that
 meet it.  Arc-restricted Fourier coefficients come from closed-form
-antiderivatives summed over arc endpoints on a dyadic grid, directly for
-few arcs and frequencies and by one sparse FFT otherwise, so the only
-error is floating point roundoff.
+antiderivatives summed over arc endpoints on a dyadic grid, directly up
+to the measured crossover with the FFT and by one sparse FFT beyond, and
+are convolved with the function's window in cache-sized FFT blocks, so
+the only error is floating point roundoff.
 """
 
 from __future__ import annotations
@@ -36,10 +38,13 @@ _MAX_DEPTH = 64
 
 # indicator_coeffs sums its endpoint exponentials directly up to this many
 # terms (endpoints times frequencies) and by one 2**grid_bits-point rfft
-# beyond.  The direct sum costs a few ns a term, the rfft about 1 s at
-# grid_bits 24 whatever the arcs; at the cutoff the direct sum takes a
-# fifth of that
-_DIRECT_TERMS = 1 << 26
+# beyond: the measured crossover at grid_bits 24, on a 2-core Intel Xeon
+# with numpy 2.4.  Over five shapes from 135 to 1 000 arcs the direct sum
+# took 2.0 to 3.3 ns a term and the rfft 0.76 to 0.89 s whatever the arcs,
+# so the two met between 2.3e8 and 4.6e8 terms (median 3.1e8).  At
+# principal N=3 (540 endpoints, 525 090 frequencies, 2.8e8 terms) the
+# direct sum took 0.72 s against 0.87 s by rfft (medians of five)
+_DIRECT_TERMS = 300_000_000
 
 
 class ArcSet:
@@ -375,9 +380,9 @@ def _level_cells(f: TrigPoly, c: float, grid_factor: int, keep=None):
 
     Yields (lo, hi, is_pos, is_neg, narrow) for the cells of each depth:
     certified f > c, certified f < c, and undecided but narrower than
-    _BISECT_TOL.  The rest are halved for the next depth.  When keep is
-    given, only cells [lo, hi] with keep(lo, hi) true are classified, at
-    every depth.
+    _BISECT_TOL.  The rest are halved for the next depth, f - c evaluated
+    at their midpoints by _real_at.  When keep is given, only cells
+    [lo, hi] with keep(lo, hi) true are classified, at every depth.
     """
     if not f.is_real():
         raise PreconditionError("f must be real")
@@ -419,7 +424,7 @@ def _level_cells(f: TrigPoly, c: float, grid_factor: int, keep=None):
             return
         lo, hi, flo, fhi = lo[todo], hi[todo], flo[todo], fhi[todo]
         mid = 0.5 * (lo + hi)
-        fmid = g.eval_at(mid).real
+        fmid = _real_at(g, mid)
         lo = np.concatenate([lo, mid])
         hi = np.concatenate([mid, hi])
         flo = np.concatenate([flo, fmid])
@@ -429,6 +434,39 @@ def _level_cells(f: TrigPoly, c: float, grid_factor: int, keep=None):
 
 def _real_grid(g: TrigPoly, M: int) -> np.ndarray:
     return synth_real(_half_spectrum(g), M)
+
+
+def _real_at(g: TrigPoly, t: np.ndarray) -> np.ndarray:
+    """Re g(t) at the angles t, in float64.
+
+    A sparse table folds each frequency -n onto n, a_n = c_n +
+    conj(c_{-n}) (2 c_n exactly for a real table), and sums the cosine
+    series Re c_0 + sum_{n>0} (Re a_n cos nt - Im a_n sin nt), a sine or
+    cosine only where its part is nonzero: half the terms of eval_at, in
+    real arithmetic.  The phases nt are the ones eval_at rounds.  A dense
+    table keeps eval_at's Horner scheme.
+    """
+    if g._dense():
+        return g.eval_at(t).real
+    values = g._values()
+    ns, slot = np.unique(np.abs(g.freqs), return_inverse=True)
+    folded = np.zeros(ns.size, dtype=complex)
+    np.add.at(folded, slot, np.where(g.freqs < 0, np.conj(values), values))
+    acc = np.full(t.shape, folded[0].real if ns[0] == 0 else 0.0)
+    phase, term = np.empty(t.shape), np.empty(t.shape)
+    for n, a in zip(ns.tolist(), folded.tolist()):
+        if n == 0:
+            continue
+        np.multiply(n, t, out=phase)
+        if a.real:
+            np.cos(phase, out=term)
+            term *= a.real
+            acc += term
+        if a.imag:
+            np.sin(phase, out=term)
+            term *= a.imag
+            acc -= term
+    return acc
 
 
 # -- arc-restricted Fourier integrals ---------------------------------------
@@ -442,8 +480,10 @@ def indicator_coeffs(K: ArcSet, kmax: int, grid_bits: int = 24) -> np.ndarray:
     exponential sums sum_j e^{-ik a_j} - e^{-ik b_j} then have exact
     phases (k m mod 2**grid_bits); no quadrature or interpolation error
     enters.  They are summed directly when the arcs times the frequencies
-    number at most _DIRECT_TERMS, and read off one sparse FFT of size
-    2**grid_bits otherwise.
+    number at most _DIRECT_TERMS, the measured point where both take the
+    same time, and read off one sparse FFT of size 2**grid_bits beyond.
+    At principal N=3 (270 arcs, |k| <= 525 089) the direct sums hold
+    about 20 MiB where the FFT's input and output take 256 MiB.
 
     Returns an array indexed k = -kmax..kmax (offset kmax).
     """

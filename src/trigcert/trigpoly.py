@@ -28,6 +28,11 @@ TWO_PI = 2.0 * math.pi
 # Default cap on the size of a coefficient table produced by multiply().
 COEFF_BUDGET = 1 << 23
 
+# largest FFT of _window_convolve; a longer product is overlap-added from
+# smaller blocks, which stay in cache where one transform of the whole
+# product would not (a 1 603 x 1 050 179 product: 0.07 s against 0.5 s)
+_MAX_CONV_BLOCK = 1 << 20
+
 # frequencies are int64; each stays within 2^62, so the sum of two (a
 # frequency of a product) cannot wrap around
 _MAX_FREQ = 1 << 62
@@ -644,12 +649,34 @@ class CoeffSeq:
 
 def _window_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution: direct for small or exact (object)
-    operands, by FFT otherwise."""
+    operands, by FFT otherwise.
+
+    A product of at most _MAX_CONV_BLOCK points is one FFT of the next
+    power of two.  A longer one is an overlap-add over blocks of about
+    eight times the short operand (the fastest size measured), at most
+    _MAX_CONV_BLOCK points: the long operand is cut into pieces that fit
+    a block together with the short one, each piece is transformed once
+    and multiplied by the short operand's transform, and the pieces'
+    products are summed into place.
+    """
     n = len(a) + len(b) - 1
     if a.dtype == object or len(a) * len(b) <= 1 << 20:
         return np.convolve(a, b)
-    size = next_pow2(n)
-    return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:n]
+    short, long_ = sorted((a, b), key=len)
+    size = min(max(next_pow2(8 * len(short)), 1 << 12), _MAX_CONV_BLOCK)
+    if next_pow2(n) <= _MAX_CONV_BLOCK or 2 * len(short) > size:
+        size = next_pow2(n)
+        return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:n]
+    step = size - len(short) + 1
+    kernel = np.fft.fft(short, size)
+    out = np.zeros(n, dtype=complex)
+    for start in range(0, len(long_), step):
+        piece = np.fft.fft(long_[start : start + step], size)
+        piece *= kernel
+        np.fft.ifft(piece, out=piece)
+        stop = min(start + size, n)
+        out[start:stop] += piece[: stop - start]
+    return out
 
 
 def _finite_l1(seq: CoeffSeq) -> bool:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from trigcert.gridcert import (
     TWO_PI,
     ArcSet,
     _grid_for,
+    _real_at,
     _superlevel_covers,
     certified_min_abs_and_sign,
     certified_sup,
@@ -35,6 +37,25 @@ def random_real_poly(rng, degree):
         table[-n] = c.conjugate()
     table[0] = complex(rng.standard_normal())
     return TrigPoly(table)
+
+
+def random_sparse_real_poly(rng, terms, degree, constant=True, sines=True):
+    """Real polynomial with ``terms`` positive frequencies up to degree,
+    sparse in TrigPoly's sense once degree passes about 10 terms."""
+    table = {}
+    for n in rng.choice(np.arange(1, degree + 1), terms, replace=False).tolist():
+        c = complex(rng.standard_normal(), rng.standard_normal() if sines else 0.0)
+        table[n] = c
+        table[-n] = c.conjugate()
+    if constant:
+        table[0] = complex(rng.standard_normal())
+    return TrigPoly(table)
+
+
+def with_eval_at(monkeypatch):
+    """Make the bisection evaluate its midpoints with eval_at, the
+    reference for _real_at."""
+    monkeypatch.setattr(gridcert, "_real_at", lambda g, t: g.eval_at(t).real)
 
 
 def arc_fourier_integral(f: TrigPoly, K: ArcSet, n: int) -> complex:
@@ -439,6 +460,45 @@ class TestMinAbsSign:
 # -- superlevel arcs ---------------------------------------------------------
 
 
+class TestRealAt:
+    """The bisection's cosine-series evaluator against eval_at(...).real.
+
+    A priori bound for T stored coefficients: each side rounds, per term,
+    a product and a sine or cosine (libm, within an ulp) and adds T terms,
+    every error at most eps ||c||_1, so they differ by at most
+    2 (T + 2) eps ||c||_1.  The phases nt are rounded alike on both sides.
+    """
+
+    @staticmethod
+    def table(rng, kind):
+        if kind == "constant":
+            return TrigPoly.const(float(rng.standard_normal()))
+        if kind == "dense":
+            return random_real_poly(rng, 12)
+        if kind == "nearly-real":
+            # conj(c_n) and c_{-n} differ in the last digits, as is_real allows
+            f = random_sparse_real_poly(rng, 9, 5_000)
+            nudge = np.where(f.freqs < 0, 1 + 1e-14, 1.0)
+            return TrigPoly.from_arrays(f.freqs, f.coeffs * nudge)
+        return random_sparse_real_poly(rng, int(rng.integers(1, 20)), int(rng.integers(300, 20_000)),
+                                       constant=kind != "sparse-no-constant",
+                                       sines=kind != "cosines")
+
+    @pytest.mark.parametrize("kind", ["sparse", "sparse-no-constant", "cosines",
+                                      "nearly-real", "dense", "constant"])
+    def test_matches_eval_at(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for _ in range(5):
+            g = self.table(rng, kind)
+            assert g.is_real()
+            assert g._dense() == (kind in ("dense", "constant"))
+            t = np.concatenate([rng.uniform(0, TWO_PI, 20_000), [0.0, math.pi, TWO_PI]])
+            got = _real_at(g, t)
+            assert got.dtype == np.float64 and got.shape == t.shape
+            bound = 2 * (g.freqs.size + 2) * np.finfo(float).eps * g.coeff_l1()
+            assert np.max(np.abs(got - g.eval_at(t).real)) <= bound
+
+
 class TestSuperlevel:
     def test_cos2t_half(self):
         inner, outer = superlevel_arcs(TrigPoly.cosine(2), 0.5, grid_factor=16)
@@ -482,6 +542,21 @@ class TestSuperlevel:
             mid = (a + b) / 2
             dist = min(abs((mid - r + math.pi) % TWO_PI - math.pi) for r in (0.0, math.pi))
             assert dist <= 1e-4
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_eval_at_bisection(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        f = random_sparse_real_poly(rng, int(rng.integers(2, 9)), int(rng.integers(60, 400)),
+                                    sines=seed % 2 == 0)
+        assert not f._dense()
+        vals = f.eval_at(np.linspace(0, TWO_PI, 4096, endpoint=False)).real
+        for c in (float(np.quantile(vals, 0.3)), float(np.quantile(vals, 0.8))):
+            got = superlevel_arcs(f, c, grid_factor=8)
+            with monkeypatch.context() as m:
+                with_eval_at(m)
+                want = superlevel_arcs(f, c, grid_factor=8)
+            assert got[0] and got[1] != ArcSet.full_circle()
+            assert got == want
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 6))
@@ -536,11 +611,23 @@ class TestSuperlevelCovers:
             out.append(ArcSet([(grid[i], mids[i]), (quarters[(i + 2) % M], TWO_PI)]))
         return out
 
+    @staticmethod
+    def poly(rng, sparse):
+        if sparse:
+            return random_sparse_real_poly(rng, int(rng.integers(2, 6)), int(rng.integers(60, 200)))
+        return random_real_poly(rng, int(rng.integers(1, 9)))
+
     def test_matches_full_verdict(self):
+        self.check_full_verdict(sparse=False)
+
+    def test_matches_full_verdict_sparse(self):
+        self.check_full_verdict(sparse=True)
+
+    def check_full_verdict(self, sparse):
         rng = np.random.default_rng(2024)
         verdicts = []
         for _ in range(12):
-            f = random_real_poly(rng, int(rng.integers(1, 9)))
+            f = self.poly(rng, sparse)
             grid_factor = int(rng.choice([4, 8]))
             vals = f.eval_at(np.linspace(0, TWO_PI, 4096, endpoint=False)).real
             levels = [float(rng.uniform(vals.min(), vals.max())),
@@ -552,6 +639,21 @@ class TestSuperlevelCovers:
                     assert _superlevel_covers(f, c, K, grid_factor) == want, (c, K)
                     verdicts.append(want)
         assert any(verdicts) and not all(verdicts)
+
+    def test_matches_eval_at_bisection(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        for _ in range(6):
+            f = self.poly(rng, True)
+            vals = f.eval_at(np.linspace(0, TWO_PI, 4096, endpoint=False)).real
+            c = float(np.quantile(vals, 0.25))
+            inner, outer = superlevel_arcs(f, c, 8)
+            carriers = self.carriers(rng, f, c, 8, inner, outer)
+            got = [_superlevel_covers(f, c, K, 8) for K in carriers]
+            with monkeypatch.context() as m:
+                with_eval_at(m)
+                want = [_superlevel_covers(f, c, K, 8) for K in carriers]
+            assert got == want
+            assert any(got) and not all(got)
 
     def test_levels_just_above_min_on_K(self):
         rng = np.random.default_rng(77)
@@ -665,6 +767,27 @@ class TestArcFourier:
             outs.append(run.stdout)
         assert len(outs[0]) == 16 * 40_001
         assert outs[0] == outs[1]
+
+    def test_restricted_fourier_memory_at_principal_n3_sizes(self):
+        # principal N=3 reads 1 603 coefficients of lambda 1_E, E 270 arcs on
+        # the 2^24 grid, up to |n| = 524 288: the endpoint sums and the
+        # blocked convolution keep the peak far below the 2^24-point
+        # transform's, whose input alone is 128 MiB
+        rng = np.random.default_rng(270)
+        G = 1 << 24
+        K = ArcSet(np.sort(rng.choice(G, 540, replace=False)).reshape(-1, 2) * (TWO_PI / G))
+        M, kmax = 801, 524_288
+        assert len(K.arcs) == 270
+        assert 2 * len(K.arcs) * (kmax + M + 1) <= gridcert._DIRECT_TERMS
+        window = rng.standard_normal(2 * M + 1) + 1j * rng.standard_normal(2 * M + 1)
+        tracemalloc.start()
+        try:
+            got = restricted_fourier(window, M, K, kmax)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (2 * kmax + 1,)
+        assert peak < 64 << 20
 
     def test_indicator_requires_dyadic(self):
         with pytest.raises(PreconditionError, match="dyadic"):

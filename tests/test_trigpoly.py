@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigcert import CoeffSeq, Interval, PreconditionError, QComplex, ResourceError, TrigPoly
-from trigcert.trigpoly import TWO_PI, next_pow2, synth_real
+from trigcert.trigpoly import TWO_PI, _window_convolve, next_pow2, synth_real
 
 
 def random_poly(rng, degree, real=False):
@@ -487,3 +487,78 @@ def test_frequencies_never_wrap_int64():
         big.dilate(2) * big
     with pytest.raises(ResourceError):
         TrigPoly({(1 << 62) + 1: 1.0})
+
+
+# -- window convolution --------------------------------------------------------
+
+
+def random_complex(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def conv_tolerance(a, b):
+    """Bound on the entrywise error of an FFT convolution, fixed before any
+    run from the dtype and the transform length: 64 log2(S) eps
+    ||a||_2 ||b||_2 with S = 2^22, more than any transform here.  A block
+    put in the wrong place or left out errs by order one."""
+    return 64 * 22 * np.finfo(float).eps * np.linalg.norm(a) * np.linalg.norm(b)
+
+
+# (short, long) operand lengths whose product passes 2^20 points, so that
+# the long operand is cut into blocks
+BLOCKED_SHAPES = [
+    (1, (1 << 21) + 1),
+    (3, (1 << 20) + 7),
+    (64, (1 << 21) + 5),
+    (257, 1 << 21),
+    (1603, 1_050_179),  # principal N=3: the window against 1_E's coefficients
+    (2000, (1 << 20) - 1000),
+]
+
+
+@pytest.mark.parametrize("m, n", BLOCKED_SHAPES)
+def test_window_convolve_blocked_matches_np_convolve(m, n):
+    rng = np.random.default_rng(m)
+    a, b = random_complex(rng, m), random_complex(rng, n)
+    want = np.convolve(a, b)
+    tol = conv_tolerance(a, b)
+    for x, y in ((a, b), (b, a)):
+        got = _window_convolve(x, y)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= tol
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_window_convolve_block_edges(extra):
+    # a short operand of 100 entries takes blocks of 4096 points, each
+    # holding 4096 - 99 entries of the long one: the long operand ends on
+    # a block edge, or one entry past it
+    m, step = 100, 4096 - 99
+    n = step * -(-(1 << 20) // step) + extra
+    rng = np.random.default_rng(extra)
+    a, b = random_complex(rng, m), random_complex(rng, n)
+    want = np.convolve(a, b)
+    for x, y in ((a, b), (b, a)):
+        assert np.max(np.abs(_window_convolve(x, y) - want)) <= conv_tolerance(a, b)
+
+
+@pytest.mark.parametrize("m, n", [
+    (125, 131_197),  # demo-corollary's product
+    (131_073, 131_073),
+    (1000, (1 << 20) - 999),  # exactly 2^20 points
+    ((1 << 19) + 1, (1 << 19) + 1),  # no block fits the short operand
+])
+def test_window_convolve_single_transform_bits(m, n):
+    rng = np.random.default_rng(n)
+    a, b = random_complex(rng, m), random_complex(rng, n)
+    size = next_pow2(m + n - 1)
+    want = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[: m + n - 1]
+    assert np.array_equal(_window_convolve(a, b), want)
+
+
+def test_window_convolve_small_and_exact_direct():
+    a = np.array([QComplex(1), QComplex(Fraction(1, 2))], dtype=object)
+    assert list(_window_convolve(a, a)) == [1, 1, Fraction(1, 4)]
+    rng = np.random.default_rng(4)
+    x, y = random_complex(rng, 1024), random_complex(rng, 1024)
+    assert np.array_equal(_window_convolve(x, y), np.convolve(x, y))
