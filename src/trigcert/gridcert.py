@@ -39,12 +39,17 @@ _MAX_DEPTH = 64
 # indicator_coeffs sums its endpoint exponentials directly up to this many
 # terms (endpoints times frequencies) and by one 2**grid_bits-point rfft
 # beyond: the measured crossover at grid_bits 24, on a 2-core Intel Xeon
-# with numpy 2.4.  Over five shapes from 135 to 1 000 arcs the direct sum
-# took 2.0 to 3.3 ns a term and the rfft 0.76 to 0.89 s whatever the arcs,
-# so the two met between 2.3e8 and 4.6e8 terms (median 3.1e8).  At
-# principal N=3 (540 endpoints, 525 090 frequencies, 2.8e8 terms) the
-# direct sum took 0.72 s against 0.87 s by rfft (medians of five)
-_DIRECT_TERMS = 300_000_000
+# (OpenBLAS 0.3.31 on one thread, SkylakeX kernels) with numpy 2.4.  Over
+# nine shapes from 136 to 2 000 endpoints and 1.4e8 to 2.0e9 terms the
+# blocked direct sums took 0.29 to 0.46 ns a term and the rfft 0.73 to
+# 0.80 s whatever the endpoints, so the two met between 1.6e9 and 2.5e9
+# terms (median 2.2e9).  At principal N=3 (540 endpoints, 525 090
+# frequencies, 2.8e8 terms) the direct sums take 0.13 s; principal N=4
+# (4.0e10 terms) stays on the rfft
+_DIRECT_TERMS = 2_000_000_000
+
+# endpoints per complex matrix product in _endpoint_sums; see there
+_ENDPOINT_BLOCK = 128
 
 
 class ArcSet:
@@ -479,11 +484,15 @@ def indicator_coeffs(K: ArcSet, kmax: int, grid_bits: int = 24) -> np.ndarray:
     2pi * m / 2**grid_bits (use ArcSet.snap_inward first).  The endpoint
     exponential sums sum_j e^{-ik a_j} - e^{-ik b_j} then have exact
     phases (k m mod 2**grid_bits); no quadrature or interpolation error
-    enters.  They are summed directly when the arcs times the frequencies
-    number at most _DIRECT_TERMS, the measured point where both take the
-    same time, and read off one sparse FFT of size 2**grid_bits beyond.
-    At principal N=3 (270 arcs, |k| <= 525 089) the direct sums hold
-    about 20 MiB where the FFT's input and output take 256 MiB.
+    enters.  They are summed directly when the endpoints times the
+    frequencies number at most _DIRECT_TERMS, the measured point where both
+    take the same time, and read off one sparse FFT of size 2**grid_bits
+    beyond.  The direct sums are complex matrix products over blocks of at
+    most _ENDPOINT_BLOCK endpoints, added in a fixed order: BLAS threads
+    then split only the rows and columns of each product, never its sum
+    over endpoints, so the bits do not depend on the thread count.  At
+    principal N=3 (270 arcs, |k| <= 525 089) the direct sums hold about
+    20 MiB where the FFT's input and output take 256 MiB.
 
     Returns an array indexed k = -kmax..kmax (offset kmax).
     """
@@ -523,21 +532,35 @@ def _endpoint_sums(idx: np.ndarray, kmax: int, G: int) -> np.ndarray:
     k = 0..kmax, the endpoints given as grid indices (a_j, b_j).
 
     Blocked as k = B p + r with B about sqrt(kmax), each term is a product
-    of two small twiddle tables; k m is reduced mod G in int64, exactly.
-    einsum without path optimization sums in a fixed order and never calls
-    BLAS, so the bits do not depend on its thread count.
+    of two small twiddle tables, one indexed by p and one by r, and each
+    table's phases k m are reduced mod G in int64, exactly.  The sum over
+    endpoints is then a (rows, B) complex matrix product, taken over blocks
+    of _ENDPOINT_BLOCK endpoints and added in block order.  OpenBLAS
+    threads split a product's rows and columns, and up to 128 endpoints
+    never its inner dimension, so each entry is one dot product summed in
+    the same order whatever the thread count.  Measured with OpenBLAS
+    0.3.31 from 2 to 1 080 endpoints, the bits were identical under 1, 2
+    and 4 threads, while a single product over all the endpoints gave
+    different bits under 1 and 2 threads at 130 and at 540 endpoints.
     """
     ends = idx.ravel() % G
     signs = np.tile([1.0, -1.0], len(idx))
     B = math.isqrt(kmax) + 1
     rows = -(-(kmax + 1) // B)
+    outer_steps = B * np.arange(rows, dtype=np.int64)
+    inner_steps = np.arange(B, dtype=np.int64)
 
-    def twiddle(steps):
-        return np.exp(-1j * (TWO_PI / G) * (np.multiply.outer(steps, ends) % G))
+    def twiddle(steps, m):
+        return np.exp(-1j * (TWO_PI / G) * (np.multiply.outer(steps, m) % G))
 
-    outer = twiddle(B * np.arange(rows, dtype=np.int64))
-    inner = twiddle(np.arange(B, dtype=np.int64)) * signs
-    return np.einsum("pj,rj->pr", outer, inner, optimize=False).ravel()[: kmax + 1]
+    total = np.zeros((rows, B), dtype=complex)
+    part = np.empty_like(total)
+    for start in range(0, ends.size, _ENDPOINT_BLOCK):
+        block = slice(start, start + _ENDPOINT_BLOCK)
+        inner = twiddle(inner_steps, ends[block]) * signs[block]
+        np.matmul(twiddle(outer_steps, ends[block]), inner.T, out=part)
+        total += part
+    return total.ravel()[: kmax + 1]
 
 
 def restricted_fourier(

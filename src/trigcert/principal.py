@@ -330,9 +330,20 @@ def build_P(phi: TrigPoly, nu: int, N: int, c3: float) -> TrigPoly:
 
 def _spline_hat(n: np.ndarray, eta: float, r: int) -> np.ndarray:
     """Transform of the r-fold autoconvolution of a box of width eta/r:
-    a cardinal-sine power, nonnegative kernel, unit mass."""
+    a cardinal-sine power, nonnegative kernel, unit mass.
+
+    The power is taken by repeated squaring, (s*s)*(s*s) at r=4: a few
+    multiplies in place of a float pow per frequency, within a few ulps
+    of np.sinc(x)**r and, for even r, a product of squares, so >= 0."""
     x = n * (eta / (2.0 * r)) / math.pi  # np.sinc(x) = sin(pi x)/(pi x)
-    return np.sinc(x) ** r
+    s, power = np.sinc(x), None
+    while r:
+        if r & 1:
+            power = s if power is None else power * s
+        r >>= 1
+        if r:
+            s = s * s
+    return power
 
 
 def _deriv_l1_bound(f: TrigPoly) -> float:

@@ -58,6 +58,28 @@ def with_eval_at(monkeypatch):
     monkeypatch.setattr(gridcert, "_real_at", lambda g, t: g.eval_at(t).real)
 
 
+def stdout_under_blas_threads(script: str, threads: int) -> bytes:
+    """What a Python script writes to stdout, with trigcert importable and
+    OpenBLAS and OpenMP pinned to ``threads`` threads (at most 4)."""
+    assert 1 <= threads <= 4
+    src = str(Path(gridcert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path,
+               OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         check=True, capture_output=True, timeout=600)
+    return run.stdout
+
+
+def dyadic_arcs(count: int, bits: int) -> ArcSet:
+    """``count`` random disjoint arcs with endpoints on the 2**bits grid."""
+    G = 1 << bits
+    ends = np.sort(np.random.default_rng(count).choice(G, 2 * count, replace=False))
+    K = ArcSet(ends.reshape(-1, 2) * (TWO_PI / G))
+    assert len(K.arcs) == count
+    return K
+
+
 def arc_fourier_integral(f: TrigPoly, K: ArcSet, n: int) -> complex:
     """(1/2pi) * integral over K of f(t) e^{-int} dt, by closed-form
     antiderivatives of each exponential term, one arc at a time: the
@@ -721,6 +743,9 @@ class TestArcFourier:
         (ArcSet([(0.3, 1.1), (2.0, 4.7), (5.5, 6.0)]).snap_inward(20), 0, 20),
         (ArcSet([(0.3, 1.1), (2.0, 4.7), (5.5, 6.0)]).snap_inward(8), 127, 8),
         (ArcSet.from_raw([(-1.5, 0.25), (3.0, 3.75)]).snap_inward(6), 31, 6),
+        # 2, 126, 128, 130 and 258 endpoints: under, at and past one
+        # endpoint block of the direct sums, and a ragged last block
+        *((dyadic_arcs(arcs, 20), 150, 20) for arcs in (1, 63, 64, 65, 129)),
     ]
 
     @pytest.mark.parametrize("K, kmax, bits", INDICATOR_CASES)
@@ -746,8 +771,9 @@ class TestArcFourier:
         assert np.max(np.abs(direct - indicator_coeffs(K, kmax))) <= 1e-12
 
     def test_indicator_direct_path_independent_of_blas_threads(self, tmp_path):
-        # the direct endpoint sums must not route through BLAS, whose
-        # reductions sum in an order set by the thread count
+        # the direct endpoint sums go through BLAS only in products whose
+        # sum over endpoints no thread count splits; a BLAS reduction over
+        # all endpoints would sum in an order set by the thread count
         script = (
             "import sys, numpy as np\n"
             "from trigcert.gridcert import ArcSet, indicator_coeffs\n"
@@ -756,17 +782,29 @@ class TestArcFourier:
             "K = K.snap_inward(24)\n"
             "sys.stdout.buffer.write(indicator_coeffs(K, 20_000).tobytes())\n"
         )
-        src = str(Path(gridcert.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        outs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=path,
-                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            run = subprocess.run([sys.executable, "-c", script], env=env,
-                                 check=True, capture_output=True, timeout=600)
-            outs.append(run.stdout)
+        outs = [stdout_under_blas_threads(script, threads) for threads in (1, 2)]
         assert len(outs[0]) == 16 * 40_001
         assert outs[0] == outs[1]
+
+    def test_indicator_direct_path_at_principal_n3_shape_independent_of_blas_threads(self):
+        # principal N=3: 540 endpoints on the 2^24 grid against |k| <= 525 089,
+        # four full endpoint blocks and a short last one
+        kmax = 525_089
+        assert 540 % gridcert._ENDPOINT_BLOCK
+        assert 540 * (kmax + 1) <= gridcert._DIRECT_TERMS
+        script = (
+            "import sys, numpy as np\n"
+            "from trigcert.gridcert import TWO_PI, ArcSet, indicator_coeffs\n"
+            "rng = np.random.default_rng(270)\n"
+            "G = 1 << 24\n"
+            "ends = np.sort(rng.choice(G, 540, replace=False))\n"
+            "K = ArcSet(ends.reshape(-1, 2) * (TWO_PI / G))\n"
+            "assert K.arcs.size == 540\n"
+            f"sys.stdout.buffer.write(indicator_coeffs(K, {kmax}).tobytes())\n"
+        )
+        outs = [stdout_under_blas_threads(script, threads) for threads in (1, 2, 4)]
+        assert len(outs[0]) == 16 * (2 * kmax + 1)
+        assert outs[0] == outs[1] == outs[2]
 
     def test_restricted_fourier_memory_at_principal_n3_sizes(self):
         # principal N=3 reads 1 603 coefficients of lambda 1_E, E 270 arcs on

@@ -190,6 +190,18 @@ class TestSplineHat:
         n = np.arange(1_000, 50_000, 137, dtype=float)
         assert (np.abs(_spline_hat(n, eta, r)) <= (2 * r / (eta * n)) ** r).all()
 
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_integer_power_matches_float_power(self, r):
+        # any chain of products for s**r is within (r - 1) u of the exact
+        # power to first order, and pow within about an ulp
+        eta = 0.3
+        n = np.arange(-20_000, 20_001, dtype=float)
+        want = np.sinc(n * (eta / (2.0 * r)) / math.pi) ** r
+        got = _spline_hat(n, eta, r)
+        assert (np.abs(got - want) <= r * np.spacing(np.abs(want))).all()
+        if r % 2 == 0:
+            assert (got >= 0.0).all()
+
 
 @pytest.fixture(scope="module")
 def out():
