@@ -27,7 +27,7 @@ from .cyclicity import (
     witness_values,
 )
 from .errors import CertificateError, PreconditionError, ResourceError
-from .gridcert import ArcSet
+from .gridcert import ArcSet, uniform_grid
 from .helson import extension_probe, helson_certificate, run_stages
 from .kahane import build_rho
 from .principal import PrincipalConfig, run_principal
@@ -39,7 +39,7 @@ from .riesz import (
     verify_moment_formula,
 )
 from .rudin_shapiro import build_phi
-from .trigpoly import TWO_PI, CoeffSeq, Interval, TrigPoly, f17
+from .trigpoly import CoeffSeq, Interval, TrigPoly, f17
 
 SCHEMA_VERSION = 2
 
@@ -50,10 +50,8 @@ SCHEMA_VERSION = 2
 def _jsonable(obj):
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, (float, np.floating, Fraction)):
         return f17(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
     if isinstance(obj, complex):
         return {"re": f17(obj.real), "im": f17(obj.imag)}
     if isinstance(obj, Interval):
@@ -81,10 +79,8 @@ def _write_json(out: Path, name: str, payload: dict) -> None:
 def _csv_cell(v):
     if isinstance(v, bool):
         return str(v).lower()
-    if isinstance(v, float):
+    if isinstance(v, (float, Fraction)):
         return f17(v)
-    if isinstance(v, Fraction):
-        return _jsonable(v)
     return v
 
 
@@ -104,15 +100,6 @@ def _load_json(path) -> dict:
         return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise PreconditionError(f"invalid JSON in {path}: {exc}", field=str(path))
-
-
-def _load_seq(data: dict) -> CoeffSeq:
-    """Coefficient artifact as a CoeffSeq; plain polynomial artifacts
-    (window narrower than the degree) go through TrigPoly."""
-    try:
-        return CoeffSeq.from_json_dict(data)
-    except PreconditionError:
-        return TrigPoly.from_json_dict(data).as_coeffseq()
 
 
 def _poly_arg(value) -> TrigPoly:
@@ -283,7 +270,7 @@ def _do_principal(cfg: dict) -> str:
         "achieved_eps": res.achieved_eps,
         "eta": res.eta,
         "lam": res.lam.to_json_dict() if res.lam is not None else None,
-        "w_cert": res.w_cert.to_json_dict() if res.w_cert is not None else None,
+        "w_cert": res.w_cert,
     })
     _write_csv(out, "report.csv", ("key", "value"),
                sorted((k, v) for k, v in res.certificates.items()
@@ -344,7 +331,7 @@ def _do_probe(cfg: dict) -> str:
 
 def _do_probe_cyclicity(cfg: dict) -> str:
     out = _out_dir(cfg)
-    f = _load_seq(_load_json(cfg["f"]))
+    f = CoeffSeq.from_json_dict(_load_json(cfg["f"]))
     p, dmax = float(cfg["p"]), int(cfg["dmax"])
     rows = cyclicity_profile(f, p, dmax)
     _write_csv(out, "profile.csv", ("d", "lo", "hi"),
@@ -358,7 +345,7 @@ def _do_probe_cyclicity(cfg: dict) -> str:
 def _do_witness(cfg: dict) -> str:
     out = _out_dir(cfg)
     K = ArcSet.from_json_dict(_load_json(cfg["k"]))
-    S = _load_seq(_load_json(cfg["s"]))
+    S = CoeffSeq.from_json_dict(_load_json(cfg["s"]))
     f, rep = smooth_noncyclic_witness(K, S, float(cfg.get("eps_smooth", 1.0)),
                                       p=float(cfg["p"]))
     _write_json(out, "witness.json", f.to_json_dict(window_out=2048))
@@ -390,7 +377,7 @@ def _do_demo(cfg: dict) -> str:
     # shared zero set: the witness vanishes on all of K by construction;
     # g vanishes at the probe skeleton; no further zeros of g were found
     # off K on the scan grid
-    t = np.arange(1 << 14) * (TWO_PI / (1 << 14))
+    t = uniform_grid(1 << 14)
     inside = K.mask(t)
     g_abs = np.abs(g.eval_at(t))
     g_at_skeleton = float(np.abs(g.eval_at(pts)).max())

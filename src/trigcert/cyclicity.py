@@ -15,8 +15,7 @@ import numpy as np
 
 from .descent import smoothed_descent
 from .errors import CertificateError, PreconditionError, ResourceError
-from .gridcert import ArcSet
-from .principal import outside_report
+from .gridcert import ArcSet, outside_report
 from .trigpoly import TWO_PI, CoeffSeq, Interval, TrigPoly
 
 _DIM_BUDGET = 1 << 24
@@ -82,6 +81,21 @@ def _smoothed_descent(fw: np.ndarray, M: int, d: int, p: float,
     return P
 
 
+def _check_multiplier_problem(f: CoeffSeq, p: float, d: int) -> None:
+    """multiplier_deficit's checks on its inputs and its dimension budget,
+    made before anything is solved."""
+    if not (1.0 < p <= 2.0):
+        raise PreconditionError("p must lie in (1, 2]", field="p")
+    if d < 0:
+        raise PreconditionError("degree budget must be >= 0", field="d")
+    if not np.any(f.window):
+        raise PreconditionError("f must have a nonzero window", field="f")
+    rows = 2 * (f.M + d) + 1
+    if (2 * d + 1) * rows > _DIM_BUDGET:
+        raise ResourceError("multiplier problem dimension over budget",
+                            budget=_DIM_BUDGET, required=(2 * d + 1) * rows)
+
+
 def multiplier_deficit(f, p: float, d: int):
     """Smallest ||1 - P*f||_{A_p} over complex multipliers of degree <= d.
 
@@ -99,16 +113,7 @@ def multiplier_deficit(f, p: float, d: int):
     scalar give identical values.
     """
     f = _as_seq(f)
-    if not (1.0 < p <= 2.0):
-        raise PreconditionError("p must lie in (1, 2]", field="p")
-    if d < 0:
-        raise PreconditionError("degree budget must be >= 0", field="d")
-    if not np.any(f.window):
-        raise PreconditionError("f must have a nonzero window", field="f")
-    rows = 2 * (f.M + d) + 1
-    if (2 * d + 1) * rows > _DIM_BUDGET:
-        raise ResourceError("multiplier problem dimension over budget",
-                            budget=_DIM_BUDGET, required=(2 * d + 1) * rows)
+    _check_multiplier_problem(f, p, d)
     scale = float(np.abs(f.window).max())
     fw = f.window / scale
     P_hat = _p2_multiplier(fw, f.M, d)
@@ -135,6 +140,9 @@ def cyclicity_profile(f, p: float, d_max: int, ds=None):
             ds = list(range(0, 17)) + [d for d in
                                        (32, 64, 128, 256, 512, 1024) if d < d_max]
             ds.append(d_max)
+    # the largest rung is checked first: an over-budget ladder fails before
+    # its smaller rungs are solved
+    _check_multiplier_problem(f, p, max(ds, default=0))
     rows = []
     best = None
     for d in sorted(set(ds)):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ResourceError
-from .trigpoly import TWO_PI, TrigPoly, _window_convolve, f17, next_pow2, synth_real
+from .trigpoly import TWO_PI, CoeffSeq, TrigPoly, _window_convolve, f17, next_pow2, synth_real
 
 # grid-derived sup bounds are padded by this relative amount to absorb
 # FFT synthesis roundoff (worst case ~1e-15 relative at our sizes)
@@ -199,6 +199,11 @@ class SupCertificate:
     method: str
 
 
+def uniform_grid(M: int) -> np.ndarray:
+    """The M angles 2pi k / M, k = 0..M-1, as one array of float64."""
+    return np.arange(M) * (TWO_PI / M)
+
+
 def _grid_for(degree: int, grid_factor: int) -> int:
     return next_pow2(grid_factor * (degree + 1))
 
@@ -210,14 +215,14 @@ def _half_spectrum(f: TrigPoly) -> np.ndarray:
     return half
 
 
-def grid_scan_real(f_or_half, degree: int, M: int):
-    """(max, min) of a real polynomial over the uniform M-grid.
+def grid_scan_real(half: np.ndarray, M: int):
+    """(max, min) over the uniform M-grid of the real polynomial whose
+    coefficient at frequency n >= 0 is half[n].
 
     Large grids are scanned as staggered passes over a base grid whose
     union is exactly the uniform M-grid, keeping memory bounded.
     """
-    half = _half_spectrum(f_or_half) if isinstance(f_or_half, TrigPoly) else np.asarray(f_or_half)
-    base = max(min(M, _MAX_SYNTH), next_pow2(2 * (degree + 1)))
+    base = max(min(M, _MAX_SYNTH), next_pow2(2 * len(half)))
     passes = max(1, M // base)
     gmax, gmin = -math.inf, math.inf
     for j in range(passes):
@@ -229,7 +234,7 @@ def grid_scan_real(f_or_half, degree: int, M: int):
 
 def _grid_extrema(f: TrigPoly, M: int):
     if f.is_real():
-        return grid_scan_real(f, f.degree, M)
+        return grid_scan_real(_half_spectrum(f), M)
     if M > _MAX_SYNTH:
         raise ResourceError(
             f"complex grid scan of size {M} exceeds the synthesis budget",
@@ -303,7 +308,7 @@ def certified_min_abs_and_sign(f: TrigPoly, K: ArcSet, grid_factor: int = 4):
         # plus the arc endpoints, covers K to the same spacing/2 radius
         M = min(_grid_for(d, grid_factor), _MAX_SYNTH)
         spacing = TWO_PI / M
-        t = np.arange(M) * spacing
+        t = uniform_grid(M)
         vals = np.concatenate([_real_grid(f, M)[K.mask(t)],
                                f.eval_at(np.ravel(K.arcs)).real])
     else:
@@ -320,6 +325,18 @@ def certified_min_abs_and_sign(f: TrigPoly, K: ArcSet, grid_factor: int = 4):
     else:
         verdict = "unknown"
     return lower, verdict
+
+
+def outside_report(f: CoeffSeq, K: ArcSet):
+    """Max of the windowed f over a uniform grid of up to 2^23 points
+    restricted to the complement of K, plus the rigorous off-window slack."""
+    if not K.complement():
+        return 0.0, f.tail_l1()
+    M = min(max(next_pow2(2 * (f.M + 1)), 1 << 12), 1 << 23)
+    vals = synth_real(f.window[f.M :], M)
+    outside = np.abs(vals[~K.mask(uniform_grid(M))])
+    mx = float(outside.max()) if outside.size else 0.0
+    return mx, f.tail_l1()
 
 
 # -- superlevel arcs ---------------------------------------------------------
@@ -398,7 +415,7 @@ def _level_cells(f: TrigPoly, c: float, grid_factor: int, keep=None):
     d = max(g.degree, 1)
     lam = d * supbound  # Lipschitz constant via Bernstein
     M = _grid_for(d, grid_factor)
-    grid = np.arange(M + 1) * (TWO_PI / M)
+    grid = np.append(uniform_grid(M), TWO_PI)
     vals = np.empty(M + 1)
     vals[:M] = _real_grid(g, M)
     vals[M] = vals[0]

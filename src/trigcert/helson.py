@@ -21,8 +21,8 @@ import numpy as np
 
 from .descent import smoothed_descent
 from .errors import CertificateError, PreconditionError
-from .gridcert import ArcSet
-from .principal import PrincipalConfig, outside_report, run_principal
+from .gridcert import ArcSet, outside_report
+from .principal import PrincipalConfig, run_principal
 from .trigpoly import TWO_PI, CoeffSeq, Interval, TrigPoly
 
 

@@ -58,11 +58,6 @@ class AtomicMeasure:
         """(2 e b / (b - a))^(n-1)."""
         return float((2.0 * math.e * self.b / (self.b - self.a)) ** (self.n - 1))
 
-    def interval_constant(self) -> float:
-        """c = ln(2 e b / (b-a)) / ln(1/(2b)): the exponent tying the TV
-        growth to the moment decay, ~7.5948 for (1/4, 1/3)."""
-        return interval_constant(self.a, self.b)
-
     def to_json_dict(self) -> dict:
         return {
             "knots": [str(s) for s in self.knots],
@@ -86,6 +81,8 @@ class AtomicMeasure:
 
 
 def interval_constant(a, b) -> float:
+    """c = ln(2 e b / (b-a)) / ln(1/(2b)): the exponent tying the TV
+    growth to the moment decay, ~7.5948 for (1/4, 1/3)."""
     a, b = _exact(a, "a"), _exact(b, "b")
     return math.log(2.0 * math.e * float(b) / float(b - a)) / math.log(
         1.0 / (2.0 * float(b))

@@ -21,13 +21,14 @@ from .gridcert import (
     _superlevel_covers,
     certified_min_abs_and_sign,
     certified_sup,
+    outside_report,
     restricted_fourier,
     superlevel_arcs,
 )
 from .kahane import build_rho, interval_constant
 from .riesz import RieszSpec, c2_constant, choose_nu, riesz_lambda
 from .rudin_shapiro import build_phi
-from .trigpoly import TWO_PI, CoeffSeq, Interval, TrigPoly, next_pow2, synth_real
+from .trigpoly import TWO_PI, CoeffSeq, Interval, TrigPoly, next_pow2
 
 I0 = (Fraction(1, 4), Fraction(1, 3))
 
@@ -52,19 +53,6 @@ class WeightCert:
     tau: float
     dichotomy: str
     fejer_m: int = 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "degree": self.degree,
-            "sup_bound": self.sup_bound,
-            "l2": self.l2,
-            "threshold": self.threshold,
-            "threshold_mode": self.threshold_mode,
-            "tau": self.tau,
-            "dichotomy": self.dichotomy,
-            "fejer_m": self.fejer_m,
-        }
 
 
 @dataclass(frozen=True)
@@ -567,22 +555,6 @@ def _defect_interval(f: CoeffSeq, q: float) -> Interval:
     window = -f.window.copy()
     window[f.M] += 1.0
     return CoeffSeq(window, f.M, f.tail_const, f.tail_exp).a_p_norm(q)
-
-
-def outside_report(f: CoeffSeq, K: ArcSet):
-    """Max of the windowed f over a uniform grid of up to 2^23 points
-    restricted to the complement of K, plus the rigorous off-window slack."""
-    comp = K.complement()
-    if not comp:
-        return 0.0, f.tail_l1()
-    M_g = 1 << 12
-    while M_g < 2 * (f.M + 1) and M_g < (1 << 23):
-        M_g <<= 1
-    vals = synth_real(f.window[f.M :], M_g)
-    t = np.arange(M_g) * (TWO_PI / M_g)
-    outside = np.abs(vals[~K.mask(t)])
-    mx = float(outside.max()) if outside.size else 0.0
-    return mx, f.tail_l1()
 
 
 def _assert_certificates(certs: dict, eps: float) -> None:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .concentration import DiscreteProbSpace
 from .errors import PreconditionError, ResourceError
-from .gridcert import certified_sup, indicator_coeffs, superlevel_arcs
-from .trigpoly import TWO_PI, QComplex, TrigPoly
+from .gridcert import certified_sup, indicator_coeffs, superlevel_arcs, uniform_grid
+from .trigpoly import QComplex, TrigPoly, _window_convolve, next_pow2
 
 # exact expansion cap: the dense window of lambda_s must stay addressable
 _EXACT_DEGREE_BUDGET = 1 << 20
@@ -158,13 +158,13 @@ def verify_moment_formula(spec: RieszSpec, s, A):
         deg = spec.total_degree + sum(
             spec.nu**j * spec.phi.degree + spec.w.degree for j in A
         )
-        M = 1 << (deg + 1).bit_length()
+        M = next_pow2(deg + 2)
         if M > (1 << 24):
             raise PreconditionError(
                 f"sampled-mode quadrature needs a grid of {M} > 2^24 points",
                 field="spec",
             )
-        t = TWO_PI * np.arange(M) / M
+        t = uniform_grid(M)
         vals = lambda_evaluator(spec, s)(t)
         for j in A:
             vals = vals * spec.variable_poly(j).eval_at(t).real
@@ -249,7 +249,7 @@ def l2_concentration_check(
         total = float(seq.l2_norm_sq_window())
         if inner:
             snapped = inner.snap_inward(grid_bits)
-            sq = np.convolve(seq.window, seq.window)
+            sq = _window_convolve(seq.window, seq.window)
             ind = indicator_coeffs(snapped, 2 * D, grid_bits)
             on_inner = float(np.real(np.vdot(ind, sq)))
         else:
@@ -257,8 +257,8 @@ def l2_concentration_check(
         lhs = max(0.0, total - on_inner)
         method, resolution = "exact-arcs", 1 << grid_bits
     else:
-        M = 1 << min(22, max(14, (2 * spec.total_degree + 1).bit_length()))
-        t = TWO_PI * np.arange(M) / M
+        M = min(max(next_pow2(2 * spec.total_degree + 2), 1 << 14), 1 << 22)
+        t = uniform_grid(M)
         lam_vals = lambda_evaluator(spec, s)(t)
         x_vals = X.eval_at(t).real
         lhs = float(np.mean(lam_vals**2 * (x_vals < c1)))
@@ -276,10 +276,10 @@ def grid_space(spec: RieszSpec, s):
     """
     _check_s(s)
     deg = 2 * spec.total_degree
-    M = 1 << (deg + 1).bit_length()
+    M = next_pow2(deg + 2)
     if M > (1 << 24):
         raise ResourceError("grid for exact quadrature too large", required=M)
-    t = TWO_PI * np.arange(M) / M
+    t = uniform_grid(M)
     lam_vals = lambda_evaluator(spec, s)(t)
     total = float(lam_vals.sum())
     deviation = abs(total / M - 1.0)

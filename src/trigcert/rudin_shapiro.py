@@ -107,7 +107,7 @@ def build_Q(k: int):
     half = np.zeros(len(signs) + 1, dtype=complex)
     half[1:] = signs / 2.0
     # a grid value past B would disprove the code, not the bound
-    gmax, gmin = grid_scan_real(half, len(signs), 1 << min(22, max(k + 4, 14)))
+    gmax, gmin = grid_scan_real(half, 1 << min(22, max(k + 4, 14)))
     if max(abs(gmax), abs(gmin)) > B * (1.0 + 1e-12):
         raise CertificateError(
             "sup-bound", max(abs(gmax), abs(gmin)), B, "spot check violates structural bound"

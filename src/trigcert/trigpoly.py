@@ -139,10 +139,6 @@ class Interval:
         if not (self.lo <= self.hi):
             raise PreconditionError(f"empty interval [{self.lo}, {self.hi}]")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
@@ -631,8 +627,11 @@ class CoeffSeq:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoeffSeq":
-        tail = data.get("tail") or {"M": data["degree"], "const": "0", "exp": "0"}
-        M = int(tail["M"])
+        """Read a CoeffSeq or a TrigPoly artifact: the window reaches the
+        larger of the tail's M and the degree, so a polynomial (tail M 0)
+        reads back as as_coeffseq() gives it."""
+        tail = data.get("tail") or {}
+        M = max(int(tail.get("M", 0)), int(data["degree"]))
         window = np.zeros(2 * M + 1, dtype=complex)
         for entry in data["coeffs"]:
             n = int(entry["n"])
@@ -642,8 +641,8 @@ class CoeffSeq:
         return cls(
             window,
             M,
-            float(_scalar_from_str(str(tail["const"]))),
-            float(_scalar_from_str(str(tail["exp"]))),
+            float(_scalar_from_str(str(tail.get("const", "0")))),
+            float(_scalar_from_str(str(tail.get("exp", "0")))),
         )
 
 
@@ -700,15 +699,12 @@ def _tail_union(t1, t2, M_new):
 
 
 def f17(x) -> str:
-    """A float with 17 significant digits: enough to read back bit for bit."""
-    return format(float(x), ".17g")
-
-
-def _scalar_to_str(x) -> str:
-    # str(Fraction) is "p/q", or "p" when q = 1
-    if isinstance(x, _EXACT_TYPES):
+    """The one scalar encoding of the artifacts: a Fraction as "p/q" ("p"
+    when q = 1), anything else as a float with 17 significant digits,
+    enough to read back bit for bit."""
+    if isinstance(x, Fraction):
         return str(x)
-    return f17(x)
+    return format(float(x), ".17g")
 
 
 def _scalar_from_str(s: str):
@@ -740,14 +736,14 @@ def _seq_json_dict(freqs, values, degree, M, tail_const, tail_exp) -> dict:
     coeffs = []
     for n, c in zip(freqs.tolist(), values.tolist()):
         re, im = _split_parts(c)
-        coeffs.append({"n": n, "re": _scalar_to_str(re), "im": _scalar_to_str(im)})
+        coeffs.append({"n": n, "re": f17(re), "im": f17(im)})
     return {
         "degree": int(degree),
         "coeffs": coeffs,
         "tail": {
             "M": int(M),
-            "const": _scalar_to_str(float(tail_const)),
-            "exp": _scalar_to_str(float(tail_exp)),
+            "const": f17(tail_const),
+            "exp": f17(tail_exp),
         },
     }
 

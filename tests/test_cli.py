@@ -299,13 +299,19 @@ def test_demo_corollary_seeded_reruns_identical(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "x,text", [(Fraction(-7, 3), "-7/3"), (Fraction(5), "5"), (Fraction(0), "0")]
+    "x,text", [(Fraction(-7, 3), "-7/3"), (Fraction(5), "5"), (Fraction(0), "0"),
+               (0.1, "0.10000000000000001"), (True, "true")]
 )
 def test_fraction_format(x, text):
-    assert _jsonable(x) == text
+    # text is the CSV cell; JSON holds it as a string, except that a bool
+    # stays a JSON boolean
+    assert json.dumps(_jsonable(x)) == (text if isinstance(x, bool) else json.dumps(text))
     assert _csv_cell(x) == text
-    poly = TrigPoly({1: QComplex(x, 1)})
+    if isinstance(x, bool):
+        return
+    exact = isinstance(x, Fraction)
+    poly = TrigPoly({1: QComplex(x, 1) if exact else complex(x, 1)})
     data = json.loads(json.dumps(poly.to_json_dict()))
     assert data["coeffs"][0]["re"] == text
     back = TrigPoly.from_json_dict(data)
-    assert back.exact and back == poly
+    assert back.exact == exact and back == poly

@@ -50,19 +50,22 @@ KEEP = {
 
 def unreferenced(sources: dict) -> list:
     """'module.function' and 'module.Class.method' names defined at the
-    top level of the given sources (module name -> text) that no Name or
-    attribute access in any of them mentions and no ``__all__`` lists.
-    Dunder methods are called by the language and are skipped.  An
-    annotated class field such as ``size: int`` declares a name and does
-    not use it, so it is no mention."""
-    defined, mentioned = [], set()
+    top level of the given sources (module name -> text) that nothing in
+    them uses.  A function is used when a Name or an attribute access
+    mentions it or an ``__all__`` lists it; a method or property only when
+    an attribute access does, so a local variable or a module function of
+    the same name keeps no method alive.  Dunder methods are called by the
+    language and are skipped.  An annotated class field such as
+    ``size: int`` declares a name and does not use it, so it is no
+    mention."""
+    functions, methods, names, attrs = [], [], set(), set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                defined.append((f"{module}.{node.name}", node.name))
+                functions.append((f"{module}.{node.name}", node.name))
             elif isinstance(node, ast.ClassDef):
-                defined.extend(
+                methods.extend(
                     (f"{module}.{node.name}.{item.name}", item.name)
                     for item in node.body
                     if isinstance(item, ast.FunctionDef)
@@ -70,15 +73,16 @@ def unreferenced(sources: dict) -> list:
             elif isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
             ):
-                mentioned.update(ast.literal_eval(node.value))
+                names.update(ast.literal_eval(node.value))
         fields = {id(node.target) for node in ast.walk(tree)
                   if isinstance(node, ast.AnnAssign)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and id(node) not in fields:
-                mentioned.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                mentioned.add(node.attr)
-    return sorted(qual for qual, name in defined if name not in mentioned)
+                attrs.add(node.attr)
+    return sorted([qual for qual, name in functions if name not in names | attrs]
+                  + [qual for qual, name in methods if name not in attrs])
 
 
 def test_dead_api_checker_flags_unreferenced():
@@ -89,13 +93,19 @@ def test_dead_api_checker_flags_unreferenced():
              "    def __init__(self):\n        pass\n\n"
              "    def m(self):\n        return used()\n\n"
              "    @property\n    def p(self):\n        return 1\n\n"
+             "    @property\n    def width(self):\n        return 2\n\n"
+             "    def constant(self):\n        return constant(self.p)\n\n"
+             "def constant(x):\n    width = x\n    return width\n\n"
              "def size():\n    return 2\n\n"
              "class Cert:\n    size: int\n",
         "b": "from a import C\n__all__ = ['exported']\n\n"
              "def exported():\n    return C().p\n",
     }
-    # the field annotation 'size: int' does not keep the function size alive
-    assert unreferenced(sources) == ["a.C.m", "a.size", "a.unused"]
+    # the field annotation 'size: int' does not keep the function size
+    # alive, nor the local 'width' or the function 'constant' the methods
+    # of those names
+    assert unreferenced(sources) == ["a.C.constant", "a.C.m", "a.C.width",
+                                     "a.size", "a.unused"]
 
 
 def test_every_function_referenced():

@@ -299,6 +299,15 @@ def test_coeffseq_json_roundtrip():
     assert back.M == 1
     assert back.tail_const == 0.125 and back.tail_exp == 3.0
     assert np.allclose(back.window, window)
+    # a polynomial artifact (tail M 0) reads back over its whole degree
+    for poly in (TrigPoly({-2: 0.5, 0: 1.0, 3: 0.25j}),
+                 TrigPoly({2: QComplex(Fraction(1, 3), Fraction(-2, 7)), 0: QComplex(5)})):
+        data = json.loads(json.dumps(poly.to_json_dict()))
+        assert data["tail"]["M"] == 0
+        back, want = CoeffSeq.from_json_dict(data), poly.as_coeffseq()
+        assert back.M == want.M == poly.degree
+        assert np.array_equal(back.window, want.window)
+        assert back.tail_const == 0.0 and back.tail_exp == 0.0
 
 
 def test_truncate_keeps_bounds_sound():
