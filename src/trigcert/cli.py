@@ -47,33 +47,110 @@ SCHEMA_VERSION = 2
 # -- serialization -------------------------------------------------------------
 
 
-def _jsonable(obj):
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+
+
+def _scalar_text(obj):
+    """JSON text of a scalar artifact value (a float or a Fraction as an
+    f17 string), or None for anything else."""
+    if isinstance(obj, str):
+        return _ENCODE_STR(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
     if isinstance(obj, (float, np.floating, Fraction)):
-        return f17(obj)
-    if isinstance(obj, complex):
-        return {"re": f17(obj.real), "im": f17(obj.imag)}
+        return f'"{f17(obj)}"'
+    return None
+
+
+def _as_container(obj):
+    """The dict or list that obj is written as."""
+    if isinstance(obj, (dict, list)):
+        return obj
+    if isinstance(obj, (complex, np.complexfloating)):
+        obj = complex(obj)
+        return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, Interval):
-        return {"lo": f17(obj.lo), "hi": f17(obj.hi)}
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.complexfloating):
-        return _jsonable(complex(obj))
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in obj]
+        return {"lo": obj.lo, "hi": obj.hi}
+    if isinstance(obj, (tuple, np.ndarray)):
+        return list(obj)
     if dataclasses.is_dataclass(obj):
-        return _jsonable(dataclasses.asdict(obj))
+        return dataclasses.asdict(obj)
     raise PreconditionError(f"cannot serialize {type(obj).__name__}")
+
+
+def _encode(obj, chunks: list, nl: str) -> None:
+    """Append to chunks the text json.dumps(..., sort_keys=True, indent=2)
+    gives obj at the nesting whose line break and indent is nl, with
+    floats and Fractions as f17 strings, complex numbers as {re, im},
+    Intervals as {lo, hi}, tuples and arrays as lists and dataclasses as
+    dicts."""
+    text = _scalar_text(obj)
+    if text is not None:
+        chunks.append(text)
+        return
+    obj = _as_container(obj)
+    if not obj:
+        chunks.append("{}" if isinstance(obj, dict) else "[]")
+        return
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        chunks.append("{")
+        sep = inner
+        for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
+            chunks.append(f"{sep}{_ENCODE_STR(key)}: ")
+            _encode(value, chunks, inner)
+            sep = "," + inner
+        chunks.append(nl + "}")
+        return
+    chunks.append("[")
+    rows = _flat_rows(obj, inner)
+    if rows is not None:
+        chunks.append(inner)
+        chunks.append(("," + inner).join(rows))
+    else:
+        sep = inner
+        for value in obj:
+            chunks.append(sep)
+            _encode(value, chunks, inner)
+            sep = "," + inner
+    chunks.append(nl + "]")
+
+
+def _flat_rows(items: list, nl: str):
+    """The texts of items, each at the nesting nl, when they are nonempty
+    dicts with one key set and scalar values, like the coefficient rows:
+    one %-template fills each.  None otherwise."""
+    first = items[0]
+    if type(first) is not dict or not first or not all(type(k) is str for k in first):
+        return None
+    keys = sorted(first)
+    inner = nl + "  "
+    template = "{" + ",".join(
+        inner + _ENCODE_STR(k).replace("%", "%%") + ": %s" for k in keys) + nl + "}"
+    key_set = first.keys()
+    rows = []
+    for item in items:
+        if type(item) is not dict or item.keys() != key_set:
+            return None
+        texts = tuple(_scalar_text(item[k]) for k in keys)
+        if None in texts:
+            return None
+        rows.append(template % texts)
+    return rows
 
 
 def _write_json(out: Path, name: str, payload: dict) -> None:
     doc = {"schema_version": SCHEMA_VERSION}
     doc.update(payload)
-    text = json.dumps(_jsonable(doc), sort_keys=True, indent=2)
-    (out / name).write_text(text + "\n")
+    chunks = []
+    _encode(doc, chunks, "\n")
+    chunks.append("\n")
+    with (out / name).open("w") as fh:
+        fh.writelines(chunks)
 
 
 def _csv_cell(v):
@@ -221,8 +298,10 @@ def _do_riesz(cfg: dict) -> str:
     sub = cfg.get("spec")
     sub = _load_json(sub) if isinstance(sub, (str, Path)) else (sub or {})
     spec = _riesz_spec(sub)
-    s = _rational(cfg.get("s", "1/4"))
     check = cfg.get("check", "moments")
+    # the moment check takes any s in (0, 1), the concentration check only
+    # s inside (1/4, 1/3), whose midpoint is 7/24
+    s = _rational(cfg.get("s", "1/4" if check == "moments" else "7/24"))
     if check == "moments":
         rows = []
         worst = 0.0
@@ -378,7 +457,7 @@ def _do_demo(cfg: dict) -> str:
     # g vanishes at the probe skeleton; no further zeros of g were found
     # off K on the scan grid
     t = uniform_grid(1 << 14)
-    inside = K.mask(t)
+    inside = K.grid_mask(len(t))
     g_abs = np.abs(g.eval_at(t))
     g_at_skeleton = float(np.abs(g.eval_at(pts)).max())
     zero_report = {
@@ -479,7 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("kahane", a={"required": True}, b={"required": True},
         delta={"required": True}, kmax={"default": "200"})
     add("bernstein", config={"required": True})
-    add("riesz", spec={"required": True}, s={"default": "1/4"},
+    add("riesz", spec={"required": True}, s={},
         check={"choices": ["moments", "concentration"], "default": "moments"})
     add("principal", config={"required": True})
     add("helson", q={"required": True}, stages={"required": True})

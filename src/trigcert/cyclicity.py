@@ -77,7 +77,7 @@ def _smoothed_descent(fw: np.ndarray, M: int, d: int, p: float,
         # C^H s; correlate conjugates its second argument itself
         return -p * np.correlate(s, fw, mode="valid")
 
-    P, _ = smoothed_descent(P_hat, objective, gradient, stall_rel=1e-10)
+    P, _, _ = smoothed_descent(P_hat, objective, gradient, stall_rel=1e-10)
     return P
 
 

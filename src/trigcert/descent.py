@@ -16,12 +16,15 @@ def smoothed_descent(x0, objective, gradient, stall_rel: float):
     is below stall_rel.  gradient(x, mu) may be projected onto the tangent
     space of constraints; x0 is not modified.
 
-    Returns (x, trace), trace holding the objective after every accepted
-    step.
+    Returns (x, trace, stages): trace holds the objective after every
+    accepted step, and stages one {mu, steps, stop} record a stage, stop
+    naming what ended it: "cap", "step" or "stall".
     """
     x = x0
     trace = []
+    stages = []
     for mu in (1e-2, 1e-4, 1e-8):
+        start = len(trace)
         F = objective(x, mu)
         step = 1.0
         stall = 0
@@ -41,11 +44,16 @@ def smoothed_descent(x0, objective, gradient, stall_rel: float):
                 cand = x - step * g
                 Fc = objective(cand, mu)
             if step <= 1e-14:
+                stop = "step"
                 break
             rel = (F - Fc) / max(F, 1e-300)
             x, F = cand, Fc
             trace.append(F)
             stall = stall + 1 if rel < stall_rel else 0
             if stall >= 50:
+                stop = "stall"
                 break
-    return x, trace
+        else:
+            stop = "cap"
+        stages.append({"mu": mu, "steps": len(trace) - start, "stop": stop})
+    return x, trace, stages

@@ -4,10 +4,11 @@ Sup, min-abs and sign verdicts come with one-sided guarantees derived
 from grid values and the Bernstein derivative inequality
 ||f'|| <= deg(f) * ||f|| (in both its plain and arcsine/Szego forms).
 Superlevel sets are returned as inner/outer sandwiches of arc unions,
-built by one adaptive bisection that evaluates a sparse polynomial at its
-midpoints as a real cosine series; whether the inner arcs cover a given
-arc set is decided by the same bisection, restricted to the cells that
-meet it.  Arc-restricted Fourier coefficients come from closed-form
+built by one adaptive bisection that decides a cell by the smaller of a
+Lipschitz and a second-order (chord) bound and evaluates a sparse
+polynomial at its midpoints as a real cosine series; whether the inner
+arcs cover a given arc set is decided by the same bisection, restricted
+to the cells that meet it.  Arc-restricted Fourier coefficients come from closed-form
 antiderivatives summed over arc endpoints on a dyadic grid, directly up
 to the measured crossover with the FFT and by one sparse FFT beyond, and
 are convolved with the function's window in cache-sized FFT blocks, so
@@ -135,6 +136,21 @@ class ArcSet:
         [a, b): a point on a left endpoint is inside, one on a right
         endpoint outside."""
         return np.searchsorted(self.arcs.ravel(), t, side="right") % 2 == 1
+
+    def grid_mask(self, M: int) -> np.ndarray:
+        """``self.mask(uniform_grid(M))``, bit for bit, read from the
+        endpoints: each endpoint e is found in the grid as the first index
+        k with 2pi k / M >= e, and the grid points from an arc's left
+        index up to its right one are inside."""
+        step = TWO_PI / M
+        ends = self.arcs.ravel()
+        k = np.clip(np.ceil(ends / step), 0, M).astype(np.int64)
+        # the quotient is off by at most one index either way; settle it on
+        # the grid's own values, k * step as uniform_grid rounds them
+        k += (k < M) & (k * step < ends)
+        k -= (k > 0) & ((k - 1) * step >= ends)
+        runs = np.diff(np.concatenate([[0], k, [M]]))
+        return np.repeat(np.arange(runs.size) % 2 == 1, runs)
 
     def intersect(self, other: "ArcSet") -> "ArcSet":
         # no endpoint of either set lies inside a piece between consecutive
@@ -308,8 +324,7 @@ def certified_min_abs_and_sign(f: TrigPoly, K: ArcSet, grid_factor: int = 4):
         # plus the arc endpoints, covers K to the same spacing/2 radius
         M = min(_grid_for(d, grid_factor), _MAX_SYNTH)
         spacing = TWO_PI / M
-        t = uniform_grid(M)
-        vals = np.concatenate([_real_grid(f, M)[K.mask(t)],
+        vals = np.concatenate([_real_grid(f, M)[K.grid_mask(M)],
                                f.eval_at(np.ravel(K.arcs)).real])
     else:
         pts = K.sample(spacing)
@@ -334,7 +349,7 @@ def outside_report(f: CoeffSeq, K: ArcSet):
         return 0.0, f.tail_l1()
     M = min(max(next_pow2(2 * (f.M + 1)), 1 << 12), 1 << 23)
     vals = synth_real(f.window[f.M :], M)
-    outside = np.abs(vals[~K.mask(uniform_grid(M))])
+    outside = np.abs(vals[~K.grid_mask(M)])
     mx = float(outside.max()) if outside.size else 0.0
     return mx, f.tail_l1()
 
@@ -350,10 +365,11 @@ def superlevel_arcs(
     """Inner and outer arc approximations of {t : f(t) >= c}.
 
     inner is certified a subset of the superlevel set; outer certified a
-    superset.  Cells whose endpoint values clear the Lipschitz slack are
-    classified outright; the rest are bisected until narrower than
-    _BISECT_TOL.  A cell pinned at the level beyond _MAX_DEPTH bisections
-    means the level set is tangential there and is reported as an error.
+    superset.  Cells whose endpoint values clear the smaller of the
+    Lipschitz and the chord (second-order) slack are classified outright;
+    the rest are bisected until narrower than _BISECT_TOL.  A cell pinned
+    at the level beyond _MAX_DEPTH bisections means the level set is
+    tangential there and is reported as an error.
     """
     # cells go to ArcSet, whose constructor merges them; the empty block
     # keeps the concatenation defined when no cell is certified
@@ -401,10 +417,11 @@ def _level_cells(f: TrigPoly, c: float, grid_factor: int, keep=None):
     """The adaptive bisection behind superlevel_arcs, one depth at a time.
 
     Yields (lo, hi, is_pos, is_neg, narrow) for the cells of each depth:
-    certified f > c, certified f < c, and undecided but narrower than
-    _BISECT_TOL.  The rest are halved for the next depth, f - c evaluated
-    at their midpoints by _real_at.  When keep is given, only cells
-    [lo, hi] with keep(lo, hi) true are classified, at every depth.
+    certified f > c, certified f < c (the end values clear _cell_slack and
+    the roundoff pad), and undecided but narrower than _BISECT_TOL.  The
+    rest are halved for the next depth, f - c evaluated at their midpoints
+    by _real_at.  When keep is given, only cells [lo, hi] with keep(lo, hi)
+    true are classified, at every depth.
     """
     if not f.is_real():
         raise PreconditionError("f must be real")
@@ -414,6 +431,7 @@ def _level_cells(f: TrigPoly, c: float, grid_factor: int, keep=None):
         raise PreconditionError("level set not transverse (f is identically c)")
     d = max(g.degree, 1)
     lam = d * supbound  # Lipschitz constant via Bernstein
+    curv = float(np.sum(g.freqs**2 * np.abs(g._values()))) * (1.0 + 1e-12)
     M = _grid_for(d, grid_factor)
     grid = np.append(uniform_grid(M), TWO_PI)
     vals = np.empty(M + 1)
@@ -435,7 +453,7 @@ def _level_cells(f: TrigPoly, c: float, grid_factor: int, keep=None):
                 f"{_MAX_DEPTH} near t={lo[0]:.12f}"
             )
         width = hi - lo
-        slack = lam * width / 2.0 + _FP_PAD * supbound
+        slack = _cell_slack(width, lam, curv) + _FP_PAD * supbound
         is_pos = np.minimum(flo, fhi) > slack
         is_neg = np.maximum(flo, fhi) < -slack
         rest = ~(is_pos | is_neg)
@@ -452,6 +470,14 @@ def _level_cells(f: TrigPoly, c: float, grid_factor: int, keep=None):
         flo = np.concatenate([flo, fmid])
         fhi = np.concatenate([fmid, fhi])
         depth += 1
+
+
+def _cell_slack(width, lam, curv):
+    """How far g may fall below the smaller of its end values on a cell of
+    this width: lam w/2 for |g'| <= lam, or curv w^2/8 for |g''| <= curv,
+    since g stays within w^2/8 sup|g''| of the chord through its end
+    values.  curv is sum n^2 |g_n|, which bounds |g''|."""
+    return np.minimum(lam * width / 2.0, curv * width * width / 8.0)
 
 
 def _real_grid(g: TrigPoly, M: int) -> np.ndarray:

@@ -313,8 +313,9 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
     program feasible whenever the points are distinct and at most 2d+1.
 
     Returns (f, report); report carries the achieved norms, the constraint
-    residual, and, when delta_hat is given, the comparison against the
-    guarantee ||f||_B <= (1/delta_hat) * ||h||_{C(K)}.
+    residual, each descent stage's steps and stop reason (a stage stopped
+    at "cap" ran out of iterations), and, when delta_hat is given, the
+    comparison against the guarantee ||f||_B <= (1/delta_hat) * ||h||_{C(K)}.
     """
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=complex)
@@ -342,7 +343,7 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
     report = {"p": p, "eps": eps, "d": d, "h_sup": float(np.abs(values).max())}
     if not np.any(values):
         report.update(a_norm=0.0, a_p_norm=0.0, b_norm=0.0, residual=0.0,
-                      iterations=0, objective_trace=[])
+                      iterations=0, descent_stages=[], objective_trace=[])
         if delta_hat:
             report["guarantee"] = 0.0
             report["guarantee_ok"] = True
@@ -359,7 +360,8 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
         g = _probe_gradient(c, mu, p, eps)
         return g - A_pinv @ (A @ g)  # tangent to the constraint set
 
-    c, trace = smoothed_descent(A_pinv @ values, objective, gradient, stall_rel=1e-12)
+    c, trace, stages = smoothed_descent(A_pinv @ values, objective, gradient,
+                                        stall_rel=1e-12)
     c = c - A_pinv @ (A @ c - values)  # back onto the constraints
 
     residual = float(np.abs(A @ c - values).max())
@@ -373,6 +375,7 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
         b_norm=a_norm + ap_norm / eps,
         residual=residual,
         iterations=len(trace),
+        descent_stages=stages,
         objective_trace=trace,
     )
     if delta_hat:

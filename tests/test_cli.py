@@ -11,11 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trigcert
-from trigcert.cli import _csv_cell, _jsonable, main
+from trigcert.cli import _csv_cell, _encode, _write_json, main
 from trigcert.gridcert import ArcSet
-from trigcert.trigpoly import CoeffSeq, QComplex, TrigPoly
+from trigcert.trigpoly import CoeffSeq, Interval, QComplex, TrigPoly, f17
 
 P43 = "1.3333333333333333"
 
@@ -26,6 +28,12 @@ def run_cli(*argv):
 
 def read_json(path):
     return json.loads(path.read_text())
+
+
+def json_text(obj):
+    chunks = []
+    _encode(obj, chunks, "\n")
+    return "".join(chunks)
 
 
 def read_csv(path):
@@ -141,6 +149,22 @@ def test_riesz_concentration_report(tmp_path):
     assert float(doc["lhs"]) <= float(doc["rhs"])
 
 
+def test_riesz_default_s_per_check(tmp_path):
+    # without --s, the concentration check takes 7/24 from inside its open
+    # interval (1/4, 1/3) and the moment check keeps 1/4
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"phi": "cos", "w": "one", "N": 3}\n')
+    for check, s in (("concentration", "7/24"), ("moments", "1/4")):
+        default, given = tmp_path / check / "default", tmp_path / check / "given"
+        assert run_cli("riesz", "--spec", spec, "--check", check, "--out", default) == 0
+        assert run_cli("riesz", "--spec", spec, "--check", check, "--s", s,
+                       "--out", given) == 0
+        names = sorted(p.name for p in default.iterdir())
+        assert names == sorted(p.name for p in given.iterdir())
+        for name in names:
+            assert (default / name).read_bytes() == (given / name).read_bytes(), name
+
+
 def test_principal_artifacts(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"q": 4.0, "eps": 0.35, "u": "cos", "N": 2,
@@ -171,6 +195,10 @@ def test_extension_probe_artifacts(probe_dir):
     rep = read_json(probe_dir / "probe.json")
     assert float(rep["residual"]) < 1e-8
     assert "objective_trace" not in rep
+    stages = rep["descent_stages"]
+    assert [float(r["mu"]) for r in stages] == [1e-2, 1e-4, 1e-8]
+    assert all(r["stop"] in ("cap", "step", "stall") for r in stages)
+    assert sum(r["steps"] for r in stages) == rep["iterations"]
     f = TrigPoly.from_json_dict(read_json(probe_dir / "f.json"))
     pts = np.array([float(t) for t in rep["points"]])
     assert np.abs(f.eval_at(pts) - 1.0).max() < 1e-7
@@ -305,7 +333,7 @@ def test_demo_corollary_seeded_reruns_identical(tmp_path):
 def test_fraction_format(x, text):
     # text is the CSV cell; JSON holds it as a string, except that a bool
     # stays a JSON boolean
-    assert json.dumps(_jsonable(x)) == (text if isinstance(x, bool) else json.dumps(text))
+    assert json_text(x) == (text if isinstance(x, bool) else json.dumps(text))
     assert _csv_cell(x) == text
     if isinstance(x, bool):
         return
@@ -315,3 +343,105 @@ def test_fraction_format(x, text):
     assert data["coeffs"][0]["re"] == text
     back = TrigPoly.from_json_dict(data)
     assert back.exact == exact and back == poly
+
+
+# -- the artifact writer -----------------------------------------------------
+
+
+def jsonable(obj):
+    """The payload as JSON values: the writer's conversions spelled out."""
+    if isinstance(obj, (float, np.floating, Fraction)) and not isinstance(obj, bool):
+        return f17(obj)
+    if isinstance(obj, complex):
+        return {"re": f17(obj.real), "im": f17(obj.imag)}
+    if isinstance(obj, Interval):
+        return {"lo": f17(obj.lo), "hi": f17(obj.hi)}
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [jsonable(v) for v in obj]
+    return obj
+
+
+def dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+KEYS = st.text(alphabet=st.characters(codec="utf-8"), max_size=6) | st.sampled_from(
+    ["n", "re", "im", "a", "b", "%s", "100%", 'q"uote', "back\\slash", "tab\t", "\u00e9t\u00e9",
+     "\U0001f600", "\x00"])
+SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
+           | st.floats(allow_nan=True, allow_infinity=True)
+           | st.fractions(max_denominator=10**6) | KEYS)
+ROW_KEYS = st.lists(KEYS, min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def record_lists(draw):
+    """Lists of flat records with one key set, now and then spoiled by a
+    record with other keys or a nested value."""
+    keys = draw(ROW_KEYS)
+    rows = draw(st.lists(st.fixed_dictionaries({k: SCALARS for k in keys}),
+                         min_size=1, max_size=5))
+    spoil = draw(st.sampled_from(["none", "keys", "nested", "scalar"]))
+    if spoil == "keys":
+        rows.append({k + "x": 0 for k in keys})
+    elif spoil == "nested":
+        rows[-1] = dict(rows[-1], **{keys[0]: [1, {"a": 2.5}]})
+    elif spoil == "scalar":
+        rows.append(7)
+    return rows
+
+
+PAYLOADS = st.recursive(
+    SCALARS | record_lists() | st.just([]) | st.just({}),
+    lambda inner: (st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=4)
+                   | st.tuples(inner, inner)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAYLOADS)
+def test_writer_matches_json_dumps(payload):
+    text = json_text(payload)
+    assert text == dumps(jsonable(payload))
+    assert text == dumps(json.loads(text))
+
+
+def test_writer_converts_like_artifacts(tmp_path):
+    payload = {
+        "complex": 1.5 - 2j,
+        "np": [np.float64(0.1), np.int64(3), np.complex128(1j), np.arange(3)],
+        "interval": Interval(0.25, 0.5),
+        "array": np.array([[0.5, 1.0], [2.0, 3.0]]),
+        "fraction": Fraction(-7, 3),
+        "rows": [{"n": n, "re": 0.5 * n, "im": Fraction(n, 3)} for n in range(-3, 4)],
+        3: "int key",
+        "mixed_key_rows": [{1: "a", "b": 2.5}, {1: "c", "b": 3}],
+        "empty": {"list": [], "dict": {}, "tuple": ()},
+    }
+    _write_json(tmp_path, "doc.json", payload)
+    text = (tmp_path / "doc.json").read_text()
+    assert text == dumps(jsonable(dict(payload, schema_version=2))) + "\n"
+    assert text == dumps(json.loads(text)) + "\n"
+
+
+def test_writer_rejects_unknown_types(tmp_path):
+    for bad in (np.bool_(True), QComplex(1, 2), object()):
+        with pytest.raises(trigcert.PreconditionError, match="cannot serialize"):
+            _write_json(tmp_path, "bad.json", {"x": [bad]})
+
+
+def test_principal_n3_artifacts_are_json_dumps_text(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 4, "eps": 0.9, "u": "cos", "N": 3, "mode": "empirical"}))
+    out = tmp_path / "out"
+    assert run_cli("principal", "--config", cfg, "--out", out) == 0
+    names = sorted(p.name for p in out.glob("*.json"))
+    assert names == ["K.json", "P.json", "certificates.json", "f.json"]
+    for name in names:
+        text = (out / name).read_text()
+        assert text == dumps(json.loads(text)) + "\n", name

@@ -26,6 +26,7 @@ from trigcert.gridcert import (
     restricted_fourier,
     sup_certificate,
     superlevel_arcs,
+    uniform_grid,
 )
 
 
@@ -369,6 +370,36 @@ class TestArcSet:
         got = ArcSet.empty().mask(t)
         assert got.shape == t.shape and not got.any()
 
+    @staticmethod
+    def grid_mask_cases(rng, M):
+        """Arc sets whose ends sit on grid points, a rounding step either
+        side of them, anywhere, and at 0 and 2pi; and the empty set."""
+        grid = np.append(uniform_grid(M), TWO_PI)
+        on_grid = np.sort(rng.choice(M + 1, size=min(8, M + 1), replace=False))
+        ends = [grid[on_grid],
+                np.nextafter(grid[on_grid], rng.choice([-np.inf, np.inf], on_grid.size)),
+                rng.uniform(0.0, TWO_PI, 8),
+                np.concatenate([[0.0, TWO_PI], rng.uniform(0.0, TWO_PI, 4)])]
+        out = [ArcSet.empty(), ArcSet.full_circle(), ArcSet([(0.0, grid[1])]),
+               ArcSet([(grid[M - 1], TWO_PI)])]
+        for e in ends:
+            e = np.sort(np.clip(e, 0.0, TWO_PI))
+            pairs = e[: e.size // 2 * 2].reshape(-1, 2)
+            out.append(ArcSet(pairs[pairs[:, 0] < pairs[:, 1]]))
+        return out
+
+    @pytest.mark.parametrize("M", [2, 3, 5, 12_345] + [1 << b for b in range(2, 22)])
+    def test_grid_mask_equals_mask_on_uniform_grid(self, M):
+        rng = np.random.default_rng(M)
+        t = uniform_grid(M)
+        cases = self.grid_mask_cases(rng, M)
+        if M < 1 << 20:
+            cases += [ArcSet(random_pairs(rng)) for _ in range(4)]
+        for k in cases:
+            got = k.grid_mask(M)
+            assert got.dtype == bool and got.shape == (M,)
+            assert np.array_equal(got, k.mask(t)), (M, k.arcs)
+
     def test_mask_agrees_with_contains(self):
         arcs = [(0.0, 0.4), (1.0, 2.5), (3.0, 3.1), (5.0, TWO_PI)]
         k, ref = ArcSet(arcs), RefArcSet(arcs)
@@ -599,6 +630,81 @@ class TestSuperlevel:
         if inner:
             pts = inner.sample(1e-3)
             assert f.eval_at(pts).real.min() >= c - 1e-9
+
+
+class TestSecondOrderCells:
+    """The chord slack curv w^2/8 decides cells the Lipschitz slack lam w/2
+    leaves open; both must stay sound against dense evaluation."""
+
+    @staticmethod
+    def polys(rng):
+        for _ in range(4):
+            yield random_real_poly(rng, int(rng.integers(1, 9)))
+            yield random_sparse_real_poly(rng, int(rng.integers(2, 7)),
+                                          int(rng.integers(60, 2_000)))
+
+    @staticmethod
+    def levels(rng, f):
+        vals = f.eval_at(uniform_grid(4096)).real
+        return [float(rng.uniform(vals.min(), vals.max())), float(np.quantile(vals, 0.7))]
+
+    @staticmethod
+    def cell_points(lo, hi, k):
+        # k equally spaced points across each cell, both ends included
+        return lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, k)[None, :]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_decided_cells_agree_with_dense_evaluation(self, seed):
+        rng = np.random.default_rng(seed)
+        for f in self.polys(rng):
+            for c in self.levels(rng, f):
+                pad = 1e-9 * f.coeff_l1()
+                for lo, hi, is_pos, is_neg, _ in gridcert._level_cells(f, c, 8):
+                    for cells, sign in ((is_pos, 1.0), (is_neg, -1.0)):
+                        pick = np.flatnonzero(cells)[:400]
+                        t = self.cell_points(lo[pick], hi[pick], 17).ravel()
+                        assert np.all(sign * (f.eval_at(t).real - c) >= -pad), (seed, c)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sandwich_against_dense_evaluation(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for f in self.polys(rng):
+            for c in self.levels(rng, f):
+                inner, outer = superlevel_arcs(f, c, 8)
+                pad = 1e-9 * f.coeff_l1()
+                if inner:
+                    assert f.eval_at(inner.sample(1e-4)).real.min() >= c - pad
+                t = uniform_grid(1 << 16)
+                above = f.eval_at(t).real >= c + pad
+                assert np.all(outer.dilate(1e-12).mask(t[above]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tighter_than_lipschitz_alone(self, monkeypatch, seed):
+        rng = np.random.default_rng(200 + seed)
+        gaps = []
+        for f in self.polys(rng):
+            for c in self.levels(rng, f):
+                inner, outer = superlevel_arcs(f, c, 8)
+                with monkeypatch.context() as m:
+                    m.setattr(gridcert, "_cell_slack", lambda w, lam, curv: lam * w / 2.0)
+                    old_inner, old_outer = superlevel_arcs(f, c, 8)
+                assert old_inner.subset_of(inner) and outer.subset_of(old_outer)
+                gaps.append((outer.measure - inner.measure,
+                             old_outer.measure - old_inner.measure))
+        assert all(new <= old for new, old in gaps)
+        assert any(new < old for new, old in gaps)
+
+    def test_covers_uses_the_same_rule(self, monkeypatch):
+        # both bisections take their slack from _cell_slack, with lam =
+        # deg * sup|g| and curv = sum n^2 |g_n| padded by 1e-12
+        f = TrigPoly.cosine(40)
+        slacks = []
+        monkeypatch.setattr(gridcert, "_cell_slack",
+                            lambda w, lam, curv: slacks.append((lam, curv))
+                            or np.minimum(lam * w / 2.0, curv * w * w / 8.0))
+        inner, _ = superlevel_arcs(f, 0.3, 4)
+        assert _superlevel_covers(f, 0.3, ArcSet(inner.arcs[:2]), 4)
+        assert {lc for lc in slacks} == {(40 * certified_sup(f - 0.3, 4), 1600.0 * (1 + 1e-12))}
 
 
 class TestSuperlevelCovers:
