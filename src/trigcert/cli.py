@@ -458,7 +458,7 @@ def _do_demo(cfg: dict) -> str:
     # off K on the scan grid
     t = uniform_grid(1 << 14)
     inside = K.grid_mask(len(t))
-    g_abs = np.abs(g.eval_at(t))
+    g_abs = np.abs(g.eval_grid(len(t)))
     g_at_skeleton = float(np.abs(g.eval_at(pts)).max())
     zero_report = {
         "Z": K.to_json_dict(),

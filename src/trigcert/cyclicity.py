@@ -31,53 +31,105 @@ def _deficit_value(f: CoeffSeq, P_hat: np.ndarray, d: int, p: float) -> Interval
     return one.add(P_seq.multiply(f), -1.0).a_p_norm(p)
 
 
+def _toeplitz_solve(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Solve T x = y for the Hermitian Toeplitz T with first column a,
+    T_jk = a[j - k] and a[-m] = conj(a[m]), by Levinson's recursion.
+
+    Step k extends the solutions of the leading k x k block: f and b solve
+    it against the first and the last unit vector, x against y's head.
+    Plain numpy sums, no LAPACK or BLAS call, so the bits do not depend
+    on the thread count.
+    """
+    ac = a.conj()
+    f = b = np.array([1.0 / a[0]])
+    x = y[:1] / a[0]
+    for k in range(1, len(a)):
+        row = a[k:0:-1]  # row k of T, left of the diagonal
+        ef = np.sum(row * f)
+        eb = np.sum(ac[1 : k + 1] * b)
+        f0, b0 = np.append(f, 0.0), np.insert(b, 0, 0.0)
+        den = 1.0 - ef * eb
+        f, b = (f0 - ef * b0) / den, (b0 - eb * f0) / den
+        x = np.append(x, 0.0) + (y[k] - np.sum(row * x)) * b
+    return x
+
+
 def _p2_multiplier(fw: np.ndarray, M: int, d: int):
     """Exact least-squares multiplier for the window part.
 
-    Columns of C are the shifts of the f window; the residual must be
-    orthogonal to all of them at the optimum.
+    The columns of C are the 2d+1 shifts of the f window, so C^H C is
+    Hermitian Toeplitz with the window's autocorrelation as its first
+    column, and the normal equations are solved by _toeplitz_solve; C is
+    never formed.  They square C's condition number, so the residual's
+    orthogonality to every column, which holds at the optimum, is checked.
     """
-    rows = 2 * (M + d) + 1
-    C = np.zeros((rows, 2 * d + 1), dtype=complex)
-    for j in range(2 * d + 1):
-        C[j : j + 2 * M + 1, j] = fw
-    e0 = np.zeros(rows, dtype=complex)
+    e0 = np.zeros(2 * (M + d) + 1, dtype=complex)
     e0[M + d] = 1.0
-    P_hat, *_ = np.linalg.lstsq(C, e0, rcond=None)
-    r = e0 - C @ P_hat
-    ortho = float(np.abs(C.conj().T @ r).max())
+    # correlate conjugates its second argument: entry k of the first is
+    # sum_n fw[n + k] conj(fw[n]), and the second is C^H e0
+    auto = np.correlate(np.pad(fw, (0, 2 * d)), fw, mode="valid")
+    P_hat = _toeplitz_solve(auto, np.correlate(e0, fw, mode="valid"))
+    r = e0 - np.convolve(P_hat, fw)
+    ortho = float(np.abs(np.correlate(r, fw, mode="valid")).max())
     if ortho > 1e-8 * max(1.0, float(np.abs(fw).max())):
         raise CertificateError("p2-orthogonality", ortho, 1e-8)
     return P_hat
 
 
-def _smoothed_descent(fw: np.ndarray, M: int, d: int, p: float,
-                      P_hat: np.ndarray) -> np.ndarray:
-    """Minimize sum (|1 - P*f|^2 + mu^2)^{p/2} over the window by
-    smoothed_descent, warm started at P_hat."""
+def _multiplier_search(fw: np.ndarray, M: int, d: int, p: float):
+    """(objective, gradient, line, residual) for smoothed_descent on
+    sum (|r|^2 + mu^2)^{p/2}, r = e0 - P*f over the window.
+
+    residual(P) is kept for the last point formed.  line carries it along
+    the step, r + t (g*f), so a step convolves once however often it
+    backtracks, and an accepted point's gradient reads the residual and
+    |r|^2 + mu^2 its objective formed.  P is never modified, so points
+    are matched by identity.
+    """
     e0 = np.zeros(2 * (M + d) + 1, dtype=complex)
     e0[M + d] = 1.0
-
-    # the gradient at an accepted point reads the residual the objective
-    # just formed there, so the last one is kept (P is never modified)
-    last = [None, None]
+    last = [None, None]  # a point and its residual
+    smooth = [None, None, None]  # a residual, mu and |r|^2 + mu^2
 
     def residual(P):
         if P is not last[0]:
             last[:] = P, e0 - np.convolve(P, fw)
         return last[1]
 
-    def objective(P, mu):
+    def smoothed(P, mu):
         r = residual(P)
-        return float(np.sum((np.abs(r) ** 2 + mu * mu) ** (p / 2.0)))
+        if r is not smooth[0] or mu != smooth[1]:
+            smooth[:] = r, mu, np.abs(r) ** 2 + mu * mu
+        return smooth[2]
+
+    def objective(P, mu):
+        return float(np.sum(smoothed(P, mu) ** (p / 2.0)))
 
     def gradient(P, mu):
-        r = residual(P)
-        s = (np.abs(r) ** 2 + mu * mu) ** (p / 2.0 - 1.0) * r
+        s = smoothed(P, mu) ** (p / 2.0 - 1.0) * residual(P)
         # C^H s; correlate conjugates its second argument itself
         return -p * np.correlate(s, fw, mode="valid")
 
-    P, _, _ = smoothed_descent(P_hat, objective, gradient, stall_rel=1e-10)
+    def line(P, g):
+        r, gf = residual(P), np.convolve(g, fw)
+
+        def trial(t):
+            cand = P - t * g
+            last[:] = cand, r + t * gf
+            return cand
+
+        return trial
+
+    return objective, gradient, line, residual
+
+
+def _smoothed_descent(fw: np.ndarray, M: int, d: int, p: float,
+                      P_hat: np.ndarray) -> np.ndarray:
+    """Minimize sum (|1 - P*f|^2 + mu^2)^{p/2} over the window by
+    smoothed_descent, warm started at P_hat."""
+    objective, gradient, line, _ = _multiplier_search(fw, M, d, p)
+    P, _, _ = smoothed_descent(P_hat, objective, gradient, stall_rel=1e-10,
+                               line=line)
     return P
 
 

@@ -7,14 +7,22 @@ mu and solved again as mu decreases.
 import numpy as np
 
 
-def smoothed_descent(x0, objective, gradient, stall_rel: float):
+def _straight_line(x, g):
+    return lambda t: x - t * g
+
+
+def smoothed_descent(x0, objective, gradient, stall_rel: float,
+                     line=_straight_line):
     """Minimize objective(x, mu) from x0 for mu = 1e-2, 1e-4, 1e-8, each
     stage warm started at the last.
 
     A stage ends after 5000 iterations, when backtracking drives the step
     to 1e-14, or after 50 consecutive iterations whose relative decrease
     is below stall_rel.  gradient(x, mu) may be projected onto the tangent
-    space of constraints; x0 is not modified.
+    space of constraints; x0 is not modified.  line(x, g) returns the map
+    t -> x - t g that gives every backtrack's trial point; a caller that
+    can update what its objective needs along the line, more cheaply than
+    from scratch at each trial, passes its own.
 
     Returns (x, trace, stages): trace holds the objective after every
     accepted step, and stages one {mu, steps, stop} record a stage, stop
@@ -37,11 +45,12 @@ def smoothed_descent(x0, objective, gradient, stall_rel: float):
                 if denom > 0:
                     step = abs(float(np.real(np.vdot(dx, dg)))) / denom
             prev_x, prev_g = x, g
-            cand = x - step * g
+            trial = line(x, g)
+            cand = trial(step)
             Fc = objective(cand, mu)
             while Fc > F - 1e-15 and step > 1e-14:
                 step *= 0.5
-                cand = x - step * g
+                cand = trial(step)
                 Fc = objective(cand, mu)
             if step <= 1e-14:
                 stop = "step"

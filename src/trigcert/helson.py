@@ -290,15 +290,32 @@ def helson_certificate(K: ArcSet, P_list, trials: int, M: int, seed: int = 0,
 # -- extension-norm probe ------------------------------------------------------
 
 
-def _probe_objective(c, mu, p, eps):
-    w = np.sqrt(np.abs(c) ** 2 + mu * mu)
-    return float(w.sum() + (1.0 / eps) * np.sum(w**p) ** (1.0 / p))
+def _dirichlet_gram(points: np.ndarray, d: int) -> np.ndarray:
+    """A A^H for the rows A_j = exp(i n x_j), |n| <= d, in closed form:
+    sum_n exp(i n u) = sin((d + 1/2) u) / sin(u / 2) at u = x_j - x_k, and
+    2d + 1 on the diagonal."""
+    u = points[:, None] - points[None, :]
+    off = ~np.eye(len(points), dtype=bool)
+    G = np.full(u.shape, 2.0 * d + 1.0)
+    G[off] = np.sin((d + 0.5) * u[off]) / np.sin(0.5 * u[off])
+    return G
 
 
-def _probe_gradient(c, mu, p, eps):
-    w = np.sqrt(np.abs(c) ** 2 + mu * mu)
-    lp = np.sum(w**p) ** (1.0 / p - 1.0)
-    return c / w + (1.0 / eps) * lp * w ** (p - 2.0) * c
+def _spd_inverse(G: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric positive definite G by Gauss-Jordan
+    elimination without pivoting (the pivots are Schur complements of G,
+    positive), in plain numpy: no LAPACK call, so the bits do not depend on
+    the BLAS thread count.  A numerically singular G gives a meaningless
+    or non-finite inverse; the caller's residual check rejects it."""
+    n = len(G)
+    W = np.hstack([G, np.eye(n)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n):
+            W[k] /= W[k, k]
+            col = W[:, k].copy()
+            col[k] = 0.0
+            W -= np.outer(col, W[k])
+    return W[:, n:]
 
 
 def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
@@ -311,6 +328,11 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
     back onto the affine interpolation constraints, and backtracking keeps
     the objective trace monotone.  The 2d+1 complex coefficients make the
     program feasible whenever the points are distinct and at most 2d+1.
+    The projection is c - A^H G^-1 A c, with A the rows exp(i n x_j) and
+    G = A A^H the closed-form Dirichlet-kernel Gram matrix of the points,
+    inverted once without LAPACK.  Nearly coincident points make G
+    singular to roundoff; the constraints are then missed, and the
+    residual check (1e-8) fails.
 
     Returns (f, report); report carries the achieved norms, the constraint
     residual, each descent stage's steps and stop reason (a stage stopped
@@ -351,22 +373,50 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
 
     freqs = np.arange(-d, d + 1)
     A = np.exp(1j * np.outer(points, freqs))
-    A_pinv = np.linalg.pinv(A)
+    # A^H is stored row-major, so that both products are BLAS dot products
+    # along rows: a thread count splits their outputs, never a sum
+    # (z @ conj(A) splits the sum over the rows of A)
+    A_H = np.ascontiguousarray(A.conj().T)
+    G_inv = _spd_inverse(_dirichlet_gram(points, d)).astype(complex)
+
+    def lift(y):
+        """A^H G^-1 y, the least-norm c with A c = y."""
+        return A_H @ (G_inv @ y)
+
+    def checked_residual(c):
+        residual = float(np.abs(A @ c - values).max())
+        if not residual < 1e-8:  # a NaN from a singular Gram fails too
+            raise CertificateError("probe-residual", residual, 1e-8)
+        return residual
+
+    # the gradient at an accepted point reads the magnitudes its objective
+    # just formed, so the last ones are kept (c is never modified)
+    last = [None] * 5  # c, mu, w = sqrt(|c|^2 + mu^2), w^p and its sum
+
+    def magnitudes(c, mu):
+        if c is not last[0] or mu != last[1]:
+            w = np.sqrt(np.abs(c) ** 2 + mu * mu)
+            wp = w**p
+            last[:] = c, mu, w, wp, float(np.sum(wp))
+        return last[2:]
 
     def objective(c, mu):
-        return _probe_objective(c, mu, p, eps)
+        w, _, total = magnitudes(c, mu)
+        return float(w.sum() + (1.0 / eps) * total ** (1.0 / p))
 
     def gradient(c, mu):
-        g = _probe_gradient(c, mu, p, eps)
-        return g - A_pinv @ (A @ g)  # tangent to the constraint set
+        w, wp, total = magnitudes(c, mu)
+        lp = total ** (1.0 / p - 1.0)
+        # (1/w + (lp/eps) w^(p-2)) c, with w^(p-2) read off w^p
+        g = (1.0 + (lp / eps) * wp / w) / w * c
+        return g - lift(A @ g)  # tangent to the constraint set
 
-    c, trace, stages = smoothed_descent(A_pinv @ values, objective, gradient,
+    start = lift(values)
+    checked_residual(start)
+    c, trace, stages = smoothed_descent(start, objective, gradient,
                                         stall_rel=1e-12)
-    c = c - A_pinv @ (A @ c - values)  # back onto the constraints
-
-    residual = float(np.abs(A @ c - values).max())
-    if residual >= 1e-8:
-        raise CertificateError("probe-residual", residual, 1e-8)
+    c = c - lift(A @ c - values)  # back onto the constraints
+    residual = checked_residual(c)
     a_norm = float(np.abs(c).sum())
     ap_norm = float(np.sum(np.abs(c) ** p) ** (1.0 / p))
     report.update(

@@ -732,11 +732,19 @@ def _split_parts(c):
 
 
 def _seq_json_dict(freqs, values, degree, M, tail_const, tail_exp) -> dict:
-    """Shared artifact layout; freqs must be sorted."""
-    coeffs = []
-    for n, c in zip(freqs.tolist(), values.tolist()):
-        re, im = _split_parts(c)
-        coeffs.append({"n": n, "re": f17(re), "im": f17(im)})
+    """Shared artifact layout; freqs must be sorted.  A float table is
+    written from its real and imaginary parts as Python floats, each part
+    in f17's float format, so only an exact table goes through
+    _split_parts and f17."""
+    if values.dtype == object:
+        coeffs = []
+        for n, c in zip(freqs.tolist(), values.tolist()):
+            re, im = _split_parts(c)
+            coeffs.append({"n": n, "re": f17(re), "im": f17(im)})
+    else:
+        coeffs = [{"n": n, "re": format(re, ".17g"), "im": format(im, ".17g")}
+                  for n, re, im in zip(freqs.tolist(), values.real.tolist(),
+                                       values.imag.tolist())]
     return {
         "degree": int(degree),
         "coeffs": coeffs,

@@ -113,6 +113,28 @@ def test_bernstein_artifacts_independent_of_blas_threads(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_demo_artifacts_independent_of_blas_threads(tmp_path):
+    # the probe's projection and the p = 2 multiplier are solved without
+    # LAPACK, and the BLAS products left on the demo's path split only
+    # their outputs across threads; no artifact may depend on the count
+    src = str(Path(trigcert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=path,
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "trigcert.cli", "demo-corollary",
+                        "--seed", "1", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=600)
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert len(names) == 5
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_bernstein_seed_flag_and_env(tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"space": "coins", "N": 8, "p_plus": "3/4"}\n')

@@ -7,6 +7,8 @@ import pytest
 
 from trigcert import CoeffSeq, PreconditionError, ResourceError, TrigPoly
 from trigcert.cyclicity import (
+    _multiplier_search,
+    _p2_multiplier,
     _power_integrals,
     _smoothed_descent,
     cyclicity_profile,
@@ -15,6 +17,7 @@ from trigcert.cyclicity import (
     smooth_noncyclic_witness,
     witness_values,
 )
+from trigcert.descent import smoothed_descent
 from trigcert.gridcert import ArcSet
 
 TWO_PI = 2.0 * math.pi
@@ -71,7 +74,7 @@ class TestMultiplierDeficit:
         f = CoeffSeq(w, 3)
         exact, _ = multiplier_deficit(f, 2.0, 4)
         scale = float(np.abs(w).max())
-        from trigcert.cyclicity import _deficit_value, _p2_multiplier
+        from trigcert.cyclicity import _deficit_value
         start = np.zeros(9, dtype=complex)
         P = _smoothed_descent(w / scale, 3, 4, 2.0, start) / scale
         assert _deficit_value(f, P, 4, 2.0).hi == pytest.approx(exact.hi, abs=1e-6)
@@ -97,6 +100,63 @@ class TestMultiplierDeficit:
     def test_dimension_budget(self):
         with pytest.raises(ResourceError):
             multiplier_deficit(ONE_MINUS_Z, 2.0, 3_000)
+
+
+def shift_matrix_multiplier(fw, M, d):
+    """The p = 2 multiplier from the explicit matrix of the window's shifts."""
+    rows = 2 * (M + d) + 1
+    C = np.zeros((rows, 2 * d + 1), dtype=complex)
+    for j in range(2 * d + 1):
+        C[j : j + 2 * M + 1, j] = fw
+    e0 = np.zeros(rows, dtype=complex)
+    e0[M + d] = 1.0
+    return np.linalg.lstsq(C, e0, rcond=None)[0]
+
+
+def _random_window(M):
+    rng = np.random.default_rng(7)
+    w = rng.normal(size=2 * M + 1) + 1j * rng.normal(size=2 * M + 1)
+    return w / np.abs(w).max()
+
+
+P2_WINDOWS = {
+    "one_minus_z": (np.array([0.0, 1.0, -1.0], dtype=complex), 1),
+    "constant": (np.array([1.0 + 0j]), 0),
+    "random": (_random_window(5), 5),
+}
+
+
+class TestP2Multiplier:
+    @pytest.mark.parametrize("d", [0, 1, 4, 64])
+    @pytest.mark.parametrize("name", sorted(P2_WINDOWS))
+    def test_levinson_matches_lstsq(self, name, d):
+        fw, M = P2_WINDOWS[name]
+        got = _p2_multiplier(fw, M, d)
+        assert got.shape == (2 * d + 1,)
+        assert np.abs(got - shift_matrix_multiplier(fw, M, d)).max() <= 1e-12
+
+    def test_carried_residual_stays_the_convolution(self):
+        # the line search carries each trial's residual as r + t (g*f); at
+        # every evaluation, each stage's end included, it must still be
+        # e0 - P*f to roundoff
+        M, d, p = 64, 16, 4.0 / 3.0
+        fw = _random_window(M)
+        objective, gradient, line, residual = _multiplier_search(fw, M, d, p)
+        e0 = np.zeros(2 * (M + d) + 1, dtype=complex)
+        e0[M + d] = 1.0
+        drift = []
+
+        def checked(P, mu):
+            drift.append(float(np.abs(residual(P) - (e0 - np.convolve(P, fw))).max()))
+            return objective(P, mu)
+
+        P, _, stages = smoothed_descent(_p2_multiplier(fw, M, d), checked,
+                                        gradient, stall_rel=1e-10, line=line)
+        assert [s["mu"] for s in stages] == [1e-2, 1e-4, 1e-8]
+        checked(P, 1e-8)
+        assert len(drift) > 100
+        # the carried residual is in use: it is not the convolution's bits
+        assert 0.0 < max(drift) <= 1e-12
 
 
 class TestCyclicityProfile:

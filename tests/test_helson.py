@@ -9,6 +9,7 @@ from trigcert import CertificateError, PreconditionError, TrigPoly
 from trigcert.gridcert import ArcSet
 from trigcert.helson import (
     SampledMeasure,
+    _dirichlet_gram,
     dense_sequence,
     extension_probe,
     helson_certificate,
@@ -207,8 +208,8 @@ class TestExtensionProbe:
         # step rule, the backtracking or the stall test moves them
         _, rep = extension_probe(arc, [0.7, 1.5, 2.2], [1.0, 1.0, 1.0],
                                  1.5, 0.05, 24)
-        assert rep["iterations"] == 195
-        assert rep["a_norm"] == pytest.approx(1.3118395566890644, abs=1e-12)
+        assert rep["iterations"] == 205
+        assert rep["a_norm"] == pytest.approx(1.311839567661153, abs=1e-12)
 
     def test_degree_doubling_never_hurts(self, arc):
         pts, vals = [0.7, 1.5, 2.2], [1.0, 1.0, 1.0]
@@ -239,3 +240,29 @@ class TestExtensionProbe:
             extension_probe(arc, [1.0], [1.0], 1.5, 0.0, 4)
         with pytest.raises(PreconditionError):
             extension_probe(ArcSet([]), [1.0], [1.0], 1.5, 0.1, 4)
+
+
+class TestGramProjection:
+    def test_closed_form_gram_matches_products(self):
+        # the demo's shape: 13 points, degree 2048
+        d = 2048
+        pts = np.sort(np.random.default_rng(3).uniform(0.0, TWO_PI, 13))
+        A = np.exp(1j * np.outer(pts, np.arange(-d, d + 1)))
+        G = _dirichlet_gram(pts, d)
+        assert np.abs(G - A @ A.conj().T).max() <= 1e-10
+        assert np.all(np.diag(G) == 2 * d + 1)
+
+    def test_probe_meets_its_constraints(self, arc):
+        pts = np.array([0.7, 1.2, 1.9, 2.3])
+        vals = np.array([1.0, -1.0, 0.5, 1.0 + 0.5j])
+        f, rep = extension_probe(arc, pts, vals, 4.0 / 3.0, 0.05, 16)
+        A = np.exp(1j * np.outer(pts, f.freqs))
+        assert np.abs(A @ f.coeffs - vals).max() <= 1e-12
+        assert rep["residual"] <= 1e-12
+
+    def test_nearly_coincident_points_fail_the_residual_check(self, arc):
+        # 1e-8 apart (distinct by the precondition's 1e-9) the Gram matrix
+        # is singular to roundoff, and opposite targets cannot be met
+        with pytest.raises(CertificateError) as info:
+            extension_probe(arc, [1.0, 1.0 + 1e-8], [1.0, -1.0], 1.5, 0.1, 64)
+        assert info.value.name == "probe-residual"

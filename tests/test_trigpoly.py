@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigcert import CoeffSeq, Interval, PreconditionError, QComplex, ResourceError, TrigPoly
-from trigcert.trigpoly import TWO_PI, _window_convolve, next_pow2, synth_real
+from trigcert.trigpoly import (
+    TWO_PI,
+    _seq_json_dict,
+    _split_parts,
+    _window_convolve,
+    f17,
+    next_pow2,
+    synth_real,
+)
 
 
 def random_poly(rng, degree, real=False):
@@ -279,6 +287,18 @@ def test_poly_json_roundtrip_float():
     g = TrigPoly.from_json_dict(data)
     assert np.array_equal(f.freqs, g.freqs)
     assert np.array_equal(f.coeffs, g.coeffs)  # 17 digits are lossless
+
+
+def test_float_rows_match_the_scalar_encoder():
+    # the float fast path writes exactly what _split_parts and f17 write
+    values = np.array([0.1 + 0.2j, complex(-0.0, 1e-300), complex(5e-324, -0.0),
+                       1e17 - 2.5j, complex(-0.0, -0.0), 1.0 / 3.0 + 0j])
+    doc = _seq_json_dict(np.arange(len(values)), values, 5, 0, 0.0, 0.0)
+    want = []
+    for n, c in enumerate(values.tolist()):
+        re, im = _split_parts(c)
+        want.append({"n": n, "re": f17(re), "im": f17(im)})
+    assert doc["coeffs"] == want
 
 
 def test_poly_json_roundtrip_rational():
