@@ -471,7 +471,6 @@ def _do_demo(cfg: dict) -> str:
         "scan_points": int(len(t)),
     }
 
-    deficit_ok = any(v.hi < 0.5 for _, v in profile)
     _write_json(out, "f_noncyclic.json", {
         "f": fw.to_json_dict(window_out=2048),
         "report": wrep,
@@ -487,7 +486,6 @@ def _do_demo(cfg: dict) -> str:
         "delta_hat": delta_hat,
         "worst_measure": worst,
         "obstruction_positive": wrep["ladder_positive"],
-        "deficit_below_half": deficit_ok,
         "deficit_best": min(v.hi for _, v in profile),
     })
     _write_csv(out, "report.csv", ("key", "value"), [

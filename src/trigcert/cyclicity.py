@@ -158,7 +158,9 @@ def multiplier_deficit(f, p: float, d: int):
     coefficient objective (continuation mu = 1e-2, 1e-4, 1e-8, monotone
     backtracking, stop after 50 iterations of relative decrease below
     1e-10) warm started at the p = 2 solution, so the value is an upper
-    bound on the true minimum.
+    bound on the true minimum.  When that bound exceeds 1, which a wide
+    product tail times a large ||P||_1 can cause, P = 0 is returned with
+    its exact value [1, 1] instead.
 
     Deficits are invariant under scaling of f: the window is normalized to
     unit peak and the multiplier rescaled back, so equal inputs up to a
@@ -173,6 +175,9 @@ def multiplier_deficit(f, p: float, d: int):
         P_hat = _smoothed_descent(fw, f.M, d, p, P_hat)
     P_hat = P_hat / scale
     value = _deficit_value(f, P_hat, d, p)
+    if value.hi > 1.0:
+        # P = 0 leaves ||1||_{A_p} = 1 exactly
+        value, P_hat = Interval(1.0, 1.0), np.zeros_like(P_hat)
     P = TrigPoly.from_arrays(np.arange(-d, d + 1), P_hat)
     return value, P
 

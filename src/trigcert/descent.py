@@ -6,13 +6,16 @@ mu and solved again as mu decreases.
 
 import numpy as np
 
+GAP_EVERY = 100  # accepted steps of a stage between two gap checks
+GAP_REL = 1e-5  # the descent ends once hi - lo <= GAP_REL * lo
+
 
 def _straight_line(x, g):
     return lambda t: x - t * g
 
 
 def smoothed_descent(x0, objective, gradient, stall_rel: float,
-                     line=_straight_line):
+                     line=_straight_line, gap=None):
     """Minimize objective(x, mu) from x0 for mu = 1e-2, 1e-4, 1e-8, each
     stage warm started at the last.
 
@@ -24,9 +27,15 @@ def smoothed_descent(x0, objective, gradient, stall_rel: float,
     can update what its objective needs along the line, more cheaply than
     from scratch at each trial, passes its own.
 
+    gap(x, mu), when given, returns a bracket (lo, hi) of the unsmoothed
+    minimum, hi the value at x; it is called after every GAP_EVERY
+    accepted steps of a stage, and once hi - lo <= GAP_REL * lo the whole
+    descent ends there: no later stage can improve on a point already
+    certified near-optimal.
+
     Returns (x, trace, stages): trace holds the objective after every
     accepted step, and stages one {mu, steps, stop} record a stage, stop
-    naming what ended it: "cap", "step" or "stall".
+    naming what ended it: "cap", "step", "stall" or "gap".
     """
     x = x0
     trace = []
@@ -37,7 +46,7 @@ def smoothed_descent(x0, objective, gradient, stall_rel: float,
         step = 1.0
         stall = 0
         prev_x = prev_g = None
-        for _ in range(5000):
+        for k in range(1, 5001):
             g = gradient(x, mu)
             if prev_g is not None:
                 dx, dg = x - prev_x, g - prev_g
@@ -58,6 +67,11 @@ def smoothed_descent(x0, objective, gradient, stall_rel: float,
             rel = (F - Fc) / max(F, 1e-300)
             x, F = cand, Fc
             trace.append(F)
+            if gap is not None and k % GAP_EVERY == 0:
+                lo, hi = gap(x, mu)
+                if hi - lo <= GAP_REL * lo:
+                    stop = "gap"
+                    break
             stall = stall + 1 if rel < stall_rel else 0
             if stall >= 50:
                 stop = "stall"
@@ -65,4 +79,6 @@ def smoothed_descent(x0, objective, gradient, stall_rel: float,
         else:
             stop = "cap"
         stages.append({"mu": mu, "steps": len(trace) - start, "stop": stop})
+        if stop == "gap":
+            break
     return x, trace, stages

@@ -9,7 +9,8 @@ tolerance, outside the shrinking intersection K.  helson_certificate
 samples atomic measures on K and certifies, per measure, the pairing
 chain |integral of P d mu| <= ||P||_A * sup |mu_hat|.  extension_probe
 solves the interpolation program min ||f||_A + (1/eps)||f||_{A_p} over
-degree-bounded polynomials matching target values on K.
+degree-bounded polynomials matching target values on K, and brackets its
+minimum between a dual bound and the value reached.
 """
 
 import itertools
@@ -318,6 +319,27 @@ def _spd_inverse(G: np.ndarray) -> np.ndarray:
     return W[:, n:]
 
 
+_B_NORM_RIGOUR = "float dual bound, roundoff not counted (ROADMAP item 5)"
+
+
+def _dual_norm(y_abs: np.ndarray, q: float, eps: float) -> float:
+    """N*(y) = min{t : ||(|y| - t)_+||_q <= t / eps}, the dual norm of
+    N(c) = ||c||_1 + (1/eps) ||c||_p for q = p / (p - 1), from the moduli
+    |y|, by bisection on [0, max |y|].  The end returned is the bracket's
+    upper one, where the condition holds, so the value does not fall
+    below N*(y) (float roundoff aside)."""
+    lo, hi = 0.0, float(y_abs.max())
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        excess = np.maximum(y_abs - mid, 0.0)
+        if float(np.sum(excess**q)) ** (1.0 / q) <= mid / eps:
+            hi = mid
+        else:
+            lo = mid
+
+
 def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
                     delta_hat: float = None):
     """Degree-d interpolant of the target values on K minimizing the
@@ -326,7 +348,9 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
     First-order method on the smoothed coefficients sqrt(|c|^2 + mu^2)
     with continuation mu = 1e-2, 1e-4, 1e-8; every iterate is projected
     back onto the affine interpolation constraints, and backtracking keeps
-    the objective trace monotone.  The 2d+1 complex coefficients make the
+    the objective trace monotone.  Every 100 accepted steps the dual bound
+    below is formed, and the descent ends once the relative duality gap is
+    at most 1e-5.  The 2d+1 complex coefficients make the
     program feasible whenever the points are distinct and at most 2d+1.
     The projection is c - A^H G^-1 A c, with A the rows exp(i n x_j) and
     G = A A^H the closed-form Dirichlet-kernel Gram matrix of the points,
@@ -334,10 +358,18 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
     singular to roundoff; the constraints are then missed, and the
     residual check (1e-8) fails.
 
-    Returns (f, report); report carries the achieved norms, the constraint
-    residual, each descent stage's steps and stop reason (a stage stopped
-    at "cap" ran out of iterations), and, when delta_hat is given, the
-    comparison against the guarantee ||f||_B <= (1/delta_hat) * ||h||_{C(K)}.
+    The minimum is bracketed as [b_norm_lo, b_norm_hi].  b_norm_hi is
+    N(c) = ||c||_1 + (1/eps) ||c||_p at the final c, which is b_norm.
+    b_norm_lo is Re(lam^H v) / N*(A^H lam) for the KKT multiplier
+    lam = G^-1 A grad N_mu(c), with N*(y) = min{t : ||(|y| - t)_+||_q <= t/eps}
+    found by bisection; both are float values, roundoff not counted.
+
+    Returns (f, report); report carries the achieved norms, the bracket
+    and its width b_norm_gap, the constraint residual, each descent
+    stage's steps and stop reason (a stage stopped at "cap" ran out of
+    iterations, one at "gap" met the gap tolerance and ended the descent),
+    and, when delta_hat is given, the comparison against the guarantee
+    ||f||_B <= (1/delta_hat) * ||h||_{C(K)}.
     """
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=complex)
@@ -364,7 +396,9 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
 
     report = {"p": p, "eps": eps, "d": d, "h_sup": float(np.abs(values).max())}
     if not np.any(values):
-        report.update(a_norm=0.0, a_p_norm=0.0, b_norm=0.0, residual=0.0,
+        report.update(a_norm=0.0, a_p_norm=0.0, b_norm=0.0, b_norm_lo=0.0,
+                      b_norm_hi=0.0, b_norm_gap=0.0,
+                      b_norm_rigour=_B_NORM_RIGOUR, residual=0.0,
                       iterations=0, descent_stages=[], objective_trace=[])
         if delta_hat:
             report["guarantee"] = 0.0
@@ -404,25 +438,46 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
         w, _, total = magnitudes(c, mu)
         return float(w.sum() + (1.0 / eps) * total ** (1.0 / p))
 
-    def gradient(c, mu):
+    def smoothed_gradient(c, mu):
         w, wp, total = magnitudes(c, mu)
         lp = total ** (1.0 / p - 1.0)
         # (1/w + (lp/eps) w^(p-2)) c, with w^(p-2) read off w^p
-        g = (1.0 + (lp / eps) * wp / w) / w * c
+        return (1.0 + (lp / eps) * wp / w) / w * c
+
+    def gradient(c, mu):
+        g = smoothed_gradient(c, mu)
         return g - lift(A @ g)  # tangent to the constraint set
+
+    def gap(c, mu):
+        """(lo, hi): hi = N(c) unsmoothed, lo = Re(lam^H v) / N*(A^H lam)
+        for the KKT multiplier lam = G^-1 A grad N_mu(c); any lam gives a
+        lower bound on min N over A c = v, since
+        Re(lam^H v) = Re <A^H lam, c> <= N*(A^H lam) N(c)."""
+        abs_c = np.abs(c)
+        hi = float(abs_c.sum() + np.sum(abs_c**p) ** (1.0 / p) / eps)
+        lam = G_inv @ (A @ smoothed_gradient(c, mu))
+        dual = _dual_norm(np.abs(A_H @ lam), p / (p - 1.0), eps)
+        pairing = float(np.real(np.vdot(lam, values)))
+        lo = max(pairing, 0.0) / dual if dual > 0.0 else 0.0
+        return lo, hi
 
     start = lift(values)
     checked_residual(start)
     c, trace, stages = smoothed_descent(start, objective, gradient,
-                                        stall_rel=1e-12)
+                                        stall_rel=1e-12, gap=gap)
     c = c - lift(A @ c - values)  # back onto the constraints
     residual = checked_residual(c)
     a_norm = float(np.abs(c).sum())
     ap_norm = float(np.sum(np.abs(c) ** p) ** (1.0 / p))
+    b_lo, b_hi = gap(c, stages[-1]["mu"])
     report.update(
         a_norm=a_norm,
         a_p_norm=ap_norm,
-        b_norm=a_norm + ap_norm / eps,
+        b_norm=b_hi,
+        b_norm_lo=b_lo,
+        b_norm_hi=b_hi,
+        b_norm_gap=b_hi - b_lo,
+        b_norm_rigour=_B_NORM_RIGOUR,
         residual=residual,
         iterations=len(trace),
         descent_stages=stages,

@@ -174,6 +174,16 @@ class TestCyclicityProfile:
         rows = cyclicity_profile(TrigPoly.const(1.0), 2.0, 40)
         assert [d for d, _ in rows][-2:] == [32, 40]
 
+    def test_rows_never_exceed_the_zero_multiplier(self):
+        # a wide product tail times ||P||_1 puts the descent's bound above
+        # 1 at every rung; P = 0 attains 1 exactly and must be reported
+        f = CoeffSeq(np.array([0.5, 1.0, 0.5], dtype=complex), 1, 1.0, 2.0)
+        rows = cyclicity_profile(f, 4.0 / 3.0, 8)
+        assert all(v.hi <= 1.0 for _, v in rows)
+        value, P = multiplier_deficit(f, 4.0 / 3.0, 8)
+        assert (value.lo, value.hi) == (1.0, 1.0)
+        assert P.freqs.size == 0
+
 
 class TestObstructionBound:
     def test_oracle(self):

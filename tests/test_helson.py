@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from trigcert import CertificateError, PreconditionError, TrigPoly
+from trigcert import CertificateError, PreconditionError, TrigPoly, descent, helson
 from trigcert.gridcert import ArcSet
 from trigcert.helson import (
     SampledMeasure,
@@ -182,7 +182,11 @@ class TestExtensionProbe:
         # one constraint, eps = 1: the flat spread over 2d+1 frequencies is
         # optimal, so b_norm = 1 + (2d+1)^{1/p - 1}
         f, rep = extension_probe(arc, [1.0], [1.0], 1.5, 1.0, 8)
-        assert rep["b_norm"] == pytest.approx(1.0 + 17.0 ** (-1.0 / 3.0), abs=1e-7)
+        exact = 1.0 + 17.0 ** (-1.0 / 3.0)
+        assert rep["b_norm"] == pytest.approx(exact, abs=1e-7)
+        assert rep["b_norm_lo"] <= exact <= rep["b_norm_hi"]
+        # the flat spread is the optimum, where the dual bound is tight
+        assert rep["b_norm_lo"] == pytest.approx(exact, rel=1e-12)
         assert abs(f.eval_at(np.array([1.0]))[0] - 1.0) < 1e-10
 
     def test_zero_target_gives_zero(self, arc):
@@ -205,11 +209,39 @@ class TestExtensionProbe:
 
     def test_descent_path_pinned(self, arc):
         # the exact iteration count and norm of one probe: any change to the
-        # step rule, the backtracking or the stall test moves them
+        # step rule, the backtracking, the stall test or the gap stop moves
+        # them
         _, rep = extension_probe(arc, [0.7, 1.5, 2.2], [1.0, 1.0, 1.0],
                                  1.5, 0.05, 24)
-        assert rep["iterations"] == 205
-        assert rep["a_norm"] == pytest.approx(1.311839567661153, abs=1e-12)
+        assert rep["iterations"] == 125
+        assert rep["a_norm"] == pytest.approx(1.3120700974789068, abs=1e-12)
+        assert [s["stop"] for s in rep["descent_stages"]] == ["step", "gap"]
+        assert rep["b_norm_lo"] <= rep["b_norm"] <= rep["b_norm_hi"]
+
+    def test_dual_bound_on_random_instance(self):
+        rng = np.random.default_rng(5)
+        arc = ArcSet([(0.3, 2.9)])
+        pts = np.sort(rng.uniform(0.4, 2.8, 5))
+        vals = rng.normal(size=5) + 1j * rng.normal(size=5)
+        _, rep = extension_probe(arc, pts, vals, 4.0 / 3.0, 0.1, 12)
+        assert 0.0 < rep["b_norm_lo"] <= rep["b_norm_hi"] == rep["b_norm"]
+        assert rep["b_norm_gap"] == rep["b_norm_hi"] - rep["b_norm_lo"]
+
+    def test_gap_stop_within_its_own_gap(self, arc, monkeypatch):
+        # the same probe with the gap check left out runs every stage to
+        # its own stop; the gap-stopped b_norm is within its gap of it
+        args = (arc, [0.7, 1.5, 2.2], [1.0, 1.0, 1.0], 1.5, 0.05, 24)
+        _, rep = extension_probe(*args)
+        assert rep["descent_stages"][-1]["stop"] == "gap"
+
+        def without_gap(*a, gap=None, **kw):
+            return descent.smoothed_descent(*a, **kw)
+
+        monkeypatch.setattr(helson, "smoothed_descent", without_gap)
+        _, full = extension_probe(*args)
+        assert "gap" not in [s["stop"] for s in full["descent_stages"]]
+        assert full["iterations"] > rep["iterations"]
+        assert abs(rep["b_norm"] - full["b_norm"]) <= rep["b_norm_gap"]
 
     def test_degree_doubling_never_hurts(self, arc):
         pts, vals = [0.7, 1.5, 2.2], [1.0, 1.0, 1.0]
