@@ -1,18 +1,19 @@
 """Certified pointwise bounds and arc geometry for trigonometric polynomials.
 
-Sup, min-abs and sign verdicts come with one-sided guarantees derived
-from grid values and the Bernstein derivative inequality
-||f'|| <= deg(f) * ||f|| (in both its plain and arcsine/Szego forms).
-Superlevel sets are returned as inner/outer sandwiches of arc unions,
-built by one adaptive bisection that decides a cell by the smaller of a
-Lipschitz and a second-order (chord) bound and evaluates a sparse
-polynomial at its midpoints as a real cosine series; whether the inner
-arcs cover a given arc set is decided by the same bisection, restricted
-to the cells that meet it.  Arc-restricted Fourier coefficients come from closed-form
-antiderivatives summed over arc endpoints on a dyadic grid, directly up
-to the measured crossover with the FFT and by one sparse FFT beyond, and
-are convolved with the function's window in cache-sized FFT blocks, so
-the only error is floating point roundoff.
+Sup bounds come with one-sided guarantees derived from grid values and
+the Bernstein derivative inequality ||f'|| <= deg(f) * ||f|| (in both its
+plain and arcsine/Szego forms).  Superlevel sets are returned as
+inner/outer sandwiches of arc unions, built by one adaptive bisection that
+decides a cell by the smaller of a Lipschitz and a second-order (chord)
+bound and evaluates a sparse polynomial at its midpoints as a real cosine
+series.  The certified minimum over an arc set, and the min-abs and sign
+verdicts built on it, bound each cell by the same rule in a branch and
+bound over cells clipped to the set.  Arc-restricted Fourier
+coefficients come from closed-form antiderivatives summed over arc
+endpoints on a dyadic grid, directly up to the measured crossover with the
+FFT and by one sparse FFT beyond, and are convolved with the function's
+window in cache-sized FFT blocks, so the only error is floating point
+roundoff.
 """
 
 from __future__ import annotations
@@ -23,7 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ResourceError
-from .trigpoly import TWO_PI, CoeffSeq, TrigPoly, _window_convolve, f17, next_pow2, synth_real
+from .trigpoly import (
+    TWO_PI,
+    CoeffSeq,
+    Interval,
+    TrigPoly,
+    _window_convolve,
+    f17,
+    next_pow2,
+    synth_real,
+)
 
 # grid-derived sup bounds are padded by this relative amount to absorb
 # FFT synthesis roundoff (worst case ~1e-15 relative at our sizes)
@@ -36,6 +46,11 @@ _MAX_SYNTH = 1 << 22
 # still undecided after this many halvings means a tangential level set
 _BISECT_TOL = 1e-10
 _MAX_DEPTH = 64
+
+# certified_min stops refining a cell once its lower bound is within this
+# fraction of sup|f| of the least value evaluated, on the grid of this factor
+_MIN_TOL = 1e-9
+_MIN_GRID_FACTOR = 8
 
 # indicator_coeffs sums its endpoint exponentials directly up to this many
 # terms (endpoints times frequencies) and by one 2**grid_bits-point rfft
@@ -186,15 +201,6 @@ class ArcSet:
                       np.floor(self.arcs[:, 1] * scale + 1e-9)], axis=1)
         return ArcSet(m[m[:, 1] > m[:, 0]] * TWO_PI / G)
 
-    def sample(self, max_spacing: float) -> np.ndarray:
-        """Sample points covering the set: arc endpoints included, spacing
-        between consecutive samples at most max_spacing."""
-        pts = []
-        for a, b in self.arcs.tolist():
-            n = max(2, int(math.ceil((b - a) / max_spacing)) + 1)
-            pts.append(np.linspace(a, b, n))
-        return np.concatenate(pts) if pts else np.array([])
-
     def to_json_dict(self) -> dict:
         return {"arcs": [{"a": f17(a), "b": f17(b)} for a, b in self.arcs.tolist()]}
 
@@ -299,47 +305,57 @@ def certified_sup(f: TrigPoly, grid_factor: int = 4) -> float:
 # -- certified minimum and sign over an ArcSet ------------------------------
 
 
-def certified_min_abs_and_sign(f: TrigPoly, K: ArcSet, grid_factor: int = 4):
-    """(lower bound on inf_K |f|, sign verdict in {positive, negative,
-    mixed, unknown}).
+def certified_min(f: TrigPoly, K: ArcSet) -> Interval:
+    """[lo, hi]: lo a certified lower bound on min_K f, hi the least value
+    of f evaluated at a point of K.
 
-    Every point of K is within half a sample spacing of a sample, so
-    Lipschitz transport (|f'| <= deg * sup|f|) gives inf_K |f| >=
-    min |f(samples)| - deg * supbound * spacing / 2.
+    Branch and bound over cells clipped to K, from the uniform-grid points
+    inside K and K's endpoints.  A cell is bounded below by the smaller of
+    its end values less _cell_slack and the roundoff pad, the superlevel
+    bisection's rule, and is halved until that bound is within _MIN_TOL
+    sup|f| of hi or the cell is narrower than _BISECT_TOL.
     """
     if not K:
         raise PreconditionError("K must be nonempty", field="K")
-    if not f.is_real():
-        raise PreconditionError("f must be real")
-    if not f.freqs.size:
-        return 0.0, "unknown"
-    d = f.degree
-    supbound = certified_sup(f, grid_factor)
-    if d == 0:
-        v = float(complex(f.coeff(0)).real)
-        return abs(v), ("positive" if v > 0 else "negative" if v < 0 else "unknown")
-    spacing = TWO_PI / _grid_for(d, grid_factor)
-    if K.measure / spacing > (1 << 14):
-        # dense sampling: one synthesis over the uniform grid masked to K,
-        # plus the arc endpoints, covers K to the same spacing/2 radius
-        M = min(_grid_for(d, grid_factor), _MAX_SYNTH)
-        spacing = TWO_PI / M
-        vals = np.concatenate([_real_grid(f, M)[K.grid_mask(M)],
-                               f.eval_at(np.ravel(K.arcs)).real])
-    else:
-        pts = K.sample(spacing)
-        vals = f.eval_at(pts).real
-    slack = d * supbound * (spacing / 2.0) * (1.0 + _FP_PAD) + _FP_PAD * supbound
-    lower = max(0.0, float(np.min(np.abs(vals))) - slack)
-    if np.min(vals) > slack:
-        verdict = "positive"
-    elif np.max(vals) < -slack:
-        verdict = "negative"
-    elif np.min(vals) < 0.0 < np.max(vals):
-        verdict = "mixed"
-    else:
-        verdict = "unknown"
-    return lower, verdict
+    sup, lam, curv, pad, M, vals = _cell_setup(f, _MIN_GRID_FACTOR)
+    ends = K.arcs.ravel()
+    inside = K.grid_mask(M)
+    # ends first, so a grid point on a left end follows it; a cell starting
+    # at a right end spans a gap between arcs
+    t = np.concatenate([ends, uniform_grid(M)[inside]])
+    ft = np.concatenate([_real_at(f, ends), vals[inside]])
+    gap = np.concatenate([np.arange(ends.size) % 2 == 1, np.zeros(t.size - ends.size, bool)])
+    order = np.argsort(t, kind="stable")
+    t, ft, cell = t[order], ft[order], ~gap[order][:-1]
+    lo, hi, flo, fhi = t[:-1][cell], t[1:][cell], ft[:-1][cell], ft[1:][cell]
+    best = float(ft.min())
+    floor = math.inf
+    while lo.size:
+        width = hi - lo
+        bound = np.minimum(flo, fhi) - _cell_slack(width, lam, curv) - pad
+        done = (bound >= best - _MIN_TOL * sup) | (width <= _BISECT_TOL)
+        floor = min(floor, float(bound[done].min(initial=math.inf)))
+        lo, hi, flo, fhi = lo[~done], hi[~done], flo[~done], fhi[~done]
+        mid = 0.5 * (lo + hi)
+        fmid = _real_at(f, mid)
+        best = min(best, float(fmid.min(initial=math.inf)))
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        flo, fhi = np.concatenate([flo, fmid]), np.concatenate([fmid, fhi])
+    return Interval(floor, best)
+
+
+def certified_min_abs_and_sign(f: TrigPoly, K: ArcSet):
+    """(lower bound on inf_K |f|, sign verdict in {positive, negative,
+    mixed, unknown}) from the certified minima of f and -f over K: mixed
+    when values of both signs were evaluated, unknown when neither
+    minimum is certified positive and no such pair was seen."""
+    pos = certified_min(f, K)
+    if pos.lo > 0.0:
+        return pos.lo, "positive"
+    neg = certified_min(-f, K)
+    if neg.lo > 0.0:
+        return neg.lo, "negative"
+    return 0.0, "mixed" if max(pos.hi, neg.hi) < 0.0 else "unknown"
 
 
 def outside_report(f: CoeffSeq, K: ArcSet):
@@ -374,91 +390,56 @@ def superlevel_arcs(
     # cells go to ArcSet, whose constructor merges them; the empty block
     # keeps the concatenation defined when no cell is certified
     pos_cells, unknown_cells = [np.empty((0, 2))], []
-    for lo, hi, is_pos, _, narrow in _level_cells(f, c, grid_factor):
+    for lo, hi, is_pos, narrow in _level_cells(f, c, grid_factor):
         pos_cells.append(np.stack([lo[is_pos], hi[is_pos]], axis=1))
         unknown_cells.append(np.stack([lo[narrow], hi[narrow]], axis=1))
     return ArcSet(np.concatenate(pos_cells)), ArcSet(np.concatenate(pos_cells + unknown_cells))
 
 
-def _superlevel_covers(f: TrigPoly, c: float, K: ArcSet, grid_factor: int = 4) -> bool:
-    """Exactly ``bool(inner) and K.subset_of(inner)`` for ``inner, _ =
-    superlevel_arcs(f, c, grid_factor)``, bisecting only the cells that
-    meet K.
-
-    A cell's verdict depends only on its own endpoint values, so the cells
-    kept are exactly those of the full bisection that meet K, and they are
-    the only ones that can cover a point of K.  A negative cell meeting K
-    ends the search: a point of K inside it is covered by no other cell,
-    and an endpoint it shares with K cannot be covered by a positive
-    neighbour, whose value there would have to be positive.  Narrow
-    undecided cells end nothing, since one may touch K only at an endpoint
-    that a positive neighbour covers.
-    """
-    if not K:
-        inner, _ = superlevel_arcs(f, c, grid_factor)
-        return bool(inner)
-    a, b = K.arcs[:, 0], K.arcs[:, 1]
-
-    def meets(lo, hi):
-        # the first arc ending at or after lo is the only candidate: arcs
-        # are disjoint and sorted, so later ones start further right
-        i = np.minimum(np.searchsorted(b, lo), len(b) - 1)
-        return (b[i] >= lo) & (a[i] <= hi)
-
-    pos_cells = [np.empty((0, 2))]
-    for lo, hi, is_pos, is_neg, _ in _level_cells(f, c, grid_factor, meets):
-        if np.any(is_neg):
-            return False
-        pos_cells.append(np.stack([lo[is_pos], hi[is_pos]], axis=1))
-    return K.subset_of(ArcSet(np.concatenate(pos_cells)))
-
-
-def _level_cells(f: TrigPoly, c: float, grid_factor: int, keep=None):
-    """The adaptive bisection behind superlevel_arcs, one depth at a time.
-
-    Yields (lo, hi, is_pos, is_neg, narrow) for the cells of each depth:
-    certified f > c, certified f < c (the end values clear _cell_slack and
-    the roundoff pad), and undecided but narrower than _BISECT_TOL.  The
-    rest are halved for the next depth, f - c evaluated at their midpoints
-    by _real_at.  When keep is given, only cells [lo, hi] with keep(lo, hi)
-    true are classified, at every depth.
-    """
-    if not f.is_real():
+def _cell_setup(g: TrigPoly, grid_factor: int):
+    """What both bisections read off a real g before their first cell:
+    (sup bound, Lipschitz constant deg * sup via Bernstein, curv = sum
+    n^2 |g_n| bounding |g''|, roundoff pad, grid size M, g on the M-grid)."""
+    if not g.is_real():
         raise PreconditionError("f must be real")
-    g = f - c
     supbound = certified_sup(g, grid_factor)
-    if supbound == 0.0:
-        raise PreconditionError("level set not transverse (f is identically c)")
     d = max(g.degree, 1)
-    lam = d * supbound  # Lipschitz constant via Bernstein
     curv = float(np.sum(g.freqs**2 * np.abs(g._values()))) * (1.0 + 1e-12)
     M = _grid_for(d, grid_factor)
+    return supbound, d * supbound, curv, _FP_PAD * supbound, M, _real_grid(g, M)
+
+
+def _level_cells(f: TrigPoly, c: float, grid_factor: int):
+    """The adaptive bisection behind superlevel_arcs, one depth at a time.
+
+    Yields (lo, hi, is_pos, narrow) for the cells of each depth: certified
+    f > c (the end values clear _cell_slack and the roundoff pad), and
+    undecided but narrower than _BISECT_TOL.  Cells certified f < c are
+    dropped; the rest are halved for the next depth, f - c evaluated at
+    their midpoints by _real_at.
+    """
+    g = f - c
+    supbound, lam, curv, pad, M, grid_vals = _cell_setup(g, grid_factor)
+    if supbound == 0.0:
+        raise PreconditionError("level set not transverse (f is identically c)")
     grid = np.append(uniform_grid(M), TWO_PI)
-    vals = np.empty(M + 1)
-    vals[:M] = _real_grid(g, M)
-    vals[M] = vals[0]
+    vals = np.append(grid_vals, grid_vals[0])
 
     lo, hi = grid[:-1], grid[1:]
     flo, fhi = vals[:-1], vals[1:]
     depth = 0
     while True:
-        if keep is not None:
-            kept = keep(lo, hi)
-            lo, hi, flo, fhi = lo[kept], hi[kept], flo[kept], fhi[kept]
-        if not lo.size:
-            return
         if depth > _MAX_DEPTH:
             raise PreconditionError(
                 "level set not transverse: bisection stalled at depth "
                 f"{_MAX_DEPTH} near t={lo[0]:.12f}"
             )
         width = hi - lo
-        slack = _cell_slack(width, lam, curv) + _FP_PAD * supbound
+        slack = _cell_slack(width, lam, curv) + pad
         is_pos = np.minimum(flo, fhi) > slack
-        is_neg = np.maximum(flo, fhi) < -slack
-        rest = ~(is_pos | is_neg)
+        rest = ~is_pos & (np.maximum(flo, fhi) >= -slack)
         narrow = rest & (width <= _BISECT_TOL)
-        yield lo, hi, is_pos, is_neg, narrow
+        yield lo, hi, is_pos, narrow
         todo = rest & ~narrow
         if not np.any(todo):
             return

@@ -182,10 +182,7 @@ def run_stages(q: float, J: int, config=None):
         S = S_next
     one = CoeffSeq(np.ones(1, dtype=complex), 0)
     final_norm = S.add(one, -1.0).a_p_norm(q)
-    if K:
-        out_max, out_tail = outside_report(S, K)
-    else:
-        out_max, out_tail = 0.0, S.tail_l1()
+    out_max, out_tail = outside_report(S, K)
     certificates = {
         "final_norm": final_norm,
         "final_norm_ok": final_norm.hi < 1.0,
@@ -195,7 +192,7 @@ def run_stages(q: float, J: int, config=None):
         "outside_max": out_max,
         "outside_bound": out_max + out_tail,
         "k_nonempty": bool(K),
-        "k_measure": K.measure if K else 0.0,
+        "k_measure": K.measure,
     }
     return stages, S, K, certificates
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import CertificateError, PreconditionError, ResourceError
 from .gridcert import (
     ArcSet,
-    _superlevel_covers,
+    certified_min,
     certified_min_abs_and_sign,
     certified_sup,
     outside_report,
@@ -159,31 +159,22 @@ def _fejer_step_weight(plus: ArcSet, minus: ArcSet, m: int) -> TrigPoly:
                                 np.concatenate([np.conj(half[1:]), half]))
 
 
-def _gf_for_spacing(degree: int, h: float) -> int:
-    # grid factor whose sample spacing 2 pi / next_pow2(gf (d+1)) is <= h,
-    # the grid capped at 2^24 points
-    target = min(1 << 24, int(math.ceil(TWO_PI / h)))
-    return max(4, -(-target // (degree + 1)))
-
-
 def _certify_dichotomy(w: TrigPoly, u: TrigPoly, tau: float) -> str:
     """Certify: at every point either w u > 0 or |w| < tau.
 
     Where |w| >= tau is covered by the outer superlevel hulls; on those
-    hulls the signs of w and u are certified to agree.  Off the hulls
-    |w| < tau holds by the superlevel soundness sandwich.  The sample
-    spacing is tied to tau: at the hull boundary |w| is only about tau,
-    so the Lipschitz slack must sit well below that."""
+    hulls the signs of w and u are certified to agree by their certified
+    minima there.  Off the hulls |w| < tau holds by the superlevel
+    soundness sandwich."""
     if w.degree == 0:
         lvl = float(complex(w.coeff(0)).real)
         if abs(lvl) < tau:
             return "certified"
-        _, verdict = certified_min_abs_and_sign(u, ArcSet([(0.0, TWO_PI)]), 64)
+        _, verdict = certified_min_abs_and_sign(u, ArcSet.full_circle())
         want = "positive" if lvl > 0 else "negative"
         if verdict != want:
             return "failed: constant weight against mixed-sign u"
         return "certified"
-    h = tau / (4.0 * w.degree * certified_sup(w, 8))
     for signed in (w, w.scale(-1.0)):
         try:
             _, hull = superlevel_arcs(signed, tau)
@@ -191,11 +182,11 @@ def _certify_dichotomy(w: TrigPoly, u: TrigPoly, tau: float) -> str:
             return f"failed: {exc}"
         if not hull:
             continue
-        _, vw = certified_min_abs_and_sign(signed, hull, _gf_for_spacing(w.degree, h))
+        _, vw = certified_min_abs_and_sign(signed, hull)
         if vw != "positive":
             return "failed: weight sign not certified on its own hull"
         u_here = u if signed is w else u.scale(-1.0)
-        _, vu = certified_min_abs_and_sign(u_here, hull, _gf_for_spacing(u.degree, h))
+        _, vu = certified_min_abs_and_sign(u_here, hull)
         if vu != "positive":
             return "failed: u changes sign where |w| >= tau"
     return "certified"
@@ -241,8 +232,7 @@ def build_w(u: TrigPoly, N: int, c3: float, mode: str = "empirical",
     threshold = energy_threshold(N, mode)
     tmode = "theoretical" if mode == "theoretical" else "empirical-flagged"
 
-    full = ArcSet([(0.0, TWO_PI)])
-    _, u_verdict = certified_min_abs_and_sign(u, full, 64)
+    _, u_verdict = certified_min_abs_and_sign(u, ArcSet.full_circle())
     if u_verdict in ("positive", "negative"):
         w = TrigPoly.const(1.0 if u_verdict == "positive" else -1.0)
         cert = WeightCert("constant", 0, 1.0, 1.0, threshold, tmode, c3, "certified")
@@ -337,24 +327,6 @@ def _spline_hat(n: np.ndarray, eta: float, r: int) -> np.ndarray:
 def _deriv_l1_bound(f: TrigPoly) -> float:
     # int |f'| <= 2 pi sqrt(sum n^2 |c_n|^2) by Cauchy-Schwarz + Parseval
     return TWO_PI * math.sqrt(float(np.sum((f.freqs * np.abs(f.coeffs)) ** 2)))
-
-
-def _level_floor(X: TrigPoly, K: ArcSet, c3: float):
-    """Certified lower bound for X on K that strictly beats c3.
-
-    Pointwise Lipschitz certification of min_K X is hopeless here: the
-    slack scales with deg X while the true gap above c3 is tiny.  The
-    adaptive superlevel bisection refines only near the level set, so we
-    ladder down levels c3 + beta until the inner arcs swallow K.  Each
-    rung bisects only the cells that meet K and stops at the first cell
-    certified below the level there; its verdict is the one the inner
-    arcs over the whole circle would give."""
-    beta = 0.25 * c3
-    while beta > 1e-6 * c3:
-        if _superlevel_covers(X, c3 + beta, K, grid_factor=8):
-            return c3 + beta, True
-        beta *= 0.5
-    return 0.0, False
 
 
 def _dilation_margin(E: ArcSet, G: ArcSet) -> float:
@@ -487,7 +459,8 @@ def run_principal(config: PrincipalConfig) -> PrincipalOutput:
     note("P_a_norm", a_norm_P)
     note("Cq", Cq)
 
-    min_X_on_K, x_ok = _level_floor(X, K, c3)
+    min_X_on_K = certified_min(X, K).lo
+    x_ok = min_X_on_K > c3
     min_abs_P = min_X_on_K / c3
     # on K: |P| >= P w = X/c3 > 1, and |w| >= X/(c3 |P|_A) > tau forces
     # w u > 0 there by the dichotomy, hence P u = (P w)(w u)/w^2 > 0

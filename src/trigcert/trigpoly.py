@@ -519,7 +519,8 @@ class CoeffSeq:
         """Upper bound for sum over |n| > M of |c(n)|^p.
 
         Uses the integral estimate sum_{n>M} n^(-b) <= M^(1-b)/(b-1),
-        valid for b > 1.
+        valid for b > 1 and M >= 1; at M = 0 the n = 1 term is counted
+        apart, sum_{n>0} n^(-b) <= 1 + 1/(b-1).
         """
         if self.tail_const == 0.0:
             return 0.0
@@ -528,8 +529,9 @@ class CoeffSeq:
             raise PreconditionError(
                 f"tail l^{p} sum diverges: tail_exp*p = {b} <= 1"
             )
-        M = max(self.M, 1)
-        return 2.0 * self.tail_const**p * M ** (1.0 - b) / (b - 1.0)
+        if not self.M:
+            return 2.0 * self.tail_const**p * (1.0 + 1.0 / (b - 1.0))
+        return 2.0 * self.tail_const**p * self.M ** (1.0 - b) / (b - 1.0)
 
     def tail_l1(self) -> float:
         return self.tail_lp_pow(1.0)

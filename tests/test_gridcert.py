@@ -18,7 +18,7 @@ from trigcert.gridcert import (
     ArcSet,
     _grid_for,
     _real_at,
-    _superlevel_covers,
+    certified_min,
     certified_min_abs_and_sign,
     certified_sup,
     grid_scan_real,
@@ -57,6 +57,13 @@ def with_eval_at(monkeypatch):
     """Make the bisection evaluate its midpoints with eval_at, the
     reference for _real_at."""
     monkeypatch.setattr(gridcert, "_real_at", lambda g, t: g.eval_at(t).real)
+
+
+def arc_samples(K: ArcSet, spacing: float) -> np.ndarray:
+    """Points of K, its arc endpoints included, no two consecutive ones of
+    an arc further apart than spacing."""
+    return np.concatenate([np.linspace(a, b, max(2, math.ceil((b - a) / spacing) + 1))
+                           for a, b in K.arcs.tolist()])
 
 
 def stdout_under_blas_threads(script: str, threads: int) -> bytes:
@@ -475,28 +482,122 @@ class TestCertifiedSup:
 # -- certified min / sign ----------------------------------------------------
 
 
+class TestCertifiedMin:
+    """lo is a certified lower bound on min_K f and hi a value of f at a
+    point of K, within _MIN_TOL sup|f| of each other."""
+
+    @staticmethod
+    def carriers(rng, f, inner, outer):
+        """Carriers that stress the cells clipped to K: random arcs, arcs
+        crossing 0, arcs ending on grid and bisection points, an arc inside
+        one grid cell, the superlevel arcs of f and components of them."""
+        M = _grid_for(max(f.degree, 1), gridcert._MIN_GRID_FACTOR)
+        grid = np.arange(M + 1) * (TWO_PI / M)
+        mids = 0.5 * (grid[:-1] + grid[1:])
+        quarters = 0.5 * (grid[:-1] + mids)
+        out = [ArcSet.full_circle()]
+        for arcs in (inner, outer):
+            if arcs:
+                out.append(arcs)
+        if inner:
+            out.append(ArcSet(inner.arcs[:1]))
+            out.append(ArcSet(inner.arcs[-1:]))
+            out.append(inner.dilate(1e-9))
+            shrunk = inner.arcs + np.array([1e-9, -1e-9])
+            out.append(ArcSet(shrunk[shrunk[:, 0] < shrunk[:, 1]]))
+        for _ in range(4):
+            n = int(rng.integers(1, 4))
+            ends = np.sort(rng.uniform(0, TWO_PI, 2 * n)).reshape(-1, 2)
+            out.append(ArcSet(ends))
+            out.append(ArcSet.from_raw([(-rng.uniform(0, 1), rng.uniform(0, 1))]))
+            for points in (grid, mids, quarters):
+                i, j = np.sort(rng.choice(len(points), 2, replace=False))
+                out.append(ArcSet([(points[i], points[j])]))
+            i = int(rng.integers(0, len(mids)))
+            out.append(ArcSet([(grid[i], mids[i]), (quarters[(i + 2) % M], TWO_PI)]))
+            out.append(ArcSet([(quarters[i], mids[i])]))
+        return out
+
+    @staticmethod
+    def poly(rng, sparse):
+        if sparse:
+            return random_sparse_real_poly(rng, int(rng.integers(2, 6)), int(rng.integers(60, 200)))
+        return random_real_poly(rng, int(rng.integers(1, 9)))
+
+    def cases(self, seed, sparse):
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            f = self.poly(rng, sparse)
+            vals = f.eval_at(uniform_grid(4096)).real
+            inner, outer = superlevel_arcs(f, float(np.quantile(vals, 0.3)), 8)
+            for K in self.carriers(rng, f, inner, outer):
+                yield f, K
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_bounds_the_sampled_minimum(self, sparse):
+        for f, K in self.cases(2024, sparse):
+            got = certified_min(f, K)
+            ends = K.arcs.ravel()
+            assert got.lo <= f.eval_at(arc_samples(K, 1e-4)).real.min(), K
+            assert got.lo <= f.eval_at(ends).real.min(), K
+            assert got.hi <= _real_at(f, ends).min()
+            assert got.hi - got.lo <= gridcert._MIN_TOL * certified_sup(f, 8), K
+
+    def test_matches_eval_at_bisection(self, monkeypatch):
+        # the two evaluators differ by roundoff only (TestRealAt), so the
+        # bounds agree to the tolerance and the evaluated minima to roundoff
+        for f, K in self.cases(8, True):
+            got = certified_min(f, K)
+            with monkeypatch.context() as m:
+                with_eval_at(m)
+                want = certified_min(f, K)
+            roundoff = 2 * (f.freqs.size + 2) * np.finfo(float).eps * f.coeff_l1()
+            assert abs(got.hi - want.hi) <= roundoff
+            assert abs(got.lo - want.lo) <= gridcert._MIN_TOL * certified_sup(f, 8)
+
+    def test_uses_the_superlevel_rule(self, monkeypatch):
+        # both bisections take their slack from _cell_slack, with lam =
+        # deg * sup|g| and curv = sum n^2 |g_n| padded by 1e-12
+        g = TrigPoly.cosine(40) - 0.3
+        slacks = []
+        monkeypatch.setattr(gridcert, "_cell_slack",
+                            lambda w, lam, curv: slacks.append((lam, curv))
+                            or np.minimum(lam * w / 2.0, curv * w * w / 8.0))
+        inner, _ = superlevel_arcs(TrigPoly.cosine(40), 0.3, 8)
+        assert certified_min(g, ArcSet(inner.arcs[:2])).lo > -1e-9
+        assert {lc for lc in slacks} == {(40 * certified_sup(g, 8), 1600.0 * (1 + 1e-12))}
+
+    def test_empty_carrier_raises(self):
+        with pytest.raises(PreconditionError, match="nonempty"):
+            certified_min(TrigPoly.cosine(1), ArcSet.empty())
+
+    def test_rejects_complex(self):
+        with pytest.raises(PreconditionError, match="real"):
+            certified_min(TrigPoly({1: 1.0}), ArcSet.full_circle())
+
+
 class TestMinAbsSign:
     def test_positive(self):
         f = TrigPoly.cosine(1) + 2.0
-        lo, verdict = certified_min_abs_and_sign(f, ArcSet.full_circle(), 64)
+        lo, verdict = certified_min_abs_and_sign(f, ArcSet.full_circle())
         assert verdict == "positive"
         assert 0.9 <= lo <= 1.0
 
     def test_negative(self):
         f = TrigPoly.cosine(1).scale(-0.5) - 2.0
-        lo, verdict = certified_min_abs_and_sign(f, ArcSet.full_circle(), 64)
+        lo, verdict = certified_min_abs_and_sign(f, ArcSet.full_circle())
         assert verdict == "negative"
         assert lo >= 1.4
 
     def test_mixed(self):
         f = TrigPoly.cosine(1)
-        _, verdict = certified_min_abs_and_sign(f, ArcSet.full_circle(), 16)
+        _, verdict = certified_min_abs_and_sign(f, ArcSet.full_circle())
         assert verdict == "mixed"
 
     def test_unknown_when_grazing(self):
         f = TrigPoly.cosine(1) - 1.0  # <= 0, touches 0 at t = 0
         k = ArcSet.from_raw([(-0.01, 0.01)])
-        lo, verdict = certified_min_abs_and_sign(f, k, 16)
+        lo, verdict = certified_min_abs_and_sign(f, k)
         assert verdict == "unknown"
         assert lo == 0.0
 
@@ -505,8 +606,8 @@ class TestMinAbsSign:
         for _ in range(10):
             f = random_real_poly(rng, 4).scale(0.25) + 6.0
             k = ArcSet([(0.5, 1.5), (3.0, 4.5)])
-            lo, verdict = certified_min_abs_and_sign(f, k, 32)
-            pts = k.sample(1e-3)
+            lo, verdict = certified_min_abs_and_sign(f, k)
+            pts = arc_samples(k, 1e-3)
             assert lo <= np.abs(f.eval_at(pts).real).min() + 1e-9
             assert verdict == "positive"
 
@@ -628,7 +729,7 @@ class TestSuperlevel:
             if v >= c + 1e-7:
                 assert outer.dilate(1e-12).mask(t)
         if inner:
-            pts = inner.sample(1e-3)
+            pts = arc_samples(inner, 1e-3)
             assert f.eval_at(pts).real.min() >= c - 1e-9
 
 
@@ -659,11 +760,12 @@ class TestSecondOrderCells:
         for f in self.polys(rng):
             for c in self.levels(rng, f):
                 pad = 1e-9 * f.coeff_l1()
-                for lo, hi, is_pos, is_neg, _ in gridcert._level_cells(f, c, 8):
-                    for cells, sign in ((is_pos, 1.0), (is_neg, -1.0)):
-                        pick = np.flatnonzero(cells)[:400]
+                # f's cells certified below c are -f's certified above -c
+                for g, level in ((f, c), (-f, -c)):
+                    for lo, hi, is_pos, _ in gridcert._level_cells(g, level, 8):
+                        pick = np.flatnonzero(is_pos)[:400]
                         t = self.cell_points(lo[pick], hi[pick], 17).ravel()
-                        assert np.all(sign * (f.eval_at(t).real - c) >= -pad), (seed, c)
+                        assert np.all(g.eval_at(t).real - level >= -pad), (seed, c)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sandwich_against_dense_evaluation(self, seed):
@@ -673,7 +775,7 @@ class TestSecondOrderCells:
                 inner, outer = superlevel_arcs(f, c, 8)
                 pad = 1e-9 * f.coeff_l1()
                 if inner:
-                    assert f.eval_at(inner.sample(1e-4)).real.min() >= c - pad
+                    assert f.eval_at(arc_samples(inner, 1e-4)).real.min() >= c - pad
                 t = uniform_grid(1 << 16)
                 above = f.eval_at(t).real >= c + pad
                 assert np.all(outer.dilate(1e-12).mask(t[above]))
@@ -693,120 +795,6 @@ class TestSecondOrderCells:
                              old_outer.measure - old_inner.measure))
         assert all(new <= old for new, old in gaps)
         assert any(new < old for new, old in gaps)
-
-    def test_covers_uses_the_same_rule(self, monkeypatch):
-        # both bisections take their slack from _cell_slack, with lam =
-        # deg * sup|g| and curv = sum n^2 |g_n| padded by 1e-12
-        f = TrigPoly.cosine(40)
-        slacks = []
-        monkeypatch.setattr(gridcert, "_cell_slack",
-                            lambda w, lam, curv: slacks.append((lam, curv))
-                            or np.minimum(lam * w / 2.0, curv * w * w / 8.0))
-        inner, _ = superlevel_arcs(f, 0.3, 4)
-        assert _superlevel_covers(f, 0.3, ArcSet(inner.arcs[:2]), 4)
-        assert {lc for lc in slacks} == {(40 * certified_sup(f - 0.3, 4), 1600.0 * (1 + 1e-12))}
-
-
-class TestSuperlevelCovers:
-    """The K-restricted bisection must give exactly the verdict of the
-    whole-circle inner arcs."""
-
-    @staticmethod
-    def carriers(rng, f, c, grid_factor, inner, outer):
-        """Carriers that stress the pruning: random arcs, arcs crossing 0,
-        arcs ending on grid and bisection points, the inner arcs and
-        components of them (whose ends touch undecided cells), and the
-        empty set."""
-        M = _grid_for(max((f - c).degree, 1), grid_factor)
-        grid = np.arange(M + 1) * (TWO_PI / M)
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        quarters = 0.5 * (grid[:-1] + mids)
-        out = [ArcSet.empty(), ArcSet.full_circle(), inner, outer]
-        if inner:
-            out.append(ArcSet(inner.arcs[:1]))
-            out.append(ArcSet(inner.arcs[-1:]))
-            out.append(inner.dilate(1e-9))
-            shrunk = inner.arcs + np.array([1e-9, -1e-9])
-            out.append(ArcSet(shrunk[shrunk[:, 0] < shrunk[:, 1]]))
-        for _ in range(4):
-            n = int(rng.integers(1, 4))
-            ends = np.sort(rng.uniform(0, TWO_PI, 2 * n)).reshape(-1, 2)
-            out.append(ArcSet(ends))
-            out.append(ArcSet.from_raw([(-rng.uniform(0, 1), rng.uniform(0, 1))]))
-            for points in (grid, mids, quarters):
-                i, j = np.sort(rng.choice(len(points), 2, replace=False))
-                out.append(ArcSet([(points[i], points[j])]))
-            i = int(rng.integers(0, len(mids)))
-            out.append(ArcSet([(grid[i], mids[i]), (quarters[(i + 2) % M], TWO_PI)]))
-        return out
-
-    @staticmethod
-    def poly(rng, sparse):
-        if sparse:
-            return random_sparse_real_poly(rng, int(rng.integers(2, 6)), int(rng.integers(60, 200)))
-        return random_real_poly(rng, int(rng.integers(1, 9)))
-
-    def test_matches_full_verdict(self):
-        self.check_full_verdict(sparse=False)
-
-    def test_matches_full_verdict_sparse(self):
-        self.check_full_verdict(sparse=True)
-
-    def check_full_verdict(self, sparse):
-        rng = np.random.default_rng(2024)
-        verdicts = []
-        for _ in range(12):
-            f = self.poly(rng, sparse)
-            grid_factor = int(rng.choice([4, 8]))
-            vals = f.eval_at(np.linspace(0, TWO_PI, 4096, endpoint=False)).real
-            levels = [float(rng.uniform(vals.min(), vals.max())),
-                      float(np.quantile(vals, 0.2))]
-            for c in levels:
-                inner, outer = superlevel_arcs(f, c, grid_factor)
-                for K in self.carriers(rng, f, c, grid_factor, inner, outer):
-                    want = bool(inner) and K.subset_of(inner)
-                    assert _superlevel_covers(f, c, K, grid_factor) == want, (c, K)
-                    verdicts.append(want)
-        assert any(verdicts) and not all(verdicts)
-
-    def test_matches_eval_at_bisection(self, monkeypatch):
-        rng = np.random.default_rng(8)
-        for _ in range(6):
-            f = self.poly(rng, True)
-            vals = f.eval_at(np.linspace(0, TWO_PI, 4096, endpoint=False)).real
-            c = float(np.quantile(vals, 0.25))
-            inner, outer = superlevel_arcs(f, c, 8)
-            carriers = self.carriers(rng, f, c, 8, inner, outer)
-            got = [_superlevel_covers(f, c, K, 8) for K in carriers]
-            with monkeypatch.context() as m:
-                with_eval_at(m)
-                want = [_superlevel_covers(f, c, K, 8) for K in carriers]
-            assert got == want
-            assert any(got) and not all(got)
-
-    def test_levels_just_above_min_on_K(self):
-        rng = np.random.default_rng(77)
-        verdicts = []
-        for _ in range(8):
-            f = random_real_poly(rng, 5)
-            K = ArcSet.from_raw([(-0.4, 0.3), (2.0, 2.0 + rng.uniform(0.1, 1.0))])
-            floor = float(f.eval_at(K.sample(1e-5)).real.min())
-            for gap in (-1e-2, -1e-5, 1e-9, 1e-5, 1e-2):
-                c = floor + gap
-                inner, _ = superlevel_arcs(f, c, 8)
-                want = bool(inner) and K.subset_of(inner)
-                assert _superlevel_covers(f, c, K, 8) == want, (floor, gap)
-                verdicts.append(want)
-        assert any(verdicts) and not all(verdicts)
-
-    def test_empty_carrier_asks_for_nonempty_inner(self):
-        f = TrigPoly.cosine(1)
-        assert _superlevel_covers(f, 0.5, ArcSet.empty(), 8)
-        assert not _superlevel_covers(f, 2.0, ArcSet.empty(), 8)
-
-    def test_rejects_like_superlevel_arcs(self):
-        with pytest.raises(PreconditionError, match="not transverse"):
-            _superlevel_covers(TrigPoly.const(0.5), 0.5, ArcSet([(1.0, 2.0)]))
 
 
 # -- arc Fourier integrals ---------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trigcert import CertificateError, PreconditionError, TrigPoly, descent, helson
-from trigcert.gridcert import ArcSet
+from trigcert.gridcert import ArcSet, outside_report
 from trigcert.helson import (
     SampledMeasure,
     _dirichlet_gram,
@@ -98,6 +98,15 @@ class TestRunStages:
         _, S, K, certs = two_stage
         assert certs["outside_max"] < 1e-6
         assert certs["outside_bound"] >= certs["outside_max"]
+
+    def test_empty_carrier_scans_the_whole_circle(self):
+        # at J = 3 the stage carriers no longer meet; the off-K scan then
+        # covers the whole circle instead of reporting 0
+        _, S, K, certs = run_stages(4.0, 3)
+        assert not K and certs["k_measure"] == 0.0
+        out_max, out_tail = outside_report(S, ArcSet.empty())
+        assert certs["outside_max"] == out_max > 0.0
+        assert certs["outside_bound"] == out_max + out_tail
 
     def test_stage_overrides(self):
         u = TrigPoly.cosine(1)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from trigcert import CertificateError, PreconditionError
-from trigcert.gridcert import ArcSet
+from trigcert.gridcert import ArcSet, certified_min
 from trigcert.principal import (
     PrincipalConfig,
     _auto_window,
@@ -273,12 +273,16 @@ class TestRunPrincipal:
 
 
 def test_principal_n3_level_floor():
-    # the benchmark's N=3 config: the ladder must stop on the same rung,
-    # c3 + beta with beta = c3/16 and c3 = 0.025, whether it bisects the
-    # whole circle or only the cells that meet K
+    # the benchmark's N=3 config: min_X_on_K is certified_min(X, K).lo, and
+    # both it and the rung c3 + c3/16 of the level ladder it replaced are
+    # certified lower bounds on the same minimum, so it can only be higher
     cfg = PrincipalConfig(q=4.0, eps=0.9, u=COS, N=3, mode="empirical")
-    certs = run_principal(cfg).certificates
-    assert certs["min_X_on_K"] == 0.026562500000000003
+    out = run_principal(cfg)
+    certs = out.certificates
+    assert certs["min_X_on_K"] == 0.027490609160819038
+    assert certs["min_X_on_K"] >= 0.026562500000000003
+    assert certs["min_X_on_K"] == certified_min(out.X, out.K).lo
+    assert certs["min_abs_P"] == certs["min_X_on_K"] / cfg.c3
     assert certs["sign_Pu"] == "positive"
     assert certs["min_abs_P_ok"]
 

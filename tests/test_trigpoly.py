@@ -154,6 +154,20 @@ def test_tail_enclosure_against_exact_power_series():
     assert nrm.hi <= 1.0 + 2 * true_tail  # not wildly loose either
 
 
+@pytest.mark.parametrize("M", [0, 1, 8])
+@pytest.mark.parametrize("exp, p", [(5.0, 1.0), (2.0, 1.0), (2.0, 2.0), (0.75, 2.0)])
+def test_tail_bound_holds_for_saturated_tails(M, exp, p):
+    # |c(n)| = C |n|^-exp for every |n| > M: summed to 10^6, plus the
+    # remainder's lower integral bound, the true tail lies under the claim
+    C, b, top = 0.5, p * exp, 10**6
+    seq = CoeffSeq(np.zeros(2 * M + 1, dtype=complex), M, tail_const=C, tail_exp=exp)
+    n = np.arange(M + 1, top + 1, dtype=float)
+    one_side = math.fsum((n ** -b).tolist()) + (top + 1) ** (1.0 - b) / (b - 1.0)
+    true_tail = 2.0 * C**p * one_side
+    assert seq.tail_lp_pow(p) >= true_tail
+    assert seq.a_p_norm(p).hi >= true_tail ** (1.0 / p)
+
+
 # -- eval_grid ----------------------------------------------------------
 
 
