@@ -4,9 +4,10 @@ Three instruments: multiplier_deficit searches for P making P*f close to 1
 in A_p (small values are cyclicity evidence), obstruction_bound turns an
 annihilating coefficient sequence S into a certified lower bound on that
 deficit, and smooth_noncyclic_witness builds a C^2 function vanishing
-exactly on a given arc set together with its obstruction ladder.  The
-solver gives upper bounds, the obstruction lower bounds; neither decides
-cyclicity from finite data.
+exactly on a given arc set together with its obstruction ladder.  For a
+windowed f the solver brackets the degree-d deficit between a dual bound
+and the value it reaches; the obstruction bounds it below for an S that
+annihilates f.  Neither decides cyclicity from finite data.
 """
 
 import math
@@ -19,6 +20,9 @@ from .gridcert import ArcSet, outside_report
 from .trigpoly import TWO_PI, CoeffSeq, Interval, TrigPoly
 
 _DIM_BUDGET = 1 << 24
+# what a windowed p < 2 deficit row's two ends are
+DEFICIT_RIGOUR = {"lo": "float dual bound, roundoff not counted",
+                  "hi": "A_p norm at the returned P"}
 
 
 def _as_seq(f) -> CoeffSeq:
@@ -77,7 +81,7 @@ def _p2_multiplier(fw: np.ndarray, M: int, d: int):
 
 
 def _multiplier_search(fw: np.ndarray, M: int, d: int, p: float):
-    """(objective, gradient, line, residual) for smoothed_descent on
+    """(objective, gradient, line, residual, gap) for smoothed_descent on
     sum (|r|^2 + mu^2)^{p/2}, r = e0 - P*f over the window.
 
     residual(P) is kept for the last point formed.  line carries it along
@@ -85,9 +89,18 @@ def _multiplier_search(fw: np.ndarray, M: int, d: int, p: float):
     backtracks, and an accepted point's gradient reads the residual and
     |r|^2 + mu^2 its objective formed.  P is never modified, so points
     are matched by identity.
+
+    gap(P, mu) brackets the window minimum: hi = ||r||_p unsmoothed, and
+    lo = |S'_{M+d}| / ||S'||_q, q = p/(p-1), for S = (|r|^2 + mu^2)^{(p-2)/2} r
+    (C^H S is the gradient over -p) projected onto null(C^H) as
+    S' = S - C T^-1 C^H S, T = C^H C the Toeplitz autocorrelation of
+    _p2_multiplier.  Every r = e0 - C P then has <S', r> = conj(S'_{M+d}),
+    and Holder gives the bound for every multiplier of degree <= d.
     """
     e0 = np.zeros(2 * (M + d) + 1, dtype=complex)
     e0[M + d] = 1.0
+    q = p / (p - 1.0)
+    auto = np.correlate(np.pad(fw, (0, 2 * d)), fw, mode="valid")
     last = [None, None]  # a point and its residual
     smooth = [None, None, None]  # a residual, mu and |r|^2 + mu^2
 
@@ -105,10 +118,12 @@ def _multiplier_search(fw: np.ndarray, M: int, d: int, p: float):
     def objective(P, mu):
         return float(np.sum(smoothed(P, mu) ** (p / 2.0)))
 
+    def dual_vector(P, mu):
+        return smoothed(P, mu) ** (p / 2.0 - 1.0) * residual(P)
+
     def gradient(P, mu):
-        s = smoothed(P, mu) ** (p / 2.0 - 1.0) * residual(P)
         # C^H s; correlate conjugates its second argument itself
-        return -p * np.correlate(s, fw, mode="valid")
+        return -p * np.correlate(dual_vector(P, mu), fw, mode="valid")
 
     def line(P, g):
         r, gf = residual(P), np.convolve(g, fw)
@@ -120,17 +135,31 @@ def _multiplier_search(fw: np.ndarray, M: int, d: int, p: float):
 
         return trial
 
-    return objective, gradient, line, residual
+    def gap(P, mu):
+        S = dual_vector(P, mu)
+        x = _toeplitz_solve(auto, np.correlate(S, fw, mode="valid"))
+        S = S - np.convolve(x, fw)  # C^H S = 0 now
+        dual = float(np.sum(np.abs(S) ** q)) ** (1.0 / q)
+        lo = float(abs(S[M + d])) / dual if dual > 0.0 else 0.0
+        hi = float(np.sum(np.abs(residual(P)) ** p)) ** (1.0 / p)
+        return lo, hi
+
+    return objective, gradient, line, residual, gap
 
 
 def _smoothed_descent(fw: np.ndarray, M: int, d: int, p: float,
-                      P_hat: np.ndarray) -> np.ndarray:
+                      P_hat: np.ndarray):
     """Minimize sum (|1 - P*f|^2 + mu^2)^{p/2} over the window by
-    smoothed_descent, warm started at P_hat."""
-    objective, gradient, line, _ = _multiplier_search(fw, M, d, p)
-    P, _, _ = smoothed_descent(P_hat, objective, gradient, stall_rel=1e-10,
-                               line=line)
-    return P
+    smoothed_descent, warm started at P_hat, stopping once the window
+    bracket of _multiplier_search's gap hook is within GAP_REL.
+
+    Returns (P, lo): lo is the dual bound at the returned P, a lower
+    bound on the window minimum over every degree-d multiplier.
+    """
+    objective, gradient, line, _, gap = _multiplier_search(fw, M, d, p)
+    P, _, stages = smoothed_descent(P_hat, objective, gradient,
+                                    stall_rel=1e-10, line=line, gap=gap)
+    return P, gap(P, stages[-1]["mu"])[0]
 
 
 def _check_multiplier_problem(f: CoeffSeq, p: float, d: int) -> None:
@@ -151,16 +180,25 @@ def _check_multiplier_problem(f: CoeffSeq, p: float, d: int) -> None:
 def multiplier_deficit(f, p: float, d: int):
     """Smallest ||1 - P*f||_{A_p} over complex multipliers of degree <= d.
 
-    Returns (value, P).  value is an Interval: exact for a windowed f,
-    widened by the propagated product tail otherwise.  At p = 2 the window
-    minimum is the exact least-squares solution, verified by orthogonality
-    of the residual; for p in (1, 2) the solver minimizes the smoothed
+    Returns (value, P); value is an Interval that encloses that minimum
+    for a windowed f.  At p = 2 the window minimum is the exact
+    least-squares solution, verified by orthogonality of the residual, and
+    value is [hi, hi].  For p in (1, 2) the solver minimizes the smoothed
     coefficient objective (continuation mu = 1e-2, 1e-4, 1e-8, monotone
-    backtracking, stop after 50 iterations of relative decrease below
-    1e-10) warm started at the p = 2 solution, so the value is an upper
-    bound on the true minimum.  When that bound exceeds 1, which a wide
-    product tail times a large ||P||_1 can cause, P = 0 is returned with
-    its exact value [1, 1] instead.
+    backtracking, warm started at the p = 2 solution) and forms the
+    window's dual bound every GAP_EVERY steps of a stage; it stops once
+    hi - lo <= GAP_REL * lo, or else on a stage's own rule (step, stall
+    after 50 iterations of relative decrease below 1e-10, or cap).  value
+    is then [lo, hi]: lo the dual bound at the returned P, a float bound
+    with roundoff not counted (capped at hi, which it may pass by an ulp
+    where the two meet; a dual further above hi raises CertificateError),
+    and hi the A_p norm there.
+
+    For an f with a tail the window dual does not bound the minimum, and
+    value is the norm enclosure at the returned P, widened by the
+    propagated product tail.  When hi exceeds 1, which a wide product tail
+    times a large ||P||_1 can cause, P = 0 is returned with its exact
+    value [1, 1] instead.
 
     Deficits are invariant under scaling of f: the window is normalized to
     unit peak and the multiplier rescaled back, so equal inputs up to a
@@ -171,22 +209,34 @@ def multiplier_deficit(f, p: float, d: int):
     scale = float(np.abs(f.window).max())
     fw = f.window / scale
     P_hat = _p2_multiplier(fw, f.M, d)
+    lo = None
     if p < 2.0:
-        P_hat = _smoothed_descent(fw, f.M, d, p, P_hat)
+        P_hat, lo = _smoothed_descent(fw, f.M, d, p, P_hat)
     P_hat = P_hat / scale
     value = _deficit_value(f, P_hat, d, p)
     if value.hi > 1.0:
         # P = 0 leaves ||1||_{A_p} = 1 exactly
         value, P_hat = Interval(1.0, 1.0), np.zeros_like(P_hat)
+    elif lo is not None and f.tail_const == 0.0:
+        # where the two meet at the optimum, roundoff can put the float
+        # dual an ulp or so above hi; further above, the dual is unsound
+        if lo > value.hi * (1.0 + 1e-12):
+            raise CertificateError("deficit-dual", lo, value.hi)
+        value = Interval(min(lo, value.hi), value.hi)
     P = TrigPoly.from_arrays(np.arange(-d, d + 1), P_hat)
     return value, P
 
 
 def cyclicity_profile(f, p: float, d_max: int, ds=None):
-    """Table of (d, value) rows, nonincreasing in d.
+    """Table of (d, value) rows, hi nonincreasing in d.
 
-    Each row reports the best upper bound achieved at degree <= d (budgets
-    nest, so the running minimum is itself a valid bound at every d).
+    A row's hi is the best upper bound reached at degree <= d (budgets
+    nest, so the running minimum is itself a valid bound at every d).  Its
+    lo is the rung's own lower end from multiplier_deficit, never a smaller
+    rung's: for a windowed f at p < 2 the dual bound for degree <= d, and
+    at p = 2 the exact minimum, both at most hi.  For a tailed f or the
+    P = 0 fallback lo belongs to the rung's own P only, and is capped at hi
+    where a smaller rung's multiplier did better.
     Default ladder: every degree up to 16, then doubling.
     """
     f = _as_seq(f)
@@ -201,12 +251,11 @@ def cyclicity_profile(f, p: float, d_max: int, ds=None):
     # its smaller rungs are solved
     _check_multiplier_problem(f, p, max(ds, default=0))
     rows = []
-    best = None
+    best = math.inf
     for d in sorted(set(ds)):
         value, _ = multiplier_deficit(f, p, d)
-        if best is None or value.hi < best.hi:
-            best = value
-        rows.append((d, best))
+        best = min(best, value.hi)
+        rows.append((d, Interval(min(value.lo, best), best)))
     return rows
 
 

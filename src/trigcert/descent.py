@@ -1,7 +1,9 @@
 """Smoothed first-order minimizer shared by the extension probe and the
 multiplier search: Barzilai-Borwein spectral steps (Barzilai & Borwein
 1988) safeguarded by monotone backtracking, on an objective smoothed by
-mu and solved again as mu decreases.
+mu and solved again as mu decreases.  Both callers pass a gap hook, a
+[dual, primal] bracket of the unsmoothed minimum, and the descent ends
+once that bracket is within GAP_REL.
 """
 
 import numpy as np

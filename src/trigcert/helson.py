@@ -365,8 +365,11 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
     and its width b_norm_gap, the constraint residual, each descent
     stage's steps and stop reason (a stage stopped at "cap" ran out of
     iterations, one at "gap" met the gap tolerance and ended the descent),
-    and, when delta_hat is given, the comparison against the guarantee
-    ||f||_B <= (1/delta_hat) * ||h||_{C(K)}.
+    and, when delta_hat is given, the guarantee h_sup / delta_hat, a
+    Helson-type bound on the A norm of some extension of h, and
+    guarantee_ok, whether a_norm = ||f||_A is within it.  The probe
+    minimizes the composite norm, not the A norm, so a false guarantee_ok
+    is reported, not raised.
     """
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=complex)
@@ -482,6 +485,6 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
     )
     if delta_hat:
         report["guarantee"] = report["h_sup"] / delta_hat
-        report["guarantee_ok"] = report["b_norm"] <= report["guarantee"]
+        report["guarantee_ok"] = report["a_norm"] <= report["guarantee"]
     f = TrigPoly.from_arrays(freqs, c)
     return f, report

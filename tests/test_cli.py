@@ -346,9 +346,16 @@ def test_demo_corollary_seeded_reruns_identical(tmp_path):
     assert lo <= hi and hi - lo <= 1e-5 * lo
     assert probe["descent_stages"][-1]["stop"] == "gap"
     assert probe["iterations"] <= 2500
+    # the guarantee bounds the A norm, and its flag says so either way
+    assert probe["guarantee_ok"] is (float(probe["a_norm"]) <= float(probe["guarantee"]))
     profile = g_doc["deficit_profile"]
     his = [float(r["value"]["hi"]) for r in profile]
     assert his == sorted(his, reverse=True)
+    # each row is [dual, primal] with a relative gap of at most 1e-5
+    for row in profile:
+        lo, hi = float(row["value"]["lo"]), float(row["value"]["hi"])
+        assert lo <= hi and hi - lo <= 1e-5 * lo, row
+    assert set(g_doc["deficit_rigour"]) == {"lo", "hi"}
     zeros = read_json(a / "zero_set.json")
     assert float(zeros["g_at_skeleton_max"]) < 1e-9
     assert float(zeros["g_off_K_grid_min"]) > 0

@@ -17,7 +17,8 @@ from trigcert.cyclicity import (
     smooth_noncyclic_witness,
     witness_values,
 )
-from trigcert.descent import smoothed_descent
+from trigcert.cyclicity import _deficit_value
+from trigcert.descent import GAP_REL, smoothed_descent
 from trigcert.gridcert import ArcSet
 
 TWO_PI = 2.0 * math.pi
@@ -66,7 +67,62 @@ class TestMultiplierDeficit:
         # the smoothed descent's exact result on one p < 2 problem
         f = TrigPoly({0: 1.0, 1: -0.9, 3: 0.4})
         value, _ = multiplier_deficit(f, 4.0 / 3.0, 4)
-        assert value.hi == pytest.approx(0.40885459253425877, abs=1e-12)
+        assert value.hi == pytest.approx(0.4088567111861746, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 6, 14])
+    def test_p32_bracket_holds_the_closed_form(self, d):
+        # lo and hi meet at the flat optimum (2d+2)^{-1/3}; both are float
+        # values, so each may sit a few ulps on the wrong side of it
+        value, _ = multiplier_deficit(ONE_MINUS_Z, 1.5, d)
+        exact = (2 * d + 2) ** (-1.0 / 3.0)
+        ulps = 4.0 * np.finfo(float).eps * exact
+        assert value.lo <= exact + ulps
+        assert exact <= value.hi + ulps
+
+    def test_p43_stops_on_gap_with_a_tight_bracket(self, monkeypatch):
+        import trigcert.cyclicity as cyc
+        stages = []
+
+        def recorded(*args, **kwargs):
+            out = smoothed_descent(*args, **kwargs)
+            stages.extend(out[2])
+            return out
+
+        monkeypatch.setattr(cyc, "smoothed_descent", recorded)
+        f = TrigPoly({0: 1.0, 1: -0.9, 3: 0.4})
+        value, _ = multiplier_deficit(f, 4.0 / 3.0, 4)
+        assert value.lo < value.hi
+        assert value.hi - value.lo <= 1e-5 * value.lo
+        assert stages[-1]["stop"] == "gap"
+        assert sum(s["steps"] for s in stages) == 200
+        # a descent run to its stall rule reached 0.40885459253425877, a
+        # primal value the dual must not exceed
+        assert value.lo <= 0.40885459253425877
+
+    def test_dual_below_a_longer_descent(self):
+        # on a random window, the descent without the gap hook runs on to
+        # its stall rule; the dual of the gap-stopped search is below the
+        # value it reaches, and the gap-stopped primal above it
+        M, d, p = 5, 3, 1.3
+        w = _random_window(M)
+        f = CoeffSeq(w, M)
+        value, _ = multiplier_deficit(f, p, d)
+        objective, gradient, line, _, _ = _multiplier_search(w, M, d, p)
+        P, _, stages = smoothed_descent(_p2_multiplier(w, M, d), objective,
+                                        gradient, stall_rel=1e-14, line=line)
+        longer = _deficit_value(f, P, d, p).hi
+        assert value.lo <= longer <= value.hi
+        assert value.hi - value.lo <= GAP_REL * value.lo
+
+    def test_tailed_value_is_the_enclosure_at_p(self):
+        # the window dual does not bound a tailed minimum, so a tailed f
+        # keeps the norm enclosure at its multiplier
+        w = np.array([0.2, 1.0, -0.3], dtype=complex)
+        f = CoeffSeq(w, 1, 1e-3, 2.0)
+        value, P = multiplier_deficit(f, 1.5, 2)
+        P_hat = np.array([complex(P.coeff(n)) for n in range(-2, 3)])
+        enclosure = _deficit_value(f, P_hat, 2, 1.5)
+        assert (value.lo, value.hi) == (enclosure.lo, enclosure.hi)
 
     def test_p2_matches_descent_solver(self):
         rng = np.random.default_rng(4)
@@ -74,9 +130,8 @@ class TestMultiplierDeficit:
         f = CoeffSeq(w, 3)
         exact, _ = multiplier_deficit(f, 2.0, 4)
         scale = float(np.abs(w).max())
-        from trigcert.cyclicity import _deficit_value
         start = np.zeros(9, dtype=complex)
-        P = _smoothed_descent(w / scale, 3, 4, 2.0, start) / scale
+        P = _smoothed_descent(w / scale, 3, 4, 2.0, start)[0] / scale
         assert _deficit_value(f, P, 4, 2.0).hi == pytest.approx(exact.hi, abs=1e-6)
 
     def test_tail_widens_interval(self):
@@ -141,7 +196,7 @@ class TestP2Multiplier:
         # e0 - P*f to roundoff
         M, d, p = 64, 16, 4.0 / 3.0
         fw = _random_window(M)
-        objective, gradient, line, residual = _multiplier_search(fw, M, d, p)
+        objective, gradient, line, residual, _ = _multiplier_search(fw, M, d, p)
         e0 = np.zeros(2 * (M + d) + 1, dtype=complex)
         e0[M + d] = 1.0
         drift = []
@@ -173,6 +228,19 @@ class TestCyclicityProfile:
     def test_doubling_ladder_past_16(self):
         rows = cyclicity_profile(TrigPoly.const(1.0), 2.0, 40)
         assert [d for d, _ in rows][-2:] == [32, 40]
+
+    def test_rows_bracket_with_each_rungs_own_dual(self):
+        # for this f the d = 1 primal ends above the d = 0 one, so that
+        # row's hi is d = 0's while its lo must stay d = 1's own dual
+        f = TrigPoly({0: 1.0, 2: 0.5, 5: -0.3})
+        rows = cyclicity_profile(f, 4.0 / 3.0, 4)
+        best, inherited = math.inf, 0
+        for d, v in rows:
+            own, _ = multiplier_deficit(f, 4.0 / 3.0, d)
+            inherited += own.hi > best
+            best = min(best, own.hi)
+            assert v.lo == own.lo and v.hi == best
+        assert inherited
 
     def test_rows_never_exceed_the_zero_multiplier(self):
         # a wide product tail times ||P||_1 puts the descent's bound above

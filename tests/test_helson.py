@@ -262,10 +262,14 @@ class TestExtensionProbe:
             prev = rep["b_norm"]
 
     def test_guarantee_report(self, arc):
-        _, rep = extension_probe(arc, [1.0], [1.0], 1.5, 1.0, 8,
+        # the guarantee bounds the A norm; at eps = 0.1 the composite
+        # b_norm is well above it while a_norm = 1 is within it
+        _, rep = extension_probe(arc, [1.0], [1.0], 1.5, 0.1, 8,
                                  delta_hat=0.5)
         assert rep["guarantee"] == pytest.approx(2.0)
-        assert rep["guarantee_ok"] == (rep["b_norm"] <= rep["guarantee"])
+        assert rep["b_norm"] > rep["guarantee"]
+        assert rep["a_norm"] == pytest.approx(1.0)
+        assert rep["guarantee_ok"] is True
 
     def test_preconditions(self, arc):
         with pytest.raises(PreconditionError):
