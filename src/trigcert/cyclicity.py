@@ -186,7 +186,8 @@ def multiplier_deficit(f, p: float, d: int):
     value is [hi, hi].  For p in (1, 2) the solver minimizes the smoothed
     coefficient objective (continuation mu = 1e-2, 1e-4, 1e-8, monotone
     backtracking, warm started at the p = 2 solution) and forms the
-    window's dual bound every GAP_EVERY steps of a stage; it stops once
+    window's dual bound at the start and every GAP_EVERY steps of a
+    stage; it stops once
     hi - lo <= GAP_REL * lo, or else on a stage's own rule (step, stall
     after 50 iterations of relative decrease below 1e-10, or cap).  value
     is then [lo, hi]: lo the dual bound at the returned P, a float bound

@@ -2,8 +2,10 @@
 multiplier search: Barzilai-Borwein spectral steps (Barzilai & Borwein
 1988) safeguarded by monotone backtracking, on an objective smoothed by
 mu and solved again as mu decreases.  Both callers pass a gap hook, a
-[dual, primal] bracket of the unsmoothed minimum, and the descent ends
-once that bracket is within GAP_REL.
+[dual, primal] bracket of the unsmoothed minimum, checked at the start
+point and then every GAP_EVERY steps, and the descent ends once that
+bracket is within GAP_REL; a hook that certifies the start point (the
+extension probe's, by Newton on its KKT system) leaves no step to take.
 """
 
 import numpy as np
@@ -30,10 +32,12 @@ def smoothed_descent(x0, objective, gradient, stall_rel: float,
     from scratch at each trial, passes its own.
 
     gap(x, mu), when given, returns a bracket (lo, hi) of the unsmoothed
-    minimum, hi the value at x; it is called after every GAP_EVERY
+    minimum, hi the value at x (or at a better point the hook keeps); it
+    is called once at x0 with mu = 1e-2 and after every GAP_EVERY
     accepted steps of a stage, and once hi - lo <= GAP_REL * lo the whole
     descent ends there: no later stage can improve on a point already
-    certified near-optimal.
+    certified near-optimal.  A certified x0 is returned as it is, with
+    the one stage record {mu 1e-2, steps 0, stop "gap"}.
 
     Returns (x, trace, stages): trace holds the objective after every
     accepted step, and stages one {mu, steps, stop} record a stage, stop
@@ -42,6 +46,10 @@ def smoothed_descent(x0, objective, gradient, stall_rel: float,
     x = x0
     trace = []
     stages = []
+    if gap is not None:
+        lo, hi = gap(x0, 1e-2)
+        if hi - lo <= GAP_REL * lo:
+            return x0, trace, [{"mu": 1e-2, "steps": 0, "stop": "gap"}]
     for mu in (1e-2, 1e-4, 1e-8):
         start = len(trace)
         F = objective(x, mu)

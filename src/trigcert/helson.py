@@ -9,8 +9,9 @@ tolerance, outside the shrinking intersection K.  helson_certificate
 samples atomic measures on K and certifies, per measure, the pairing
 chain |integral of P d mu| <= ||P||_A * sup |mu_hat|.  extension_probe
 solves the interpolation program min ||f||_A + (1/eps)||f||_{A_p} over
-degree-bounded polynomials matching target values on K, and brackets its
-minimum between a dual bound and the value reached.
+degree-bounded polynomials matching target values on K, by Newton's method
+on its small KKT system with the smoothed descent as the fallback, and
+brackets its minimum between a dual bound and the value reached.
 """
 
 import itertools
@@ -299,21 +300,25 @@ def _dirichlet_gram(points: np.ndarray, d: int) -> np.ndarray:
     return G
 
 
-def _spd_inverse(G: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite G by Gauss-Jordan
-    elimination without pivoting (the pivots are Schur complements of G,
-    positive), in plain numpy: no LAPACK call, so the bits do not depend on
-    the BLAS thread count.  A numerically singular G gives a meaningless
-    or non-finite inverse; the caller's residual check rejects it."""
-    n = len(G)
-    W = np.hstack([G, np.eye(n)])
+def _gauss_jordan(M: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X with M X = B, by Gauss-Jordan elimination with partial pivoting,
+    in plain numpy: no LAPACK call, so the bits do not depend on the BLAS
+    thread count.  It inverts the Gram matrix (B = I) and solves the
+    Newton steps of _kkt_newton.  A singular M gives a meaningless or
+    non-finite X (a zero pivot divides by zero); the callers reject it,
+    by the residual check or by a finiteness check on the step."""
+    n = len(M)
+    W = np.hstack([M, B.reshape(n, -1)])
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(n):
+            r = k + int(np.argmax(np.abs(W[k:, k])))
+            if r != k:
+                W[[k, r]] = W[[r, k]]
             W[k] /= W[k, k]
             col = W[:, k].copy()
             col[k] = 0.0
             W -= np.outer(col, W[k])
-    return W[:, n:]
+    return W[:, n:].reshape(B.shape)
 
 
 _B_NORM_RIGOUR = "float dual bound, roundoff not counted (ROADMAP item 5)"
@@ -337,6 +342,86 @@ def _dual_norm(y_abs: np.ndarray, q: float, eps: float) -> float:
             lo = mid
 
 
+_NEWTON_STEPS = 8  # damped Newton steps of one gap check, at most
+
+
+def _kkt_newton(A: np.ndarray, A_H: np.ndarray, v: np.ndarray, lam: np.ndarray,
+                q: float, eps: float):
+    """Damped Newton on the probe's KKT system, from a multiplier lam
+    scaled so that N*(A^H lam) = 1.
+
+    With y = A^H lam, the minimizer of N over A c = v is c = s u(lam),
+    u = (|y| - 1)_+^(q-1) y / |y|, where lam and s solve the 2m + 1 real
+    equations s A u - v = 0 and eps ||(|y| - 1)_+||_q - 1 = 0.  s starts
+    at its least-squares value.  The Jacobian is analytic: with a = |y|
+    and psi(a) = (a - 1)_+^(q-1) / a, du = psi dy + (psi'(a)/a) y Re(conj(y) dy),
+    one column for each real direction of lam and A u for s.  A step
+    solves it by _gauss_jordan and is halved until ||F|| decreases; a
+    non-finite step, or one that does not decrease ||F|| at 2^-10 of its
+    length, ends the solve.  Each Jacobian column is its own gemv, so a
+    thread count splits outputs, never a sum.
+
+    Returns (lam, s u) at the last accepted point.
+    """
+    m = len(v)
+
+    def state(lam):
+        """y = A^H lam, (|y| - 1)_+, psi(|y|) and A u."""
+        y = A_H @ lam
+        a = np.abs(y)
+        ex = np.maximum(a - 1.0, 0.0)
+        psi = np.divide(ex ** (q - 1.0), a, out=np.zeros_like(a), where=ex > 0.0)
+        return y, a, ex, psi, A @ (psi * y)
+
+    def residual(s, st):
+        _, _, ex, _, Au = st
+        r = s * Au - v
+        norm = eps * float(np.sum(ex**q)) ** (1.0 / q) - 1.0
+        return np.concatenate([r.real, r.imag, [norm]])
+
+    def jacobian(s, st):
+        y, a, ex, psi, Au = st
+        beta = np.divide((q - 1.0) * ex ** (q - 2.0) - psi, a * a,
+                         out=np.zeros_like(a), where=ex > 0.0)  # psi'(a) / a
+        scale = eps * float(np.sum(ex**q)) ** (1.0 / q - 1.0)
+        J = np.zeros((2 * m + 1, 2 * m + 1))
+        for j in range(m):
+            col_j = np.conj(A[j])  # A^H e_j
+            for k, dy in ((j, col_j), (m + j, 1j * col_j)):
+                re = np.real(np.conj(y) * dy)
+                dAu = s * (A @ (psi * dy + beta * re * y))
+                J[:m, k], J[m : 2 * m, k] = dAu.real, dAu.imag
+                J[2 * m, k] = scale * float(np.sum(psi * re))
+        J[:m, 2 * m], J[m : 2 * m, 2 * m] = Au.real, Au.imag
+        return J
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        st = state(lam)
+        Au = st[4]
+        s = float(np.real(np.sum(np.conj(Au) * v)) / np.sum(np.abs(Au) ** 2))
+        F = residual(s, st)
+        size = float(np.sum(F * F))
+        for _ in range(_NEWTON_STEPS):
+            step = _gauss_jordan(jacobian(s, st), -F)
+            if not np.all(np.isfinite(step)):
+                break
+            dlam = step[:m] + 1j * step[m : 2 * m]
+            t = 1.0
+            while t >= 2.0**-10:
+                trial = state(lam + t * dlam)
+                F_t = residual(s + t * step[2 * m], trial)
+                size_t = float(np.sum(F_t * F_t))
+                if size_t < size:
+                    break
+                t *= 0.5
+            else:
+                break
+            lam, s = lam + t * dlam, s + t * step[2 * m]
+            st, F, size = trial, F_t, size_t
+    y, _, _, psi, _ = st
+    return lam, s * psi * y
+
+
 def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
                     delta_hat: float = None):
     """Degree-d interpolant of the target values on K minimizing the
@@ -345,21 +430,34 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
     First-order method on the smoothed coefficients sqrt(|c|^2 + mu^2)
     with continuation mu = 1e-2, 1e-4, 1e-8; every iterate is projected
     back onto the affine interpolation constraints, and backtracking keeps
-    the objective trace monotone.  Every 100 accepted steps the dual bound
-    below is formed, and the descent ends once the relative duality gap is
-    at most 1e-5.  The 2d+1 complex coefficients make the
-    program feasible whenever the points are distinct and at most 2d+1.
-    The projection is c - A^H G^-1 A c, with A the rows exp(i n x_j) and
-    G = A A^H the closed-form Dirichlet-kernel Gram matrix of the points,
-    inverted once without LAPACK.  Nearly coincident points make G
-    singular to roundoff; the constraints are then missed, and the
-    residual check (1e-8) fails.
+    the objective trace monotone.  At the start point and every 100
+    accepted steps the bracket below is formed, and the descent ends once
+    the relative duality gap is at most 1e-5.  Each such check also runs
+    _kkt_newton from the descent's multiplier: at most 8 damped Newton
+    steps on the 2m + 1 real KKT equations of the m points, which
+    converge quadratically where the descent converges sublinearly, so a
+    check at the start usually certifies it and the descent takes no
+    step.  The descent stays the globalizer: where Newton fails, it goes
+    on.  The 2d+1 complex coefficients make the program feasible whenever
+    the points are distinct and at most 2d+1.  The projection is
+    c - A^H G^-1 A c, with A the rows exp(i n x_j) and G = A A^H the
+    closed-form Dirichlet-kernel Gram matrix of the points, inverted once
+    without LAPACK by the _gauss_jordan that also solves the Newton steps.
+    Nearly coincident points make G singular to roundoff; the constraints
+    are then missed, and the residual check (1e-8) fails.
 
-    The minimum is bracketed as [b_norm_lo, b_norm_hi].  b_norm_hi is
-    N(c) = ||c||_1 + (1/eps) ||c||_p at the final c, which is b_norm.
-    b_norm_lo is Re(lam^H v) / N*(A^H lam) for the KKT multiplier
-    lam = G^-1 A grad N_mu(c), with N*(y) = min{t : ||(|y| - t)_+||_q <= t/eps}
-    found by bisection; both are float values, roundoff not counted.
+    The minimum is bracketed as [b_norm_lo, b_norm_hi], both from the
+    last check.  b_norm_hi is N(c) = ||c||_1 + (1/eps) ||c||_p at the
+    returned c, which is b_norm: the smaller of N at the descent's point
+    and at Newton's candidate, which counts only if it meets the
+    constraints to 1e-8.  b_norm_lo is the larger of Re(lam^H v) / N*(A^H lam)
+    over two multipliers, the descent's lam = G^-1 A grad N_mu(c) and
+    Newton's, with N*(y) = min{t : ||(|y| - t)_+||_q <= t/eps} found by
+    bisection.  Any lam gives a lower bound by weak duality, so Newton
+    leaves the bracket as sound as the descent's.  Both ends are float
+    values, roundoff not counted: where they meet at the optimum the dual
+    can pass b_norm_hi by an ulp or so and is capped at it, and a dual
+    more than 1e-12 relative above it raises CertificateError.
 
     Returns (f, report); report carries the achieved norms, the bracket
     and its width b_norm_gap, the constraint residual, each descent
@@ -411,14 +509,18 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
     # along rows: a thread count splits their outputs, never a sum
     # (z @ conj(A) splits the sum over the rows of A)
     A_H = np.ascontiguousarray(A.conj().T)
-    G_inv = _spd_inverse(_dirichlet_gram(points, d)).astype(complex)
+    G = _dirichlet_gram(points, d)
+    G_inv = _gauss_jordan(G, np.eye(len(points))).astype(complex)
 
     def lift(y):
         """A^H G^-1 y, the least-norm c with A c = y."""
         return A_H @ (G_inv @ y)
 
+    def residual_of(c):
+        return float(np.abs(A @ c - values).max())
+
     def checked_residual(c):
-        residual = float(np.abs(A @ c - values).max())
+        residual = residual_of(c)
         if not residual < 1e-8:  # a NaN from a singular Gram fails too
             raise CertificateError("probe-residual", residual, 1e-8)
         return residual
@@ -448,28 +550,58 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
         g = smoothed_gradient(c, mu)
         return g - lift(A @ g)  # tangent to the constraint set
 
-    def gap(c, mu):
-        """(lo, hi): hi = N(c) unsmoothed, lo = Re(lam^H v) / N*(A^H lam)
-        for the KKT multiplier lam = G^-1 A grad N_mu(c); any lam gives a
-        lower bound on min N over A c = v, since
-        Re(lam^H v) = Re <A^H lam, c> <= N*(A^H lam) N(c)."""
+    q = p / (p - 1.0)
+
+    def composite_norm(c):
         abs_c = np.abs(c)
-        hi = float(abs_c.sum() + np.sum(abs_c**p) ** (1.0 / p) / eps)
-        lam = G_inv @ (A @ smoothed_gradient(c, mu))
-        dual = _dual_norm(np.abs(A_H @ lam), p / (p - 1.0), eps)
+        return float(abs_c.sum() + np.sum(abs_c**p) ** (1.0 / p) / eps)
+
+    def dual_bound(lam):
+        """(Re(lam^H v) / N*(A^H lam), N*(A^H lam)): any lam gives a lower
+        bound on min N over A c = v, since
+        Re(lam^H v) = Re <A^H lam, c> <= N*(A^H lam) N(c)."""
+        dual = _dual_norm(np.abs(A_H @ lam), q, eps)
         pairing = float(np.real(np.vdot(lam, values)))
-        lo = max(pairing, 0.0) / dual if dual > 0.0 else 0.0
-        return lo, hi
+        return (max(pairing, 0.0) / dual if dual > 0.0 else 0.0), dual
+
+    kept = [None]  # (lo, hi, point) of the last gap check
+
+    def gap(c, mu):
+        """(lo, hi) of min N over A c = v.  lo is the larger dual bound of
+        the KKT multiplier lam = G^-1 A grad N_mu(c) and of _kkt_newton's
+        multiplier started there.  hi is the smaller N of c, projected
+        back onto the constraints, and of Newton's candidate
+        s u + lift(v - A s u), which counts only if its residual is below
+        1e-8.  The point of hi is kept with the bracket."""
+        lam = G_inv @ (A @ smoothed_gradient(c, mu))
+        lo, dual = dual_bound(lam)
+        feasible = [c - lift(A @ c - values)]
+        if dual > 0.0:
+            lam, su = _kkt_newton(A, A_H, values, lam / dual, q, eps)
+            lo = max(lo, dual_bound(lam)[0])
+            cand = su + lift(values - A @ su)
+            if residual_of(cand) < 1e-8:
+                feasible.append(cand)
+        norms = [composite_norm(x) for x in feasible]
+        best = int(np.argmin(norms))
+        kept[0] = lo, norms[best], feasible[best]
+        return lo, norms[best]
 
     start = lift(values)
     checked_residual(start)
     c, trace, stages = smoothed_descent(start, objective, gradient,
                                         stall_rel=1e-12, gap=gap)
-    c = c - lift(A @ c - values)  # back onto the constraints
+    if stages[-1]["stop"] != "gap":
+        gap(c, stages[-1]["mu"])
+    b_lo, b_hi, c = kept[0]
+    # where the two meet at the optimum, roundoff can put the float dual
+    # an ulp or so above hi; further above, the dual is unsound
+    if b_lo > b_hi * (1.0 + 1e-12):
+        raise CertificateError("probe-dual", b_lo, b_hi)
+    b_lo = min(b_lo, b_hi)
     residual = checked_residual(c)
     a_norm = float(np.abs(c).sum())
     ap_norm = float(np.sum(np.abs(c) ** p) ** (1.0 / p))
-    b_lo, b_hi = gap(c, stages[-1]["mu"])
     report.update(
         a_norm=a_norm,
         a_p_norm=ap_norm,

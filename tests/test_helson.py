@@ -10,6 +10,7 @@ from trigcert.gridcert import ArcSet, outside_report
 from trigcert.helson import (
     SampledMeasure,
     _dirichlet_gram,
+    _gauss_jordan,
     dense_sequence,
     extension_probe,
     helson_certificate,
@@ -192,7 +193,7 @@ class TestExtensionProbe:
         # optimal, so b_norm = 1 + (2d+1)^{1/p - 1}
         f, rep = extension_probe(arc, [1.0], [1.0], 1.5, 1.0, 8)
         exact = 1.0 + 17.0 ** (-1.0 / 3.0)
-        assert rep["b_norm"] == pytest.approx(exact, abs=1e-7)
+        assert rep["b_norm"] == pytest.approx(exact, rel=1e-12)
         assert rep["b_norm_lo"] <= exact <= rep["b_norm_hi"]
         # the flat spread is the optimum, where the dual bound is tight
         assert rep["b_norm_lo"] == pytest.approx(exact, rel=1e-12)
@@ -217,15 +218,40 @@ class TestExtensionProbe:
         assert (np.diff(trace) <= 1e-15).all()
 
     def test_descent_path_pinned(self, arc):
-        # the exact iteration count and norm of one probe: any change to the
-        # step rule, the backtracking, the stall test or the gap stop moves
-        # them
+        # Newton on the KKT system certifies the start: the descent takes
+        # no step, and the bracket closes on the KKT value
         _, rep = extension_probe(arc, [0.7, 1.5, 2.2], [1.0, 1.0, 1.0],
                                  1.5, 0.05, 24)
-        assert rep["iterations"] == 125
-        assert rep["a_norm"] == pytest.approx(1.3120700974789068, abs=1e-12)
-        assert [s["stop"] for s in rep["descent_stages"]] == ["step", "gap"]
-        assert rep["b_norm_lo"] <= rep["b_norm"] <= rep["b_norm_hi"]
+        assert rep["iterations"] == 0
+        assert rep["descent_stages"] == [{"mu": 1e-2, "steps": 0, "stop": "gap"}]
+        assert rep["b_norm"] == pytest.approx(10.187246061725721, rel=1e-12)
+        # the two ends meet to the last bit; a float dual an ulp or so
+        # above hi would be capped at it
+        assert rep["b_norm_lo"] <= rep["b_norm_hi"] == rep["b_norm"]
+        assert rep["b_norm_gap"] <= 1e-12 * rep["b_norm_lo"]
+        assert rep["residual"] < 1e-8
+
+    def test_fallback_when_newton_fails_at_the_start(self, arc):
+        # at eps = 10 the composite norm is nearly the l1 norm, and Newton
+        # from the start's multiplier does not certify; the descent goes
+        # on, and a later check stops it on the gap
+        _, rep = extension_probe(arc, [0.7, 1.5, 2.2], [1.0, 1.0, 1.0],
+                                 1.5, 10.0, 8)
+        assert rep["iterations"] > 0
+        assert rep["descent_stages"][-1]["stop"] == "gap"
+        lo, hi = rep["b_norm_lo"], rep["b_norm_hi"]
+        assert 0.0 < lo <= hi and hi - lo <= 1e-5 * lo
+        assert rep["residual"] < 1e-8
+
+    def test_dual_far_above_hi_raises(self, arc, monkeypatch):
+        # a dual norm understated by half doubles the dual bound, which
+        # then exceeds N at a feasible point: an unsound bracket raises
+        dual_norm = helson._dual_norm
+        monkeypatch.setattr(helson, "_dual_norm",
+                            lambda *a: 0.5 * dual_norm(*a))
+        with pytest.raises(CertificateError) as info:
+            extension_probe(arc, [0.7, 1.5, 2.2], [1.0, 1.0, 1.0], 1.5, 0.05, 24)
+        assert info.value.name == "probe-dual"
 
     def test_dual_bound_on_random_instance(self):
         rng = np.random.default_rng(5)
@@ -237,20 +263,27 @@ class TestExtensionProbe:
         assert rep["b_norm_gap"] == rep["b_norm_hi"] - rep["b_norm_lo"]
 
     def test_gap_stop_within_its_own_gap(self, arc, monkeypatch):
-        # the same probe with the gap check left out runs every stage to
-        # its own stop; the gap-stopped b_norm is within its gap of it
+        # the same probe's descent with the gap check left out runs every
+        # stage to its own stop; the certified bracket lies below the
+        # value it reaches
         args = (arc, [0.7, 1.5, 2.2], [1.0, 1.0, 1.0], 1.5, 0.05, 24)
         _, rep = extension_probe(*args)
         assert rep["descent_stages"][-1]["stop"] == "gap"
+        ends = []
 
         def without_gap(*a, gap=None, **kw):
-            return descent.smoothed_descent(*a, **kw)
+            out = descent.smoothed_descent(*a, **kw)
+            ends.append(out)
+            return out
 
         monkeypatch.setattr(helson, "smoothed_descent", without_gap)
-        _, full = extension_probe(*args)
-        assert "gap" not in [s["stop"] for s in full["descent_stages"]]
-        assert full["iterations"] > rep["iterations"]
-        assert abs(rep["b_norm"] - full["b_norm"]) <= rep["b_norm_gap"]
+        extension_probe(*args)
+        c, trace, stages = ends[0]
+        assert "gap" not in [s["stop"] for s in stages]
+        assert len(trace) > rep["iterations"]
+        full = float(np.abs(c).sum() + np.sum(np.abs(c) ** 1.5) ** (1.0 / 1.5) / 0.05)
+        assert rep["b_norm_lo"] <= full
+        assert rep["b_norm"] <= full
 
     def test_degree_doubling_never_hurts(self, arc):
         pts, vals = [0.7, 1.5, 2.2], [1.0, 1.0, 1.0]
@@ -296,6 +329,18 @@ class TestGramProjection:
         G = _dirichlet_gram(pts, d)
         assert np.abs(G - A @ A.conj().T).max() <= 1e-10
         assert np.all(np.diag(G) == 2 * d + 1)
+
+    def test_gauss_jordan_pivots(self):
+        # a zero leading entry needs a row swap; the result matches LAPACK
+        M = np.array([[0.0, 2.0, 1.0], [1.0, 1.0, 0.0], [3.0, 0.0, 1.0]])
+        b = np.array([1.0, 2.0, 3.0])
+        assert np.allclose(_gauss_jordan(M, b), np.linalg.solve(M, b), rtol=1e-14)
+        assert np.allclose(_gauss_jordan(M, np.eye(3)) @ M, np.eye(3), atol=1e-15)
+
+    def test_gauss_jordan_singular_is_not_finite(self):
+        # a zero pivot gives a non-finite solution, which ends a Newton solve
+        M = np.array([[1.0, 2.0], [2.0, 4.0]])
+        assert not np.all(np.isfinite(_gauss_jordan(M, np.array([1.0, 0.0]))))
 
     def test_probe_meets_its_constraints(self, arc):
         pts = np.array([0.7, 1.2, 1.9, 2.3])
