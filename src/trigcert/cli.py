@@ -402,8 +402,6 @@ def _do_probe(cfg: dict) -> str:
     f, rep = extension_probe(K, pts, np.ones(len(pts)), p, eps, d,
                              delta_hat=float(dh) if dh is not None else None)
     _write_json(out, "f.json", f.to_json_dict())
-    rep = dict(rep)
-    rep.pop("objective_trace", None)
     rep["points"] = pts
     _write_json(out, "probe.json", rep)
     return f"probe: a_p={rep['a_p_norm']:.6g} b={rep['b_norm']:.6g} -> {out}"
@@ -479,7 +477,7 @@ def _do_demo(cfg: dict) -> str:
     })
     _write_json(out, "g_cyclic.json", {
         "g": gseq.to_json_dict(),
-        "probe": {k: v for k, v in probe_rep.items() if k != "objective_trace"},
+        "probe": probe_rep,
         "deficit_profile": [{"d": d, "value": v} for d, v in profile],
         "deficit_rigour": DEFICIT_RIGOUR,
     })

@@ -2,12 +2,13 @@
 
 Three instruments: multiplier_deficit searches for P making P*f close to 1
 in A_p (small values are cyclicity evidence), obstruction_bound turns an
-annihilating coefficient sequence S into a certified lower bound on that
-deficit, and smooth_noncyclic_witness builds a C^2 function vanishing
-exactly on a given arc set together with its obstruction ladder.  For a
-windowed f the solver brackets the degree-d deficit between a dual bound
-and the value it reaches; the obstruction bounds it below for an S that
-annihilates f.  Neither decides cyclicity from finite data.
+annihilating coefficient sequence S into a lower bound on that deficit
+over multipliers of capped coefficient mass, and smooth_noncyclic_witness
+builds a C^2 function vanishing exactly on a given arc set together with
+its obstruction ladder.  For a windowed f the solver brackets the
+degree-d deficit between a dual bound and the value it reaches; the
+obstruction bounds it below for an S that annihilates f.  Neither
+decides cyclicity from finite data.
 """
 
 import math
@@ -90,7 +91,8 @@ def _multiplier_search(fw: np.ndarray, M: int, d: int, p: float):
     |r|^2 + mu^2 its objective formed.  P is never modified, so points
     are matched by identity.
 
-    gap(P, mu) brackets the window minimum: hi = ||r||_p unsmoothed, and
+    gap(P, mu) returns (lo, hi, P), a bracket of the window minimum for
+    smoothed_descent's certificate: hi = ||r||_p unsmoothed at P, and
     lo = |S'_{M+d}| / ||S'||_q, q = p/(p-1), for S = (|r|^2 + mu^2)^{(p-2)/2} r
     (C^H S is the gradient over -p) projected onto null(C^H) as
     S' = S - C T^-1 C^H S, T = C^H C the Toeplitz autocorrelation of
@@ -142,24 +144,9 @@ def _multiplier_search(fw: np.ndarray, M: int, d: int, p: float):
         dual = float(np.sum(np.abs(S) ** q)) ** (1.0 / q)
         lo = float(abs(S[M + d])) / dual if dual > 0.0 else 0.0
         hi = float(np.sum(np.abs(residual(P)) ** p)) ** (1.0 / p)
-        return lo, hi
+        return lo, hi, P
 
     return objective, gradient, line, residual, gap
-
-
-def _smoothed_descent(fw: np.ndarray, M: int, d: int, p: float,
-                      P_hat: np.ndarray):
-    """Minimize sum (|1 - P*f|^2 + mu^2)^{p/2} over the window by
-    smoothed_descent, warm started at P_hat, stopping once the window
-    bracket of _multiplier_search's gap hook is within GAP_REL.
-
-    Returns (P, lo): lo is the dual bound at the returned P, a lower
-    bound on the window minimum over every degree-d multiplier.
-    """
-    objective, gradient, line, _, gap = _multiplier_search(fw, M, d, p)
-    P, _, stages = smoothed_descent(P_hat, objective, gradient,
-                                    stall_rel=1e-10, line=line, gap=gap)
-    return P, gap(P, stages[-1]["mu"])[0]
 
 
 def _check_multiplier_problem(f: CoeffSeq, p: float, d: int) -> None:
@@ -185,15 +172,15 @@ def multiplier_deficit(f, p: float, d: int):
     least-squares solution, verified by orthogonality of the residual, and
     value is [hi, hi].  For p in (1, 2) the solver minimizes the smoothed
     coefficient objective (continuation mu = 1e-2, 1e-4, 1e-8, monotone
-    backtracking, warm started at the p = 2 solution) and forms the
-    window's dual bound at the start and every GAP_EVERY steps of a
-    stage; it stops once
-    hi - lo <= GAP_REL * lo, or else on a stage's own rule (step, stall
-    after 50 iterations of relative decrease below 1e-10, or cap).  value
-    is then [lo, hi]: lo the dual bound at the returned P, a float bound
-    with roundoff not counted (capped at hi, which it may pass by an ulp
-    where the two meet; a dual further above hi raises CertificateError),
-    and hi the A_p norm there.
+    backtracking, warm started at the p = 2 solution), and smoothed_descent
+    checks _multiplier_search's window bracket at the start and every
+    GAP_EVERY steps of a stage; it stops once hi - lo <= GAP_REL * lo, or
+    else on a stage's own rule (step, stall after 50 iterations of
+    relative decrease below 1e-10, or cap).  value is then [lo, hi]: lo
+    the descent's dual end, a float bound with roundoff not counted, and
+    hi the A_p norm at the returned P, with lo capped at it (the descent
+    already caps lo at the window norm, and raises CertificateError
+    "gap-dual" on a dual more than 1e-12 relative above that).
 
     For an f with a tail the window dual does not bound the minimum, and
     value is the norm enclosure at the returned P, widened by the
@@ -212,17 +199,15 @@ def multiplier_deficit(f, p: float, d: int):
     P_hat = _p2_multiplier(fw, f.M, d)
     lo = None
     if p < 2.0:
-        P_hat, lo = _smoothed_descent(fw, f.M, d, p, P_hat)
+        objective, gradient, line, _, gap = _multiplier_search(fw, f.M, d, p)
+        P_hat, (lo, _), _ = smoothed_descent(P_hat, objective, gradient,
+                                             stall_rel=1e-10, line=line, gap=gap)
     P_hat = P_hat / scale
     value = _deficit_value(f, P_hat, d, p)
     if value.hi > 1.0:
         # P = 0 leaves ||1||_{A_p} = 1 exactly
         value, P_hat = Interval(1.0, 1.0), np.zeros_like(P_hat)
     elif lo is not None and f.tail_const == 0.0:
-        # where the two meet at the optimum, roundoff can put the float
-        # dual an ulp or so above hi; further above, the dual is unsound
-        if lo > value.hi * (1.0 + 1e-12):
-            raise CertificateError("deficit-dual", lo, value.hi)
         value = Interval(min(lo, value.hi), value.hi)
     P = TrigPoly.from_arrays(np.arange(-d, d + 1), P_hat)
     return value, P
@@ -261,8 +246,9 @@ def cyclicity_profile(f, p: float, d_max: int, ds=None):
 
 
 def obstruction_bound(S, f, p: float, d: int):
-    """Certified lower bound on min_{deg P <= d} ||1 - P*f||_{A_p} from an
-    annihilating sequence S with finite A_q norm, q = p/(p-1).
+    """Lower bound on ||1 - P*f||_{A_p} over multipliers P of degree <= d
+    and coefficient mass ||P||_l1 <= d + 1, from an annihilating sequence S
+    with finite A_q norm, q = p/(p-1).
 
     The pairing convention is <S, g> = sum_n g_hat(-n) S_hat(n), so the
     translate pairings sit in the convolution S * f read at frequencies
@@ -394,9 +380,10 @@ def smooth_noncyclic_witness(K: ArcSet, S, eps_smooth: float, p: float = 4.0 / 3
     eps_smooth <= 2, which is the certified smoothness margin.
 
     S must be numerically supported in K (max outside below outside_tol).
-    The report carries obstruction_bound(S, f, p, d) over d_ladder;
-    positive entries certify that no multiplier of that degree pushes the
-    deficit of f below the bound.
+    The report carries obstruction_bound(S, f, p, d) over d_ladder; a
+    positive entry bounds the deficit of f below only over multipliers of
+    degree <= d whose coefficient mass ||P||_l1 is at most d + 1, so the
+    ladder is not a non-cyclicity certificate.
     """
     S = _as_seq(S)
     if not K:

@@ -1,14 +1,16 @@
 """Smoothed first-order minimizer shared by the extension probe and the
 multiplier search: Barzilai-Borwein spectral steps (Barzilai & Borwein
 1988) safeguarded by monotone backtracking, on an objective smoothed by
-mu and solved again as mu decreases.  Both callers pass a gap hook, a
-[dual, primal] bracket of the unsmoothed minimum, checked at the start
-point and then every GAP_EVERY steps, and the descent ends once that
-bracket is within GAP_REL; a hook that certifies the start point (the
-extension probe's, by Newton on its KKT system) leaves no step to take.
+mu and solved again as mu decreases.  It also owns both callers'
+certificate: it checks their gap hook, a [dual, primal] bracket of the
+unsmoothed minimum and the point of its primal end, stops once the
+bracket is within GAP_REL, and returns the last check's point and
+bracket under one roundoff rule for a dual above the primal.
 """
 
 import numpy as np
+
+from .errors import CertificateError
 
 GAP_EVERY = 100  # accepted steps of a stage between two gap checks
 GAP_REL = 1e-5  # the descent ends once hi - lo <= GAP_REL * lo
@@ -31,30 +33,32 @@ def smoothed_descent(x0, objective, gradient, stall_rel: float,
     can update what its objective needs along the line, more cheaply than
     from scratch at each trial, passes its own.
 
-    gap(x, mu), when given, returns a bracket (lo, hi) of the unsmoothed
-    minimum, hi the value at x (or at a better point the hook keeps); it
-    is called once at x0 with mu = 1e-2 and after every GAP_EVERY
-    accepted steps of a stage, and once hi - lo <= GAP_REL * lo the whole
-    descent ends there: no later stage can improve on a point already
-    certified near-optimal.  A certified x0 is returned as it is, with
-    the one stage record {mu 1e-2, steps 0, stop "gap"}.
+    gap(x, mu), when given, returns (lo, hi, y): a bracket of the
+    unsmoothed minimum and the point y whose value is hi, x itself or a
+    better point the hook found.  It is checked at x0 with mu = 1e-2,
+    after every GAP_EVERY accepted steps of a stage and, when no check
+    has closed, once at the exit point with the last stage's mu.  Once
+    hi - lo <= GAP_REL * lo the whole descent ends there: no later stage
+    can improve on a point already certified near-optimal, and a
+    certified x0 leaves the one stage record {mu 1e-2, steps 0, stop "gap"}.
+    The last check's lo is capped at hi when it is at most 1e-12
+    relative above it, and CertificateError("gap-dual") is raised when it
+    is further above: the dual is then unsound.
 
-    Returns (x, trace, stages): trace holds the objective after every
-    accepted step, and stages one {mu, steps, stop} record a stage, stop
-    naming what ended it: "cap", "step", "stall" or "gap".
+    Returns (y, (lo, hi), stages) from the last check, or (x, None,
+    stages) without a hook; stages holds one {mu, steps, stop} record a
+    stage, stop naming what ended it: "cap", "step", "stall" or "gap".
     """
     x = x0
-    trace = []
     stages = []
     if gap is not None:
-        lo, hi = gap(x0, 1e-2)
-        if hi - lo <= GAP_REL * lo:
-            return x0, trace, [{"mu": 1e-2, "steps": 0, "stop": "gap"}]
+        check = gap(x0, 1e-2)
+        if _closed(check):
+            return _certificate(check, [{"mu": 1e-2, "steps": 0, "stop": "gap"}])
     for mu in (1e-2, 1e-4, 1e-8):
-        start = len(trace)
         F = objective(x, mu)
         step = 1.0
-        stall = 0
+        steps = stall = 0
         prev_x = prev_g = None
         for k in range(1, 5001):
             g = gradient(x, mu)
@@ -76,10 +80,10 @@ def smoothed_descent(x0, objective, gradient, stall_rel: float,
                 break
             rel = (F - Fc) / max(F, 1e-300)
             x, F = cand, Fc
-            trace.append(F)
+            steps += 1
             if gap is not None and k % GAP_EVERY == 0:
-                lo, hi = gap(x, mu)
-                if hi - lo <= GAP_REL * lo:
+                check = gap(x, mu)
+                if _closed(check):
                     stop = "gap"
                     break
             stall = stall + 1 if rel < stall_rel else 0
@@ -88,7 +92,26 @@ def smoothed_descent(x0, objective, gradient, stall_rel: float,
                 break
         else:
             stop = "cap"
-        stages.append({"mu": mu, "steps": len(trace) - start, "stop": stop})
+        stages.append({"mu": mu, "steps": steps, "stop": stop})
         if stop == "gap":
             break
-    return x, trace, stages
+    if gap is None:
+        return x, None, stages
+    if stop != "gap":
+        check = gap(x, mu)
+    return _certificate(check, stages)
+
+
+def _closed(check) -> bool:
+    lo, hi, _ = check
+    return hi - lo <= GAP_REL * lo
+
+
+def _certificate(check, stages):
+    """(y, (lo, hi), stages) for the last check (lo, hi, y).  Where the two
+    ends meet at the optimum, roundoff can put the float dual an ulp or so
+    above hi, and it is capped there; further above, the dual is unsound."""
+    lo, hi, y = check
+    if lo > hi * (1.0 + 1e-12):
+        raise CertificateError("gap-dual", lo, hi)
+    return y, (min(lo, hi), hi), stages

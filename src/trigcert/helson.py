@@ -430,13 +430,14 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
     First-order method on the smoothed coefficients sqrt(|c|^2 + mu^2)
     with continuation mu = 1e-2, 1e-4, 1e-8; every iterate is projected
     back onto the affine interpolation constraints, and backtracking keeps
-    the objective trace monotone.  At the start point and every 100
-    accepted steps the bracket below is formed, and the descent ends once
-    the relative duality gap is at most 1e-5.  Each such check also runs
-    _kkt_newton from the descent's multiplier: at most 8 damped Newton
-    steps on the 2m + 1 real KKT equations of the m points, which
-    converge quadratically where the descent converges sublinearly, so a
-    check at the start usually certifies it and the descent takes no
+    the objective monotone over the accepted points.  The probe's gap hook
+    forms the bracket below, and smoothed_descent checks it at the start
+    point and every 100 accepted steps, ends once the relative duality gap
+    is at most 1e-5, and returns the last check's point and bracket.  Each
+    check also runs _kkt_newton from the descent's multiplier: at most 8
+    damped Newton steps on the 2m + 1 real KKT equations of the m points,
+    which converge quadratically where the descent converges sublinearly,
+    so a check at the start usually certifies it and the descent takes no
     step.  The descent stays the globalizer: where Newton fails, it goes
     on.  The 2d+1 complex coefficients make the program feasible whenever
     the points are distinct and at most 2d+1.  The projection is
@@ -446,8 +447,8 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
     Nearly coincident points make G singular to roundoff; the constraints
     are then missed, and the residual check (1e-8) fails.
 
-    The minimum is bracketed as [b_norm_lo, b_norm_hi], both from the
-    last check.  b_norm_hi is N(c) = ||c||_1 + (1/eps) ||c||_p at the
+    The minimum is bracketed as [b_norm_lo, b_norm_hi], the descent's
+    certificate.  b_norm_hi is N(c) = ||c||_1 + (1/eps) ||c||_p at the
     returned c, which is b_norm: the smaller of N at the descent's point
     and at Newton's candidate, which counts only if it meets the
     constraints to 1e-8.  b_norm_lo is the larger of Re(lam^H v) / N*(A^H lam)
@@ -455,9 +456,9 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
     Newton's, with N*(y) = min{t : ||(|y| - t)_+||_q <= t/eps} found by
     bisection.  Any lam gives a lower bound by weak duality, so Newton
     leaves the bracket as sound as the descent's.  Both ends are float
-    values, roundoff not counted: where they meet at the optimum the dual
-    can pass b_norm_hi by an ulp or so and is capped at it, and a dual
-    more than 1e-12 relative above it raises CertificateError.
+    values, roundoff not counted: smoothed_descent caps a dual an ulp or
+    so above b_norm_hi at it, and raises CertificateError("gap-dual") on
+    one more than 1e-12 relative above.
 
     Returns (f, report); report carries the achieved norms, the bracket
     and its width b_norm_gap, the constraint residual, each descent
@@ -497,7 +498,7 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
         report.update(a_norm=0.0, a_p_norm=0.0, b_norm=0.0, b_norm_lo=0.0,
                       b_norm_hi=0.0, b_norm_gap=0.0,
                       b_norm_rigour=_B_NORM_RIGOUR, residual=0.0,
-                      iterations=0, descent_stages=[], objective_trace=[])
+                      iterations=0, descent_stages=[])
         if delta_hat:
             report["guarantee"] = 0.0
             report["guarantee_ok"] = True
@@ -564,15 +565,13 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
         pairing = float(np.real(np.vdot(lam, values)))
         return (max(pairing, 0.0) / dual if dual > 0.0 else 0.0), dual
 
-    kept = [None]  # (lo, hi, point) of the last gap check
-
     def gap(c, mu):
-        """(lo, hi) of min N over A c = v.  lo is the larger dual bound of
-        the KKT multiplier lam = G^-1 A grad N_mu(c) and of _kkt_newton's
-        multiplier started there.  hi is the smaller N of c, projected
-        back onto the constraints, and of Newton's candidate
+        """(lo, hi, point) of min N over A c = v.  lo is the larger dual
+        bound of the KKT multiplier lam = G^-1 A grad N_mu(c) and of
+        _kkt_newton's multiplier started there.  hi is the smaller N of c,
+        projected back onto the constraints, and of Newton's candidate
         s u + lift(v - A s u), which counts only if its residual is below
-        1e-8.  The point of hi is kept with the bracket."""
+        1e-8; the point is the one hi belongs to."""
         lam = G_inv @ (A @ smoothed_gradient(c, mu))
         lo, dual = dual_bound(lam)
         feasible = [c - lift(A @ c - values)]
@@ -584,21 +583,12 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
                 feasible.append(cand)
         norms = [composite_norm(x) for x in feasible]
         best = int(np.argmin(norms))
-        kept[0] = lo, norms[best], feasible[best]
-        return lo, norms[best]
+        return lo, norms[best], feasible[best]
 
     start = lift(values)
     checked_residual(start)
-    c, trace, stages = smoothed_descent(start, objective, gradient,
-                                        stall_rel=1e-12, gap=gap)
-    if stages[-1]["stop"] != "gap":
-        gap(c, stages[-1]["mu"])
-    b_lo, b_hi, c = kept[0]
-    # where the two meet at the optimum, roundoff can put the float dual
-    # an ulp or so above hi; further above, the dual is unsound
-    if b_lo > b_hi * (1.0 + 1e-12):
-        raise CertificateError("probe-dual", b_lo, b_hi)
-    b_lo = min(b_lo, b_hi)
+    c, (b_lo, b_hi), stages = smoothed_descent(start, objective, gradient,
+                                               stall_rel=1e-12, gap=gap)
     residual = checked_residual(c)
     a_norm = float(np.abs(c).sum())
     ap_norm = float(np.sum(np.abs(c) ** p) ** (1.0 / p))
@@ -611,9 +601,8 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
         b_norm_gap=b_hi - b_lo,
         b_norm_rigour=_B_NORM_RIGOUR,
         residual=residual,
-        iterations=len(trace),
+        iterations=sum(stage["steps"] for stage in stages),
         descent_stages=stages,
-        objective_trace=trace,
     )
     if delta_hat:
         report["guarantee"] = report["h_sup"] / delta_hat

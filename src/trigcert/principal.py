@@ -28,7 +28,7 @@ from .gridcert import (
 from .kahane import build_rho, interval_constant
 from .riesz import RieszSpec, c2_constant, choose_nu, riesz_lambda
 from .rudin_shapiro import build_phi
-from .trigpoly import TWO_PI, CoeffSeq, Interval, TrigPoly, next_pow2
+from .trigpoly import TWO_PI, CoeffSeq, TrigPoly, next_pow2
 
 I0 = (Fraction(1, 4), Fraction(1, 3))
 
@@ -467,7 +467,7 @@ def run_principal(config: PrincipalConfig) -> PrincipalOutput:
     sign_ok = x_ok and w_cert.dichotomy == "certified" and w_cert.sup_bound <= 1.0
     sign_Pu = "positive" if sign_ok else "unknown"
 
-    defect = _defect_interval(f, q)
+    defect = CoeffSeq(np.ones(1, dtype=complex), 0).add(f, -1.0).a_p_norm(q)
     note("a_q_defect_lo", defect.lo)
     note("a_q_defect_hi", defect.hi)
 
@@ -522,12 +522,6 @@ def _a_q_window_norm(g: TrigPoly, q: float) -> float:
     acc = float(np.sum(np.abs(g.coeffs[g.freqs != 0]) ** q))
     zero_dev = abs(complex(g.coeff(0)) - 1.0) ** q
     return (acc + zero_dev) ** (1.0 / q)
-
-
-def _defect_interval(f: CoeffSeq, q: float) -> Interval:
-    window = -f.window.copy()
-    window[f.M] += 1.0
-    return CoeffSeq(window, f.M, f.tail_const, f.tail_exp).a_p_norm(q)
 
 
 def _assert_certificates(certs: dict, eps: float) -> None:

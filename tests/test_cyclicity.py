@@ -10,7 +10,6 @@ from trigcert.cyclicity import (
     _multiplier_search,
     _p2_multiplier,
     _power_integrals,
-    _smoothed_descent,
     cyclicity_profile,
     multiplier_deficit,
     obstruction_bound,
@@ -130,8 +129,12 @@ class TestMultiplierDeficit:
         f = CoeffSeq(w, 3)
         exact, _ = multiplier_deficit(f, 2.0, 4)
         scale = float(np.abs(w).max())
+        objective, gradient, line, _, gap = _multiplier_search(w / scale, 3, 4,
+                                                               2.0)
         start = np.zeros(9, dtype=complex)
-        P = _smoothed_descent(w / scale, 3, 4, 2.0, start)[0] / scale
+        P, _, _ = smoothed_descent(start, objective, gradient, stall_rel=1e-10,
+                                   line=line, gap=gap)
+        P = P / scale
         assert _deficit_value(f, P, 4, 2.0).hi == pytest.approx(exact.hi, abs=1e-6)
 
     def test_tail_widens_interval(self):

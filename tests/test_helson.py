@@ -211,10 +211,23 @@ class TestExtensionProbe:
         assert rep["residual"] < 1e-8
         assert np.abs(f.eval_at(np.asarray(pts)) - np.asarray(vals)).max() < 1e-7
 
-    def test_trace_monotone(self, arc):
+    def test_trace_monotone(self, arc, monkeypatch):
+        # the descent takes the gradient once an iteration, at the point
+        # its last step accepted, so the objective read there traces the
+        # accepted points; eps = 10 makes the probe fall back to descent
+        trace = []
+
+        def traced(x0, objective, gradient, **kw):
+            def recorded(c, mu):
+                trace.append(objective(c, mu))
+                return gradient(c, mu)
+
+            return descent.smoothed_descent(x0, objective, recorded, **kw)
+
+        monkeypatch.setattr(helson, "smoothed_descent", traced)
         _, rep = extension_probe(arc, [0.7, 1.5, 2.2], [1.0, 1.0, 1.0],
-                                 1.5, 0.05, 24)
-        trace = np.asarray(rep["objective_trace"])
+                                 1.5, 10.0, 8)
+        assert rep["iterations"] > 0 and len(trace) >= rep["iterations"]
         assert (np.diff(trace) <= 1e-15).all()
 
     def test_descent_path_pinned(self, arc):
@@ -251,7 +264,7 @@ class TestExtensionProbe:
                             lambda *a: 0.5 * dual_norm(*a))
         with pytest.raises(CertificateError) as info:
             extension_probe(arc, [0.7, 1.5, 2.2], [1.0, 1.0, 1.0], 1.5, 0.05, 24)
-        assert info.value.name == "probe-dual"
+        assert info.value.name == "gap-dual"
 
     def test_dual_bound_on_random_instance(self):
         rng = np.random.default_rng(5)
@@ -266,21 +279,19 @@ class TestExtensionProbe:
         # the same probe's descent with the gap check left out runs every
         # stage to its own stop; the certified bracket lies below the
         # value it reaches
-        args = (arc, [0.7, 1.5, 2.2], [1.0, 1.0, 1.0], 1.5, 0.05, 24)
-        _, rep = extension_probe(*args)
-        assert rep["descent_stages"][-1]["stop"] == "gap"
         ends = []
 
-        def without_gap(*a, gap=None, **kw):
-            out = descent.smoothed_descent(*a, **kw)
-            ends.append(out)
-            return out
+        def also_without_gap(*a, gap=None, **kw):
+            ends.append(descent.smoothed_descent(*a, **kw))
+            return descent.smoothed_descent(*a, gap=gap, **kw)
 
-        monkeypatch.setattr(helson, "smoothed_descent", without_gap)
-        extension_probe(*args)
-        c, trace, stages = ends[0]
+        monkeypatch.setattr(helson, "smoothed_descent", also_without_gap)
+        _, rep = extension_probe(arc, [0.7, 1.5, 2.2], [1.0, 1.0, 1.0],
+                                 1.5, 0.05, 24)
+        assert rep["descent_stages"][-1]["stop"] == "gap"
+        c, _, stages = ends[0]
         assert "gap" not in [s["stop"] for s in stages]
-        assert len(trace) > rep["iterations"]
+        assert sum(s["steps"] for s in stages) > rep["iterations"]
         full = float(np.abs(c).sum() + np.sum(np.abs(c) ** 1.5) ** (1.0 / 1.5) / 0.05)
         assert rep["b_norm_lo"] <= full
         assert rep["b_norm"] <= full
