@@ -1,6 +1,6 @@
 """Command line front end: subcommand dispatch, deterministic artifacts.
 
-Every subcommand writes versioned JSON (schema_version 2) and CSV into an
+Every subcommand writes versioned JSON (schema_version 3) and CSV into an
 output directory.  Scalars are serialized as strings: floats with 17
 significant digits, rationals as "p/q", so a rerun with the same inputs
 and seed reproduces the files byte for byte.  Exit codes: 2 for
@@ -42,7 +42,7 @@ from .riesz import (
 from .rudin_shapiro import build_phi
 from .trigpoly import CoeffSeq, Interval, TrigPoly, f17
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 # -- serialization -------------------------------------------------------------
@@ -397,10 +397,8 @@ def _do_probe(cfg: dict) -> str:
     out = _out_dir(cfg)
     K = ArcSet.from_json_dict(_load_json(cfg["k"]))
     p, eps, d = float(cfg["p"]), float(cfg["eps"]), int(cfg["d"])
-    dh = cfg.get("delta_hat")
     pts = _skeleton(K)
-    f, rep = extension_probe(K, pts, np.ones(len(pts)), p, eps, d,
-                             delta_hat=float(dh) if dh is not None else None)
+    f, rep = extension_probe(K, pts, np.ones(len(pts)), p, eps, d)
     _write_json(out, "f.json", f.to_json_dict())
     rep["points"] = pts
     _write_json(out, "probe.json", rep)
@@ -426,7 +424,7 @@ def _do_witness(cfg: dict) -> str:
     S = CoeffSeq.from_json_dict(_load_json(cfg["s"]))
     f, rep = smooth_noncyclic_witness(K, S, float(cfg.get("eps_smooth", 1.0)),
                                       p=float(cfg["p"]))
-    _write_json(out, "witness.json", f.to_json_dict(window_out=2048))
+    _write_json(out, "witness.json", f.to_json_dict())
     _write_json(out, "report.json", rep)
     return (f"witness: ladder_positive={rep['ladder_positive']} "
             f"tail_const={rep['tail_const']:.6g} -> {out}")
@@ -439,13 +437,11 @@ def _do_demo(cfg: dict) -> str:
     J = int(cfg.get("stages", 2))
     seed = master_seed(cfg)
 
-    stages, S, K, certs = run_stages(q, J)
-    delta_hat, worst = helson_certificate(K, [r.P for r in stages],
-                                          trials=100, M=256, seed=seed)
+    _, S, K, certs = run_stages(q, J)
+    delta_hat = helson_certificate(K, trials=100, M=256, seed=seed)
 
     pts = _skeleton(K)
-    fprobe, probe_rep = extension_probe(K, pts, np.ones(len(pts)), p, 0.02,
-                                        2048, delta_hat=delta_hat)
+    fprobe, probe_rep = extension_probe(K, pts, np.ones(len(pts)), p, 0.02, 2048)
     g = TrigPoly.const(1.0) - fprobe
     gseq = g.as_coeffseq()
     profile = cyclicity_profile(gseq, p, 64, ds=(0, 1, 2, 4, 8, 16, 32, 64))
@@ -472,7 +468,7 @@ def _do_demo(cfg: dict) -> str:
     }
 
     _write_json(out, "f_noncyclic.json", {
-        "f": fw.to_json_dict(window_out=2048),
+        "f": fw.to_json_dict(),
         "report": wrep,
     })
     _write_json(out, "g_cyclic.json", {
@@ -485,7 +481,6 @@ def _do_demo(cfg: dict) -> str:
     _write_json(out, "certificates.json", {
         "stage_certificates": certs,
         "delta_hat": delta_hat,
-        "worst_measure": worst,
         "obstruction_positive": wrep["ladder_positive"],
         "deficit_best": deficit_best,
     })

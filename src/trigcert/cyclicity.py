@@ -21,6 +21,11 @@ from .gridcert import ArcSet, outside_report
 from .trigpoly import TWO_PI, CoeffSeq, Interval, TrigPoly
 
 _DIM_BUDGET = 1 << 24
+# smooth_noncyclic_witness: its window half-width, the degrees of its
+# obstruction ladder, and the largest |S| off K it accepts as support in K
+_WITNESS_WINDOW = 2048
+_WITNESS_LADDER = (1, 2, 4, 8, 16, 32, 64)
+_OUTSIDE_TOL = 1e-5
 # what a windowed p < 2 deficit row's two ends are
 DEFICIT_RIGOUR = {"lo": "float dual bound, roundoff not counted",
                   "hi": "A_p norm at the returned P"}
@@ -366,22 +371,21 @@ def _witness_tail_const(profiles) -> float:
     return V / TWO_PI
 
 
-def smooth_noncyclic_witness(K: ArcSet, S, eps_smooth: float, p: float = 4.0 / 3.0,
-                             d_ladder=(1, 2, 4, 8, 16, 32, 64),
-                             outside_tol: float = 1e-5, window: int = 2048):
+def smooth_noncyclic_witness(K: ArcSet, S, eps_smooth: float, p: float = 4.0 / 3.0):
     """Nonnegative C^2 function vanishing exactly on K, with certified
     n^{-4} coefficient tail, and its obstruction ladder against S.
 
     On each complementary gap (a, b) the profile is ((t-a)(b-t))^3 scaled
-    to peak 1; the window coefficients are closed-form arc integrals and
-    the tail constant comes from four integrations by parts (the third
-    derivative has bounded variation).  Since the tail exponent is 4 the
-    weighted sum  sum |f_hat(n)| |n|^{eps_smooth}  converges for any
-    eps_smooth <= 2, which is the certified smoothness margin.
+    to peak 1; the window coefficients, |n| <= _WITNESS_WINDOW, are
+    closed-form arc integrals and the tail constant comes from four
+    integrations by parts (the third derivative has bounded variation).
+    Since the tail exponent is 4 the weighted sum
+    sum |f_hat(n)| |n|^{eps_smooth}  converges for any eps_smooth <= 2,
+    which is the certified smoothness margin.
 
-    S must be numerically supported in K (max outside below outside_tol).
-    The report carries obstruction_bound(S, f, p, d) over d_ladder; a
-    positive entry bounds the deficit of f below only over multipliers of
+    S must be numerically supported in K (max outside below _OUTSIDE_TOL).
+    The report carries obstruction_bound(S, f, p, d) over _WITNESS_LADDER;
+    a positive entry bounds the deficit of f below only over multipliers of
     degree <= d whose coefficient mass ||P||_l1 is at most d + 1, so the
     ladder is not a non-cyclicity certificate.
     """
@@ -394,13 +398,13 @@ def smooth_noncyclic_witness(K: ArcSet, S, eps_smooth: float, p: float = 4.0 / 3
     if not 0.0 < eps_smooth <= 2.0:
         raise PreconditionError("eps_smooth must lie in (0, 2]", field="eps_smooth")
     out_max, out_tail = outside_report(S, K)
-    if out_max > outside_tol:
+    if out_max > _OUTSIDE_TOL:
         raise PreconditionError(
             f"S is not supported in K: max outside {out_max:.3e} exceeds "
-            f"{outside_tol:.1e}", field="S")
+            f"{_OUTSIDE_TOL:.1e}", field="S")
 
     profiles = _gap_profiles(K)
-    M = int(window)
+    M = _WITNESS_WINDOW
     coeffs = np.zeros(2 * M + 1, dtype=complex)
     n_all = np.arange(-M, M + 1)
     nz = n_all != 0
@@ -423,7 +427,7 @@ def smooth_noncyclic_witness(K: ArcSet, S, eps_smooth: float, p: float = 4.0 / 3
     weighted = float(np.sum(np.abs(coeffs) * np.maximum(1.0, np.abs(n_all)) ** eps_smooth))
     weighted += 2.0 * tail_const * M ** (eps_smooth - 3.0) / (3.0 - eps_smooth)
     s0 = float(abs(S.window[S.M]))
-    ladder = [(d,) + obstruction_bound(S, f, p, d) for d in d_ladder]
+    ladder = [(d,) + obstruction_bound(S, f, p, d) for d in _WITNESS_LADDER]
     report = {
         "tail_const": tail_const,
         "tail_exp": 4.0,

@@ -67,6 +67,10 @@ _DIRECT_TERMS = 2_000_000_000
 # endpoints per complex matrix product in _endpoint_sums; see there
 _ENDPOINT_BLOCK = 128
 
+# restricted_fourier's dyadic grid 2pi * m / 2**DYADIC_BITS, onto which
+# the principal pipeline snaps its carrier's endpoints
+DYADIC_BITS = 24
+
 
 class ArcSet:
     """Finite union of disjoint closed arcs of the circle.
@@ -501,7 +505,7 @@ def _real_at(g: TrigPoly, t: np.ndarray) -> np.ndarray:
 # -- arc-restricted Fourier integrals ---------------------------------------
 
 
-def indicator_coeffs(K: ArcSet, kmax: int, grid_bits: int = 24) -> np.ndarray:
+def indicator_coeffs(K: ArcSet, kmax: int, grid_bits: int) -> np.ndarray:
     """Fourier coefficients of the indicator of K for |k| <= kmax.
 
     Requires every arc endpoint to lie on the dyadic grid
@@ -587,11 +591,10 @@ def _endpoint_sums(idx: np.ndarray, kmax: int, G: int) -> np.ndarray:
     return total.ravel()[: kmax + 1]
 
 
-def restricted_fourier(
-    window: np.ndarray, M: int, K: ArcSet, kmax: int, grid_bits: int = 24
-) -> np.ndarray:
+def restricted_fourier(window: np.ndarray, M: int, K: ArcSet, kmax: int) -> np.ndarray:
     """Coefficients of f * 1_K for |n| <= kmax, where f is given by a
-    dense coefficient window on [-M, M].
+    dense coefficient window on [-M, M] and K's endpoints sit on the
+    dyadic grid of DYADIC_BITS.
 
     (f 1_K)^(n) = sum_m f^(m) 1_K^(n - m): a finite convolution of the
     window against exact indicator coefficients, evaluated by FFT once the
@@ -600,7 +603,7 @@ def restricted_fourier(
     window = np.asarray(window, dtype=complex)
     if window.shape != (2 * M + 1,):
         raise PreconditionError("window length must be 2M+1")
-    ind = indicator_coeffs(K, kmax + M, grid_bits)
+    ind = indicator_coeffs(K, kmax + M, DYADIC_BITS)
     full = _window_convolve(window, ind)
     # full covers offsets -(M + kmax + M) .. ; index of n is n + (2M + kmax)
     mid = (len(full) - 1) // 2

@@ -1,17 +1,18 @@
-"""Staged product construction of a thin carrier set, empirical Helson
-certification by sampled measures, and an extension-norm probe.
+"""Staged product construction of a thin carrier set, a sampled estimate
+of its transform floor, and an extension-norm probe.
 
 run_stages drives the compact-set pipeline once per stage, each stage tied
 to the next element of a fixed dense enumeration of real trigonometric
 polynomials, and multiplies the mollified plateaus f_j together.  The
 partial products stay near 1 in A_q while vanishing, to reported
 tolerance, outside the shrinking intersection K.  helson_certificate
-samples atomic measures on K and certifies, per measure, the pairing
-chain |integral of P d mu| <= ||P||_A * sup |mu_hat|.  extension_probe
-solves the interpolation program min ||f||_A + (1/eps)||f||_{A_p} over
-degree-bounded polynomials matching target values on K, by Newton's method
-on its small KKT system with the smoothed descent as the fallback, and
-brackets its minimum between a dual bound and the value reached.
+returns the least sup |mu_hat| over randomly sampled atomic measures on
+K: sampled evidence, an upper estimate of the infimum over all measures,
+not a bound on it.  extension_probe solves the interpolation program
+min ||f||_A + (1/eps)||f||_{A_p} over degree-bounded polynomials matching
+target values on K, by Newton's method on its small KKT system with the
+smoothed descent as the fallback, and brackets its minimum between a dual
+bound and the value reached.
 """
 
 import itertools
@@ -125,46 +126,29 @@ class StageRecord:
     achieved_eps: float
 
 
-def _stage_overrides(config, J):
-    if config is None:
-        return [{} for _ in range(J)]
-    if isinstance(config, dict):
-        return [dict(config) for _ in range(J)]
-    cfgs = [dict(c) for c in config]
-    if len(cfgs) < J:
-        raise PreconditionError("need one config per stage", field="config")
-    return cfgs[:J]
-
-
-def run_stages(q: float, J: int, config=None):
+def run_stages(q: float, J: int):
     """Product S_J = f_1 ... f_J of per-stage plateaus, with step norms,
     the carrier intersection K, and an outside-K report.
 
-    config: a mapping of PrincipalConfig overrides applied to every stage,
-    or one mapping per stage.  Each stage j runs the compact-set pipeline
-    with u = dense_sequence(j) (unless overridden) and an eps budget
-    2^{-1-j} / ||S_{j-1}||_A, so the chain sums below 1.  Stages report
-    their achieved defect; only theoretical-mode stages hard-fail.
+    Each stage j runs the compact-set pipeline at N = 2 with
+    u = dense_sequence(j) and an eps budget 2^{-1-j} / ||S_{j-1}||_A, so
+    the chain sums below 1.  Stages report their achieved defect; only
+    theoretical-mode stages hard-fail.
 
     Returns (stages, S, K, certificates).
     """
     if J < 1:
         raise PreconditionError("J must be >= 1", field="J")
-    overrides = _stage_overrides(config, J)
     stages = []
     S = CoeffSeq(np.ones(1, dtype=complex), 0)
     K = None
     for j in range(1, J + 1):
-        ov = overrides[j - 1]
-        u = ov.pop("u", None)
-        if u is None:
-            u = dense_sequence(j)
+        u = dense_sequence(j)
         budget = 2.0 ** (-1 - j)
         norm_prev = S.a_p_norm(1.0).hi
         # 0.99 keeps the chain inequality strict
-        eps_j = ov.pop("eps", 0.99 * budget / norm_prev)
-        ov.setdefault("N", 2)
-        cfg = PrincipalConfig(q=q, eps=eps_j, u=u, **ov)
+        eps_j = 0.99 * budget / norm_prev
+        cfg = PrincipalConfig(q=q, eps=eps_j, u=u, N=2)
         try:
             out = run_principal(cfg)
         except CertificateError as exc:
@@ -198,19 +182,9 @@ def run_stages(q: float, J: int, config=None):
     return stages, S, K, certificates
 
 
-# -- sampled-measure certification -------------------------------------------
+# -- sampled transform floor ------------------------------------------------
 
-
-@dataclass(frozen=True)
-class SampledMeasure:
-    """Atomic measure on K with TV = 1 and its transform statistics."""
-
-    atoms: tuple
-    masses: tuple
-    sup_mu_hat: float
-    argmax_n: int
-    pairing_lower: float
-    pairing_ok: bool
+_MAX_ATOMS = 8  # atoms of one sampled measure, at most
 
 
 def _atoms_uniform(K: ArcSet, count: int, rng) -> np.ndarray:
@@ -223,21 +197,14 @@ def _atoms_uniform(K: ArcSet, count: int, rng) -> np.ndarray:
     return starts[idx] + (x - (cum[idx] - lens[idx]))
 
 
-def helson_certificate(K: ArcSet, P_list, trials: int, M: int, seed: int = 0,
-                       max_atoms: int = 8):
-    """Empirical lower estimate of the transform floor over measures on K.
+def helson_certificate(K: ArcSet, trials: int, M: int, seed: int = 0) -> float:
+    """Least sup_{|n| <= M} |mu_hat(n)| over randomly sampled atomic
+    measures on K: sampled evidence, not a bound.
 
-    Samples atomic measures (atom positions uniform in K by arc length,
-    masses with uniform magnitudes and fair signs, normalized to TV = 1),
-    scans sup_{|n| <= M} |mu_hat(n)|, and returns the minimum over trials
-    together with the worst measure.  For each sampled measure and each
-    stage polynomial P the pairing chain
-
-        |sum_n P_hat(-n) mu_hat(n)|  <=  ||P||_A * max_{spec P} |mu_hat|
-
-    is checked outright, and |pairing| / ||P||_A is recorded as a certified
-    lower bound on the scanned sup.  This is evidence, not a proof: the
-    genuine quantifier ranges over all measures.
+    Each trial draws 1 to _MAX_ATOMS atoms uniform in K by arc length,
+    with uniform magnitudes and fair signs normalized to TV = 1.  The
+    transform floor of K is an infimum over all measures on K, so the
+    least of the sampled sups estimates it from above and bounds nothing.
 
     Trials draw from per-trial seeds spawned off the master seed, so the
     result does not depend on execution order.
@@ -248,42 +215,19 @@ def helson_certificate(K: ArcSet, P_list, trials: int, M: int, seed: int = 0,
         raise PreconditionError("trials must be >= 1", field="trials")
     if M < 0:
         raise PreconditionError("M must be >= 0", field="M")
-    for P in P_list:
-        if P.degree > M:
-            raise PreconditionError("stage polynomial spectrum exceeds the scan cutoff",
-                                    field="P_list")
     seeds = np.random.SeedSequence(seed).spawn(trials)
     ns = np.arange(-M, M + 1)
     delta = math.inf
-    worst = None
     for trial_seed in seeds:
         rng = np.random.default_rng(trial_seed)
-        count = int(rng.integers(1, max_atoms + 1))
+        count = int(rng.integers(1, _MAX_ATOMS + 1))
         pos = _atoms_uniform(K, count, rng)
         mags = rng.random(count) + 1e-12
         mags /= mags.sum()
         signs = np.where(rng.random(count) < 0.5, -1.0, 1.0)
-        masses = signs * mags
-        mu_hat = np.exp(-1j * np.outer(ns, pos)) @ masses
-        abs_hat = np.abs(mu_hat)
-        sup_hat = float(abs_hat.max())
-        arg = int(ns[int(np.argmax(abs_hat))])
-        best_lower = 0.0
-        ok = True
-        for P in P_list:
-            # pairing sum_n P_hat(-n) mu_hat(n) = sum_{k in spec} P_hat(k) mu_hat(-k)
-            at_spec = M - P.freqs
-            pairing = complex(np.sum(P.coeffs * mu_hat[at_spec]))
-            sup_spec = float(abs_hat[at_spec].max())
-            a1 = P.coeff_l1()
-            if abs(pairing) > a1 * sup_spec * (1.0 + 1e-12):
-                ok = False
-            best_lower = max(best_lower, abs(pairing) / a1)
-        if sup_hat < delta:
-            delta = sup_hat
-            worst = SampledMeasure(tuple(pos), tuple(masses), sup_hat, arg,
-                                   best_lower, ok)
-    return delta, worst
+        mu_hat = np.exp(-1j * np.outer(ns, pos)) @ (signs * mags)
+        delta = min(delta, float(np.abs(mu_hat).max()))
+    return delta
 
 
 # -- extension-norm probe ------------------------------------------------------
@@ -422,8 +366,7 @@ def _kkt_newton(A: np.ndarray, A_H: np.ndarray, v: np.ndarray, lam: np.ndarray,
     return lam, s * psi * y
 
 
-def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
-                    delta_hat: float = None):
+def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int):
     """Degree-d interpolant of the target values on K minimizing the
     composite norm ||f||_A + (1/eps) ||f||_{A_p}.
 
@@ -463,12 +406,7 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
     Returns (f, report); report carries the achieved norms, the bracket
     and its width b_norm_gap, the constraint residual, each descent
     stage's steps and stop reason (a stage stopped at "cap" ran out of
-    iterations, one at "gap" met the gap tolerance and ended the descent),
-    and, when delta_hat is given, the guarantee h_sup / delta_hat, a
-    Helson-type bound on the A norm of some extension of h, and
-    guarantee_ok, whether a_norm = ||f||_A is within it.  The probe
-    minimizes the composite norm, not the A norm, so a false guarantee_ok
-    is reported, not raised.
+    iterations, one at "gap" met the gap tolerance and ended the descent).
     """
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=complex)
@@ -499,9 +437,6 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
                       b_norm_hi=0.0, b_norm_gap=0.0,
                       b_norm_rigour=_B_NORM_RIGOUR, residual=0.0,
                       iterations=0, descent_stages=[])
-        if delta_hat:
-            report["guarantee"] = 0.0
-            report["guarantee_ok"] = True
         return TrigPoly.zero(), report
 
     freqs = np.arange(-d, d + 1)
@@ -604,8 +539,5 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int,
         iterations=sum(stage["steps"] for stage in stages),
         descent_stages=stages,
     )
-    if delta_hat:
-        report["guarantee"] = report["h_sup"] / delta_hat
-        report["guarantee_ok"] = report["a_norm"] <= report["guarantee"]
     f = TrigPoly.from_arrays(freqs, c)
     return f, report

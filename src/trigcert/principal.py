@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import CertificateError, PreconditionError, ResourceError
 from .gridcert import (
+    DYADIC_BITS,
     ArcSet,
     certified_min,
     certified_min_abs_and_sign,
@@ -412,7 +413,7 @@ def run_principal(config: PrincipalConfig) -> PrincipalOutput:
 
     # 7. superlevel arcs at c1, and the retreat level c3 = c1/2
     E_inner, _ = superlevel_arcs(X, c1, grid_factor=8)
-    E = E_inner.snap_inward(24)
+    E = E_inner.snap_inward(DYADIC_BITS)
     if not E:
         raise CertificateError("superlevel-empty", 0.0, c1,
                                "X never certifiably reaches c1")

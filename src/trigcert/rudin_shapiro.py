@@ -34,6 +34,7 @@ SIGN_RULE = "adjacent-pairs-shifted"
 # outgrow the workspace budget
 MAX_K = 24
 
+# largest coefficient table PhiBundle.to_trigpoly builds
 _POLY_BUDGET = 1 << 18
 
 
@@ -160,12 +161,12 @@ class PhiBundle:
     sign_rule: str
     floored: bool
 
-    def to_trigpoly(self, budget: int = _POLY_BUDGET) -> TrigPoly:
+    def to_trigpoly(self) -> TrigPoly:
         N = len(self.amps)
-        if 2 * N + 1 > budget:
+        if 2 * N + 1 > _POLY_BUDGET:
             raise ResourceError(
                 "cosine sum too large for a coefficient table",
-                budget=budget,
+                budget=_POLY_BUDGET,
                 required=2 * N + 1,
             )
         n = np.arange(1, N + 1)

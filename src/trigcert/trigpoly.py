@@ -25,7 +25,7 @@ from .errors import PreconditionError, ResourceError
 
 TWO_PI = 2.0 * math.pi
 
-# Default cap on the size of a coefficient table produced by multiply().
+# cap on the size of a coefficient table produced by TrigPoly.multiply
 COEFF_BUDGET = 1 << 23
 
 # largest FFT of _window_convolve; a longer product is overlap-added from
@@ -339,12 +339,12 @@ class TrigPoly:
             return TrigPoly.from_arrays(self.freqs, self.coeffs * _as_scalar(c))
         return TrigPoly.from_arrays(self.freqs, self._values() * complex(c))
 
-    def multiply(self, other: "TrigPoly", budget: int = COEFF_BUDGET) -> "TrigPoly":
+    def multiply(self, other: "TrigPoly") -> "TrigPoly":
         """Coefficient convolution; realizes the pointwise product.
 
         Two dense operands are convolved as windows; otherwise every pair
         of terms is formed and equal frequencies are summed.  Raises
-        ResourceError when the result table could exceed ``budget``
+        ResourceError when the result table could exceed COEFF_BUDGET
         entries.
         """
         if not isinstance(other, TrigPoly):
@@ -353,11 +353,11 @@ class TrigPoly:
             return TrigPoly.zero()
         _check_degree(self.degree + other.degree)
         span = 2 * (self.degree + other.degree) + 1
-        if min(self.freqs.size * other.freqs.size, span) > budget:
+        if min(self.freqs.size * other.freqs.size, span) > COEFF_BUDGET:
             raise ResourceError(
                 f"product would need up to {span} coefficients, "
-                f"budget is {budget}",
-                budget=budget,
+                f"budget is {COEFF_BUDGET}",
+                budget=COEFF_BUDGET,
                 required=span,
             )
         a, b = self._paired_values(other)
@@ -501,8 +501,12 @@ class CoeffSeq:
             raise PreconditionError(
                 f"window length {window.shape} does not match M={M}"
             )
-        if tail_const < 0:
-            raise PreconditionError("tail_const must be >= 0", field="tail_const")
+        # tail_const < 0 is false for a NaN, so finiteness is checked first
+        if not math.isfinite(tail_const) or tail_const < 0:
+            raise PreconditionError("tail_const must be finite and >= 0",
+                                    field="tail_const")
+        if not math.isfinite(tail_exp):
+            raise PreconditionError("tail_exp must be finite", field="tail_exp")
         self.window = window
         self.M = M
         self.tail_const = float(tail_const)

@@ -213,13 +213,11 @@ def test_criterion_07_principal_pipeline(principal_out):
 
 
 def test_criterion_08_helson_stages(helson_out):
-    stages, S, K, certs, _ = helson_out
+    _, _, K, certs, _ = helson_out
     assert certs["final_norm"].hi < 1.0
     assert certs["outside_max"] < 1e-6
     assert certs["k_nonempty"]
-    delta_hat, _ = helson_certificate(K, [r.P for r in stages],
-                                      trials=100, M=64, seed=7)
-    assert delta_hat > 0
+    assert helson_certificate(K, trials=100, M=64, seed=7) > 0
 
 
 @pytest.mark.xfail(strict=False,

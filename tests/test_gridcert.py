@@ -861,9 +861,9 @@ class TestArcFourier:
         K = ArcSet(np.sort(rng.uniform(0, TWO_PI, 60)).reshape(-1, 2)).snap_inward(24)
         kmax = 5_000
         assert 2 * len(K.arcs) * (kmax + 1) <= gridcert._DIRECT_TERMS
-        direct = indicator_coeffs(K, kmax)
+        direct = indicator_coeffs(K, kmax, 24)
         monkeypatch.setattr(gridcert, "_DIRECT_TERMS", -1)
-        assert np.max(np.abs(direct - indicator_coeffs(K, kmax))) <= 1e-12
+        assert np.max(np.abs(direct - indicator_coeffs(K, kmax, 24))) <= 1e-12
 
     def test_indicator_direct_path_independent_of_blas_threads(self, tmp_path):
         # the direct endpoint sums go through BLAS only in products whose
@@ -875,7 +875,7 @@ class TestArcFourier:
             "rng = np.random.default_rng(5)\n"
             "K = ArcSet(np.sort(rng.uniform(0, 6.28, 540)).reshape(-1, 2))\n"
             "K = K.snap_inward(24)\n"
-            "sys.stdout.buffer.write(indicator_coeffs(K, 20_000).tobytes())\n"
+            "sys.stdout.buffer.write(indicator_coeffs(K, 20_000, 24).tobytes())\n"
         )
         outs = [stdout_under_blas_threads(script, threads) for threads in (1, 2)]
         assert len(outs[0]) == 16 * 40_001
@@ -895,7 +895,7 @@ class TestArcFourier:
             "ends = np.sort(rng.choice(G, 540, replace=False))\n"
             "K = ArcSet(ends.reshape(-1, 2) * (TWO_PI / G))\n"
             "assert K.arcs.size == 540\n"
-            f"sys.stdout.buffer.write(indicator_coeffs(K, {kmax}).tobytes())\n"
+            f"sys.stdout.buffer.write(indicator_coeffs(K, {kmax}, 24).tobytes())\n"
         )
         outs = [stdout_under_blas_threads(script, threads) for threads in (1, 2, 4)]
         assert len(outs[0]) == 16 * (2 * kmax + 1)
@@ -930,7 +930,7 @@ class TestArcFourier:
         rng = np.random.default_rng(9)
         f = random_real_poly(rng, 4)
         k = ArcSet([(0.5, 2.0), (3.0, 3.5)]).snap_inward(20)
-        got = restricted_fourier(f.as_coeffseq().window, 4, k, 12, grid_bits=20)
+        got = restricted_fourier(f.as_coeffseq().window, 4, k, 12)
         for n in range(-12, 13):
             want = arc_fourier_integral(f, k, n)
             assert got[n + 12] == pytest.approx(want, abs=1e-12)

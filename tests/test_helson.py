@@ -1,5 +1,6 @@
-"""Staged products, sampled-measure certification, extension probe."""
+"""Staged products, the sampled transform floor, extension probe."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from trigcert import CertificateError, PreconditionError, TrigPoly, descent, helson
 from trigcert.gridcert import ArcSet, outside_report
 from trigcert.helson import (
-    SampledMeasure,
+    _atoms_uniform,
     _dirichlet_gram,
     _gauss_jordan,
     dense_sequence,
@@ -109,23 +110,31 @@ class TestRunStages:
         assert certs["outside_max"] == out_max > 0.0
         assert certs["outside_bound"] == out_max + out_tail
 
-    def test_stage_overrides(self):
-        u = TrigPoly.cosine(1)
-        stages, _, _, _ = run_stages(4.0, 1, config={"u": u, "eps": 0.3, "N": 2})
-        assert coeff_dict(stages[0].u) == coeff_dict(u)
-        assert stages[0].eps == 0.3
+    def test_stage_principal_config(self, two_stage, monkeypatch):
+        # stage j runs u_j at N = 2 with eps 0.99 * 2^(-1-j) / ||S_{j-1}||_A
+        stages, *_ = two_stage
+        for j, rec in enumerate(stages, start=1):
+            assert coeff_dict(rec.u) == coeff_dict(dense_sequence(j))
+        assert stages[0].eps == 0.99 * 0.25
+        assert stages[1].eps == 0.99 * 0.125 / stages[0].S.a_p_norm(1.0).hi
+        seen = []
 
-    def test_per_stage_config_length(self):
-        with pytest.raises(PreconditionError):
-            run_stages(4.0, 2, config=[{}])
+        def record(cfg):
+            seen.append(cfg)
+            raise CertificateError("stub", 0.0, 0.0)
 
-    def test_stage_failure_names_stage(self):
+        monkeypatch.setattr(helson, "run_principal", record)
+        with pytest.raises(CertificateError):
+            run_stages(4.0, 1)
+        assert (seen[0].q, seen[0].N, seen[0].eps) == (4.0, 2, 0.99 * 0.25)
+
+    def test_stage_failure_names_stage(self, monkeypatch):
         # theoretical mode cannot reach this eps at toy sizes
+        real = helson.run_principal
+        monkeypatch.setattr(helson, "run_principal", lambda cfg: real(dataclasses.replace(
+            cfg, u=TrigPoly.const(1.0), mode="theoretical", eps=0.01, window=1 << 16)))
         with pytest.raises(CertificateError, match="stage 1"):
-            run_stages(4.0, 1, config={
-                "u": TrigPoly.const(1.0), "mode": "theoretical",
-                "eps": 0.01, "window": 1 << 16,
-            })
+            run_stages(4.0, 1)
 
     def test_j_validation(self):
         with pytest.raises(PreconditionError):
@@ -133,53 +142,41 @@ class TestRunStages:
 
 
 class TestHelsonCertificate:
-    def test_single_atom_floor_is_one(self):
+    def test_single_atom_floor_is_one(self, monkeypatch):
         # every measure concentrated at one point has |mu_hat(n)| = TV
+        monkeypatch.setattr(helson, "_MAX_ATOMS", 1)
         K = ArcSet([(1.0, 1.0 + 1e-12)])
-        delta, worst = helson_certificate(K, [], trials=20, M=32, seed=3,
-                                          max_atoms=1)
+        delta = helson_certificate(K, trials=20, M=32, seed=3)
         assert delta == pytest.approx(1.0, abs=1e-9)
-        assert len(worst.atoms) == 1
-        assert abs(worst.masses[0]) == pytest.approx(1.0)
 
     def test_atoms_inside_k_and_tv_one(self):
         K = ArcSet([(0.5, 1.5), (4.0, 4.5)])
-        delta, worst = helson_certificate(K, [], trials=10, M=16, seed=11)
+        atoms = _atoms_uniform(K, 200, np.random.default_rng(11))
+        assert K.dilate(1e-12).mask(atoms % (2 * math.pi)).all()
+        # TV = 1 caps every |mu_hat(n)| at 1
+        delta = helson_certificate(K, trials=10, M=16, seed=11)
         assert 0.0 < delta <= 1.0 + 1e-12
-        assert isinstance(worst, SampledMeasure)
-        assert K.dilate(1e-12).mask(np.array(worst.atoms) % (2 * math.pi)).all()
-        assert sum(abs(m) for m in worst.masses) == pytest.approx(1.0)
-        assert abs(worst.argmax_n) <= 16
 
     def test_deterministic_given_seed(self):
         K = ArcSet([(0.5, 1.5)])
-        a = helson_certificate(K, [TrigPoly.cosine(2)], trials=25, M=16, seed=7)
-        b = helson_certificate(K, [TrigPoly.cosine(2)], trials=25, M=16, seed=7)
-        assert a[0] == b[0]
-        assert a[1] == b[1]
+        a = helson_certificate(K, trials=25, M=16, seed=7)
+        b = helson_certificate(K, trials=25, M=16, seed=7)
+        assert a == b
 
     def test_cutoff_monotone(self):
         K = ArcSet([(0.5, 2.5)])
-        lo, _ = helson_certificate(K, [], trials=40, M=24, seed=5)
-        hi, _ = helson_certificate(K, [], trials=40, M=48, seed=5)
+        lo = helson_certificate(K, trials=40, M=24, seed=5)
+        hi = helson_certificate(K, trials=40, M=48, seed=5)
         assert hi >= lo - 1e-12
-
-    def test_pairing_chain_holds(self, two_stage):
-        stages, _, K, _ = two_stage
-        delta, worst = helson_certificate(K, [r.P for r in stages],
-                                          trials=30, M=256, seed=1)
-        assert delta > 0.0
-        assert worst.pairing_ok
-        assert worst.pairing_lower <= worst.sup_mu_hat + 1e-12
 
     def test_preconditions(self):
         K = ArcSet([(0.5, 1.5)])
         with pytest.raises(PreconditionError):
-            helson_certificate(ArcSet([]), [], trials=5, M=8)
+            helson_certificate(ArcSet([]), trials=5, M=8)
         with pytest.raises(PreconditionError):
-            helson_certificate(K, [], trials=0, M=8)
+            helson_certificate(K, trials=0, M=8)
         with pytest.raises(PreconditionError):
-            helson_certificate(K, [TrigPoly.cosine(9)], trials=5, M=8)
+            helson_certificate(K, trials=5, M=-1)
 
 
 @pytest.fixture(scope="module")
@@ -304,16 +301,6 @@ class TestExtensionProbe:
             if prev is not None:
                 assert rep["b_norm"] <= prev + 1e-6
             prev = rep["b_norm"]
-
-    def test_guarantee_report(self, arc):
-        # the guarantee bounds the A norm; at eps = 0.1 the composite
-        # b_norm is well above it while a_norm = 1 is within it
-        _, rep = extension_probe(arc, [1.0], [1.0], 1.5, 0.1, 8,
-                                 delta_hat=0.5)
-        assert rep["guarantee"] == pytest.approx(2.0)
-        assert rep["b_norm"] > rep["guarantee"]
-        assert rep["a_norm"] == pytest.approx(1.0)
-        assert rep["guarantee_ok"] is True
 
     def test_preconditions(self, arc):
         with pytest.raises(PreconditionError):

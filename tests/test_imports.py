@@ -113,3 +113,88 @@ def test_every_function_referenced():
     assert sorted(set(dead) - set(KEEP)) == []
     # a kept name that gains a caller in src/ leaves the keep-list
     assert sorted(set(KEEP) - set(dead)) == []
+
+
+# Defaulted parameters that no call in src/ sets, on purpose.
+KEEP_OPTIONS = {
+    "cli.main.argv": "the benchmark and the tests pass the command line",
+}
+
+
+def unset_options(sources: dict) -> list:
+    """'module.function.param' (or 'module.Class.method.param') for each
+    defaulted parameter of a function or method in the given sources
+    (module name -> text) that no call in them passes, by keyword or by
+    position.  A call counts when it names a function of the same name,
+    directly or as an attribute, or the class for an ``__init__``; a
+    method's positions start after self.  A call that unpacks ``*args``
+    or ``**kwargs`` is taken to pass everything."""
+    defs, calls = [], {}
+
+    def visit(node, prefix, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}", child.name)
+                continue
+            if not isinstance(child, ast.FunctionDef):
+                visit(child, prefix, owner)
+                continue
+            args = child.args
+            positional = args.posonlyargs + args.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in child.decorator_list)
+            if owner and not static:
+                positional = positional[1:]
+            first = len(positional) - len(args.defaults)
+            params = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            params += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                       if d is not None]
+            name = owner if owner and child.name == "__init__" else child.name
+            qual = f"{prefix}.{child.name}"
+            defs.append((qual, name, params))
+            visit(child, qual, None)
+
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        visit(tree, module, None)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passes(call, index, param):
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords):
+            return True
+        return (any(k.arg == param for k in call.keywords)
+                or (index is not None and index < len(call.args)))
+
+    return sorted(f"{qual}.{param}" for qual, name, params in defs
+                  for index, param in params
+                  if not any(passes(c, index, param) for c in calls.get(name, [])))
+
+
+def test_option_checker_flags_unset():
+    sources = {
+        "a": "def f(x, y=1, *, z=2, w=3):\n    return x\n\n"
+             "class C:\n"
+             "    def __init__(self, v=0, u=1):\n        pass\n\n"
+             "    def m(self, k=1, j=2):\n        return k\n\n"
+             "    @staticmethod\n    def s(k=1):\n        return k\n",
+        "b": "from a import C, f\n\n"
+             "def g(**kw):\n    f(1, 2, w=kw)\n    C(5).m(3)\n    C.s()\n"
+             "    return f(*kw)\n",
+    }
+    # f(*kw) passes everything, so f is never flagged; C(5) sets v and
+    # .m(3) sets k, both by position after self
+    assert unset_options(sources) == ["a.C.__init__.u", "a.C.m.j", "a.C.s.k"]
+    sources["b"] = sources["b"].replace("    return f(*kw)\n", "    return None\n")
+    assert unset_options(sources) == ["a.C.__init__.u", "a.C.m.j", "a.C.s.k", "a.f.z"]
+
+
+def test_every_option_set_in_src():
+    unset = unset_options({p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))})
+    assert sorted(set(unset) - set(KEEP_OPTIONS)) == []
+    # a kept option that gains a caller in src/ leaves the keep-list
+    assert sorted(set(KEEP_OPTIONS) - set(unset)) == []

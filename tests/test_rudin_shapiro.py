@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from trigcert import PreconditionError, ResourceError, TrigPoly
+from trigcert import PreconditionError, ResourceError, TrigPoly, rudin_shapiro
 from trigcert.rudin_shapiro import (
     SIGN_RULE,
     build_Q,
@@ -107,11 +107,13 @@ class TestCosineSeries:
         assert np.abs(poly_vals.imag).max() < 1e-12
         assert not bundle.amps.flags.writeable
 
-    def test_trigpoly_budget(self):
+    def test_trigpoly_budget(self, monkeypatch):
         bundle = build_phi(4.0, 0.1)  # 2^9 amplitudes, 1025 coefficients
-        assert bundle.to_trigpoly(budget=1025).degree == 512
+        monkeypatch.setattr(rudin_shapiro, "_POLY_BUDGET", 1025)
+        assert bundle.to_trigpoly().degree == 512
+        monkeypatch.setattr(rudin_shapiro, "_POLY_BUDGET", 1024)
         with pytest.raises(ResourceError):
-            bundle.to_trigpoly(budget=1024)
+            bundle.to_trigpoly()
 
     def test_json_inline_roundtrip(self):
         bundle = build_phi(4.0, 0.1)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trigcert import CoeffSeq, Interval, PreconditionError, QComplex, ResourceError, TrigPoly
+from trigcert import CoeffSeq, Interval, PreconditionError, QComplex, ResourceError, TrigPoly, trigpoly
 from trigcert.trigpoly import (
     TWO_PI,
     _seq_json_dict,
@@ -82,10 +82,11 @@ def test_multiply_matches_pointwise_values():
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
 
-def test_multiply_budget_error_names_budget():
+def test_multiply_budget_error_names_budget(monkeypatch):
+    monkeypatch.setattr(trigpoly, "COEFF_BUDGET", 50)
     f = TrigPoly({n: 1.0 for n in range(-40, 41)})
     with pytest.raises(ResourceError) as info:
-        f.multiply(f, budget=50)
+        f.multiply(f)
     assert info.value.budget == 50
     assert "50" in str(info.value)
 
@@ -166,6 +167,41 @@ def test_tail_bound_holds_for_saturated_tails(M, exp, p):
     true_tail = 2.0 * C**p * one_side
     assert seq.tail_lp_pow(p) >= true_tail
     assert seq.a_p_norm(p).hi >= true_tail ** (1.0 / p)
+
+
+@pytest.mark.xfail(strict=True, reason="CoeffSeq.multiply ignores the tails near the "
+                                      "window edge (ROADMAP item 1)")
+def test_multiply_contains_saturated_product():
+    # z^100 times the window [0.5, 1, 0.5] with tail |n|^-5, the tail
+    # saturated, |c(n)| = |n|^-5 for 1 < |n| <= 2^13, and convolved
+    # exactly: the product claims 0 at n = 98 where the truth is 2^-5,
+    # 32 |n|^-5 past |n| = 101 where the truth at 102 is 2^-5, and an A_1
+    # enclosure [2.0, 2.00000015] around a norm of 2.0739
+    W = 1 << 13
+    z100 = TrigPoly({100: 1.0}).as_coeffseq()
+    h = CoeffSeq(np.array([0.5, 1.0, 0.5], dtype=complex), 1, tail_const=1.0, tail_exp=5.0)
+    prod = z100.multiply(h)
+
+    def saturate(seq):
+        n = np.abs(np.arange(-W, W + 1))
+        out = np.where(n > seq.M, seq.tail_const * np.maximum(n, 1.0) ** -seq.tail_exp, 0.0)
+        out = out.astype(complex)
+        out[W - seq.M : W + seq.M + 1] = seq.window
+        return out
+
+    true = np.convolve(saturate(z100), saturate(h))  # frequencies -2W .. 2W
+    n = np.abs(np.arange(-2 * W, 2 * W + 1))
+    inside, outside = n <= prod.M, n > prod.M
+    problems = []
+    if np.abs(true[inside] - prod.window).max() > 1e-12:
+        problems.append("window")
+    claim = prod.tail_const * n[outside].astype(float) ** -prod.tail_exp
+    if not np.all(np.abs(true[outside]) <= claim * (1.0 + 1e-12)):
+        problems.append("tail")
+    norm = prod.a_p_norm(1.0)
+    if not norm.lo <= np.abs(true).sum() <= norm.hi:
+        problems.append("A_1 enclosure")
+    assert problems == []
 
 
 # -- eval_grid ----------------------------------------------------------
@@ -323,6 +359,19 @@ def test_poly_json_roundtrip_rational():
     assert entries[2]["im"] == "-2/7"
     g = TrigPoly.from_json_dict(data)
     assert g.exact and g == f
+
+
+@pytest.mark.parametrize("const, exp", [(math.nan, 5.0), (math.inf, 5.0), (1.0, math.nan),
+                                        (1.0, -math.inf)])
+def test_coeffseq_rejects_non_finite_tail(const, exp):
+    # a NaN tail passed the sign check, and a_p_norm then dropped the tail
+    window = np.array([0.5, 1.0, 0.5], dtype=complex)
+    with pytest.raises(PreconditionError, match="finite"):
+        CoeffSeq(window, 1, tail_const=const, tail_exp=exp)
+    data = CoeffSeq(window, 1, tail_const=1.0, tail_exp=5.0).to_json_dict()
+    data["tail"] = dict(data["tail"], const=str(const), exp=str(exp))
+    with pytest.raises(PreconditionError, match="finite"):
+        CoeffSeq.from_json_dict(data)
 
 
 def test_coeffseq_json_roundtrip():
@@ -510,11 +559,13 @@ def test_dict_reference_exact_times_float_degrades():
     assert f.to_float() == f  # QComplex compares equal to its complex value
 
 
-def test_dict_reference_multiply_budget():
+def test_dict_reference_multiply_budget(monkeypatch):
     f = TrigPoly({1000 * k: 1.0 for k in range(-20, 21)})  # sparse, 41 terms
-    assert_matches(f.multiply(f, budget=41 * 41), ref_multiply(ref_of(f), ref_of(f)), False)
+    monkeypatch.setattr(trigpoly, "COEFF_BUDGET", 41 * 41)
+    assert_matches(f.multiply(f), ref_multiply(ref_of(f), ref_of(f)), False)
+    monkeypatch.setattr(trigpoly, "COEFF_BUDGET", 41 * 41 - 1)
     with pytest.raises(ResourceError) as info:
-        f.multiply(f, budget=41 * 41 - 1)
+        f.multiply(f)
     assert info.value.budget == 41 * 41 - 1 and info.value.required == 2 * 40000 + 1
 
 
