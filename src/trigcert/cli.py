@@ -1,6 +1,6 @@
 """Command line front end: subcommand dispatch, deterministic artifacts.
 
-Every subcommand writes versioned JSON (schema_version 3) and CSV into an
+Every subcommand writes versioned JSON (schema_version 4) and CSV into an
 output directory.  Scalars are serialized as strings: floats with 17
 significant digits, rationals as "p/q", so a rerun with the same inputs
 and seed reproduces the files byte for byte.  Exit codes: 2 for
@@ -42,7 +42,7 @@ from .riesz import (
 from .rudin_shapiro import build_phi
 from .trigpoly import CoeffSeq, Interval, TrigPoly, f17
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 # -- serialization -------------------------------------------------------------
@@ -426,7 +426,7 @@ def _do_witness(cfg: dict) -> str:
                                       p=float(cfg["p"]))
     _write_json(out, "witness.json", f.to_json_dict())
     _write_json(out, "report.json", rep)
-    return (f"witness: ladder_positive={rep['ladder_positive']} "
+    return (f"witness: obstruction_bound={rep['obstruction_bound']:.6g} "
             f"tail_const={rep['tail_const']:.6g} -> {out}")
 
 
@@ -481,7 +481,8 @@ def _do_demo(cfg: dict) -> str:
     _write_json(out, "certificates.json", {
         "stage_certificates": certs,
         "delta_hat": delta_hat,
-        "obstruction_positive": wrep["ladder_positive"],
+        "obstruction_bound": wrep["obstruction_bound"],
+        "obstruction_rigour": wrep["obstruction_rigour"],
         "deficit_best": deficit_best,
     })
     _write_csv(out, "report.csv", ("key", "value"), [
@@ -490,11 +491,11 @@ def _do_demo(cfg: dict) -> str:
         ("final_norm_hi", certs["final_norm"].hi),
         ("outside_max", certs["outside_max"]),
         ("delta_hat", delta_hat),
-        ("obstruction_positive", wrep["ladder_positive"]),
+        ("obstruction_bound", wrep["obstruction_bound"]),
         ("deficit_best", deficit_best),
         ("g_at_skeleton_max", g_at_skeleton),
     ])
-    return (f"demo: obstruction_positive={wrep['ladder_positive']} "
+    return (f"demo: obstruction_bound={wrep['obstruction_bound']:.6g} "
             f"deficit_best={deficit_best:.6g} "
             f"delta_hat={delta_hat:.6g} -> {out}")
 
@@ -521,6 +522,16 @@ def _do_run(cfg: dict) -> str:
     if name not in _PIPELINES:
         raise PreconditionError(f"unknown pipeline {name!r}", field="pipeline")
     doc.pop("schema_version", None)
+    # the config's keys are the flags of the pipeline's subcommand
+    flags = [a for a in _build_parser()[1][name]._actions if a.dest != "help"]
+    unknown = sorted(set(doc) - {a.dest for a in flags})
+    if unknown:
+        raise PreconditionError(f"unknown {name} config keys {unknown}",
+                                field=unknown[0])
+    missing = [a.dest for a in flags if a.required and a.dest not in doc]
+    if missing:
+        raise PreconditionError(f"{name} config misses keys {missing}",
+                                field=missing[0])
     if "out" not in doc and cfg.get("out"):
         doc["out"] = cfg["out"]
     if cfg.get("seed") is not None:
@@ -531,7 +542,8 @@ def _do_run(cfg: dict) -> str:
 # -- argument parsing ------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The argument parser, and its subcommand parsers by name and alias."""
     ap = argparse.ArgumentParser(
         prog="trigcert",
         description="certified constructions on the circle: flat polynomials, "
@@ -540,15 +552,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, **flags):
-        sp = sub.add_parser(name)
+    def add(name, aliases=(), **flags):
+        sp = sub.add_parser(name, aliases=aliases)
         for flag, kw in flags.items():
             sp.add_argument(f"--{flag.replace('_', '-')}", dest=flag, **kw)
         sp.add_argument("--out", default="out")
         sp.add_argument("--seed", default=None)
         return sp
 
-    add("construct-phi", q={"required": True}, gamma={"required": True})
+    add("construct-phi", ["phi"], q={"required": True}, gamma={"required": True})
     add("kahane", a={"required": True}, b={"required": True},
         delta={"required": True}, kmax={"default": "200"})
     add("bernstein", config={"required": True})
@@ -556,7 +568,7 @@ def _build_parser() -> argparse.ArgumentParser:
         check={"choices": ["moments", "concentration"], "default": "moments"})
     add("principal", config={"required": True})
     add("helson", q={"required": True}, stages={"required": True})
-    add("extension-probe", k={"required": True}, p={"required": True},
+    add("extension-probe", ["probe"], k={"required": True}, p={"required": True},
         eps={"required": True}, d={"required": True})
     add("probe-cyclicity", f={"required": True}, p={"required": True},
         dmax={"required": True})
@@ -568,7 +580,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("config")
     runp.add_argument("--out", default=None)
     runp.add_argument("--seed", default=None)
-    return ap
+    return ap, sub.choices
 
 
 _COMMANDS = dict(_PIPELINES)
@@ -576,7 +588,7 @@ _COMMANDS["run"] = _do_run
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser()[0].parse_args(argv)
     cfg = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
     try:
         _validate_env()

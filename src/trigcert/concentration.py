@@ -21,7 +21,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .errors import PreconditionError, ResourceError
+from .errors import PreconditionError
 
 _SUBSET_CAP = 20
 _SAMPLED_SUBSETS = 100_000
@@ -134,22 +134,15 @@ class MultiplicativeReport:
 
 
 def check_almost_multiplicative(
-    space: DiscreteProbSpace, variables, eps: float, seed: int = 0, sampled: bool = False
+    space: DiscreteProbSpace, variables, eps: float, seed: int = 0
 ) -> MultiplicativeReport:
     """Measure max over nonempty subsets A of |E[prod_A X]/mu^|A| - 1|.
 
-    Exhaustive for N <= 20; larger N raises unless sampled=True, which
-    checks uniform random subsets and says so in the report.
+    Exhaustive for N <= _SUBSET_CAP; larger N checks _SAMPLED_SUBSETS
+    uniform random subsets and says so in the report.
     """
     X, w, mu = _validated_variables(space, variables)
     N = len(X)
-    if N > _SUBSET_CAP and not sampled:
-        raise ResourceError(
-            f"exhaustive subset check capped at N = {_SUBSET_CAP}; "
-            "pass sampled=True for a randomized non-exhaustive check",
-            budget=_SUBSET_CAP,
-            required=N,
-        )
     worst = 0.0
     if N <= _SUBSET_CAP:
         checked = (1 << N) - 1
@@ -222,9 +215,7 @@ def bernstein_battery(space: DiscreteProbSpace, variables, alphas=None, seed: in
     X, _, mu = _validated_variables(space, variables)
     N = len(X)
     # X is already checked and float, so the check does not convert again
-    report = check_almost_multiplicative(
-        space, X, eps=math.inf, seed=seed, sampled=N > _SUBSET_CAP
-    )
+    report = check_almost_multiplicative(space, X, eps=math.inf, seed=seed)
     eps_hat = report.max_deviation
     alphas = [0.05 * k for k in range(1, 41)] if alphas is None else list(alphas)
     rows = []

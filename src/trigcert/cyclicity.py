@@ -1,14 +1,14 @@
 """l^p cyclicity diagnostics.
 
 Three instruments: multiplier_deficit searches for P making P*f close to 1
-in A_p (small values are cyclicity evidence), obstruction_bound turns an
-annihilating coefficient sequence S into a lower bound on that deficit
-over multipliers of capped coefficient mass, and smooth_noncyclic_witness
-builds a C^2 function vanishing exactly on a given arc set together with
-its obstruction ladder.  For a windowed f the solver brackets the
-degree-d deficit between a dual bound and the value it reaches; the
-obstruction bounds it below for an S that annihilates f.  Neither
-decides cyclicity from finite data.
+in A_p (small values are cyclicity evidence), obstruction_bound turns a
+sequence S with S*f = 0 into the lower bound |S_hat(0)| / ||S||_{A_q} on
+that deficit over every multiplier, and smooth_noncyclic_witness builds a
+C^2 function vanishing exactly on a given arc set together with that bound
+at p and at 2.  For a windowed f the solver brackets the degree-d deficit
+between a dual bound and the value it reaches, which decides nothing about
+cyclicity; the obstruction certifies non-cyclicity as far as its
+hypothesis S*f = 0 and its enclosures hold.
 """
 
 import math
@@ -21,14 +21,19 @@ from .gridcert import ArcSet, outside_report
 from .trigpoly import TWO_PI, CoeffSeq, Interval, TrigPoly
 
 _DIM_BUDGET = 1 << 24
-# smooth_noncyclic_witness: its window half-width, the degrees of its
-# obstruction ladder, and the largest |S| off K it accepts as support in K
+# smooth_noncyclic_witness: its window half-width, and the largest |S| off
+# K it accepts as support in K
 _WITNESS_WINDOW = 2048
-_WITNESS_LADDER = (1, 2, 4, 8, 16, 32, 64)
 _OUTSIDE_TOL = 1e-5
 # what a windowed p < 2 deficit row's two ends are
 DEFICIT_RIGOUR = {"lo": "float dual bound, roundoff not counted",
                   "hi": "A_p norm at the returned P"}
+# what the witness's obstruction rows rest on
+_OBSTRUCTION_RIGOUR = (
+    "structural + enclosure: S*f = 0 as S is supported in K, by construction "
+    "for a run_stages product and only on the scan grid (s_outside_max) for "
+    "an S read from a file; the enclosures of S_hat(0) and ||S||_{A_q} count "
+    "no roundoff and no CoeffSeq.multiply window error (ROADMAP items 1 and 5)")
 
 
 def _as_seq(f) -> CoeffSeq:
@@ -250,51 +255,29 @@ def cyclicity_profile(f, p: float, d_max: int, ds=None):
     return rows
 
 
-def obstruction_bound(S, f, p: float, d: int):
-    """Lower bound on ||1 - P*f||_{A_p} over multipliers P of degree <= d
-    and coefficient mass ||P||_l1 <= d + 1, from an annihilating sequence S
-    with finite A_q norm, q = p/(p-1).
+def obstruction_bound(S, f, p: float) -> float:
+    """Lower bound |S_hat(0)| / ||S||_{A_q}, q = p/(p-1), on ||1 - P*f||_{A_p}
+    over every multiplier P, for an S that annihilates f.
 
-    The pairing convention is <S, g> = sum_n g_hat(-n) S_hat(n), so the
-    translate pairings sit in the convolution S * f read at frequencies
-    -n.  pairing_residual is their max over |n| <= d plus the off-window
-    slack from the tails.  Via Holder,
+    f is the function whose deficit is bounded, and it is not read: the
+    hypothesis S*f = 0, a product of functions on the circle, is the
+    caller's to establish, for instance by S supported where f vanishes.
+    With the pairing <S, g> = sum_n g_hat(-n) S_hat(n), the mean of S*g,
+    it gives <S, P*f> = 0 for every P, so <S, 1 - P*f> = S_hat(0), and
+    Holder gives
 
-        ||1 - P*f||_{A_p} >= (|S_hat(0)| - ||P||_l1 * residual) / ||S||_{A_q}
+        |S_hat(0)| <= ||S||_{A_q} ||1 - P*f||_{A_p}.
 
-    and the returned bound caps the multiplier mass at d + 1; a residual
-    of zero makes the cap irrelevant.
+    The bound divides by the hi end of the A_q enclosure, so S's tail
+    counts against it.
     """
-    S, f = _as_seq(S), _as_seq(f)
+    S = _as_seq(S)
     if p <= 1.0:
         raise PreconditionError("p must exceed 1", field="p")
-    if d < 0:
-        raise PreconditionError("d must be >= 0", field="d")
-    q = p / (p - 1.0)
-    aq = S.a_p_norm(q)
+    aq = S.a_p_norm(p / (p - 1.0))
     if aq.hi == 0.0:
         raise PreconditionError("S must be nonzero", field="S")
-    # only the 2d+1 central entries of S * f are read; they need S's window
-    # on |n| <= f.M + d, zero-padded where it is shorter
-    reach = f.M + d
-    Sw = np.pad(S.window, max(0, reach - S.M))
-    mid = (len(Sw) - 1) // 2
-    seg = np.convolve(Sw[mid - reach : mid + reach + 1], f.window, mode="valid")
-    sup_f_hat = float(np.abs(f.window).max())
-    sup_s_hat = float(np.abs(S.window).max())
-    slack = (S.tail_l1() * max(sup_f_hat, _tail_peak(f))
-             + f.tail_l1() * max(sup_s_hat, _tail_peak(S))
-             + S.tail_l1() * _tail_peak(f))
-    residual = float(np.abs(seg).max()) + slack
-    s0 = float(abs(S.window[S.M]))
-    bound = max(0.0, s0 - (d + 1) * residual) / aq.hi
-    return bound, residual
-
-
-def _tail_peak(f: CoeffSeq) -> float:
-    if f.tail_const == 0.0:
-        return 0.0
-    return f.tail_const * float(f.M + 1) ** (-f.tail_exp)
+    return float(abs(S.window[S.M])) / aq.hi
 
 
 # -- smooth witness ------------------------------------------------------------
@@ -373,7 +356,7 @@ def _witness_tail_const(profiles) -> float:
 
 def smooth_noncyclic_witness(K: ArcSet, S, eps_smooth: float, p: float = 4.0 / 3.0):
     """Nonnegative C^2 function vanishing exactly on K, with certified
-    n^{-4} coefficient tail, and its obstruction ladder against S.
+    n^{-4} coefficient tail, and the obstruction bound S gives it.
 
     On each complementary gap (a, b) the profile is ((t-a)(b-t))^3 scaled
     to peak 1; the window coefficients, |n| <= _WITNESS_WINDOW, are
@@ -383,11 +366,11 @@ def smooth_noncyclic_witness(K: ArcSet, S, eps_smooth: float, p: float = 4.0 / 3
     sum |f_hat(n)| |n|^{eps_smooth}  converges for any eps_smooth <= 2,
     which is the certified smoothness margin.
 
-    S must be numerically supported in K (max outside below _OUTSIDE_TOL).
-    The report carries obstruction_bound(S, f, p, d) over _WITNESS_LADDER;
-    a positive entry bounds the deficit of f below only over multipliers of
-    degree <= d whose coefficient mass ||P||_l1 is at most d + 1, so the
-    ladder is not a non-cyclicity certificate.
+    S must be numerically supported in K (max outside below _OUTSIDE_TOL),
+    which is obstruction_bound's hypothesis S*f = 0 checked on the scan
+    grid.  The report carries obstruction_bound(S, f, p), a lower bound on
+    ||1 - P*f||_{A_p} over every multiplier P, the same ratio at p = 2 as
+    obstruction_bound_l2, and obstruction_rigour, what the two rest on.
     """
     S = _as_seq(S)
     if not K:
@@ -426,19 +409,17 @@ def smooth_noncyclic_witness(K: ArcSet, S, eps_smooth: float, p: float = 4.0 / 3
 
     weighted = float(np.sum(np.abs(coeffs) * np.maximum(1.0, np.abs(n_all)) ** eps_smooth))
     weighted += 2.0 * tail_const * M ** (eps_smooth - 3.0) / (3.0 - eps_smooth)
-    s0 = float(abs(S.window[S.M]))
-    ladder = [(d,) + obstruction_bound(S, f, p, d) for d in _WITNESS_LADDER]
     report = {
         "tail_const": tail_const,
         "tail_exp": 4.0,
         "eps_smooth": eps_smooth,
         "weighted_l1_bound": weighted,
-        "s_hat0": s0,
-        "s_hat0_vacuous": s0 == 0.0,
+        "s_hat0": float(abs(S.window[S.M])),
         "s_outside_max": out_max,
         "s_outside_bound": out_max + out_tail,
         "on_k_exact_max": 0.0,
-        "ladder": ladder,
-        "ladder_positive": any(b > 0.0 for _, b, _ in ladder),
+        "obstruction_bound": obstruction_bound(S, f, p),
+        "obstruction_bound_l2": obstruction_bound(S, f, 2.0),
+        "obstruction_rigour": _OBSTRUCTION_RIGOUR,
     }
     return f, report

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trigcert
-from trigcert.cli import _csv_cell, _encode, _write_json, main
+from trigcert.cli import _PIPELINES, _build_parser, _csv_cell, _encode, _write_json, main
 from trigcert.gridcert import ArcSet
 from trigcert.trigpoly import CoeffSeq, Interval, QComplex, TrigPoly, f17
 
@@ -63,7 +63,7 @@ def test_construct_phi_artifact(tmp_path):
     assert run_cli("construct-phi", "--q", 4, "--gamma", 0.5,
                    "--out", tmp_path) == 0
     doc = read_json(tmp_path / "phi.json")
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
     # floats travel as 17-significant-digit strings
     assert isinstance(doc["a_norm"], str)
     assert float(doc["a_norm"]) < 0.5
@@ -255,7 +255,7 @@ def test_witness_artifacts(helson_dir, tmp_path):
                    "--s", helson_dir / "S.json", "--p", P43,
                    "--out", tmp_path) == 0
     rep = read_json(tmp_path / "report.json")
-    assert rep["ladder_positive"] is True
+    assert float(rep["obstruction_bound"]) >= float(rep["obstruction_bound_l2"]) > 0
     w = CoeffSeq.from_json_dict(read_json(tmp_path / "witness.json"))
     assert w.tail_l1() < np.inf
 
@@ -275,6 +275,29 @@ def test_run_matches_direct_invocation(tmp_path):
     for name in ("measure.json", "report.csv"):
         assert ((tmp_path / "via_run" / name).read_bytes()
                 == (direct / name).read_bytes())
+
+
+def test_every_pipeline_has_a_subcommand():
+    _, subparsers = _build_parser()
+    assert set(_PIPELINES) <= set(subparsers)
+
+
+@pytest.mark.parametrize("doc, field", [
+    # a misspelled key is neither ignored nor a traceback
+    ({"pipeline": "kahane", "a": "1/5", "b": "2/5", "delta": "1/8",
+      "kmaxx": 6}, "kmaxx"),
+    ({"pipeline": "extension-probe", "k": "K.json", "p": P43,
+      "epsilon": 0.05, "d": 8}, "epsilon"),
+    ({"pipeline": "probe", "k": "K.json", "p": P43, "d": 8}, "eps"),
+])
+def test_run_checks_config_keys(tmp_path, monkeypatch, capsys, doc, field):
+    # a readable K.json, so that a probe config gets as far as its keys
+    monkeypatch.chdir(tmp_path)
+    Path("K.json").write_text(json.dumps(ArcSet([(1.0, 2.0)]).to_json_dict()))
+    Path("cfg.json").write_text(json.dumps(dict(doc, out="out")))
+    assert run_cli("run", "cfg.json") == 2
+    assert f"[{field}]" in capsys.readouterr().err
+    assert not Path("out").exists()
 
 
 def test_run_unknown_pipeline(tmp_path):
@@ -352,7 +375,8 @@ def test_demo_corollary_seeded_reruns_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     certs = read_json(a / "certificates.json")
-    assert certs["obstruction_positive"] is True
+    assert float(certs["obstruction_bound"]) > 0
+    assert certs["obstruction_rigour"].startswith("structural + enclosure")
     assert float(certs["delta_hat"]) > 0
     g_doc = read_json(a / "g_cyclic.json")
     # the probe's path reads only K, which no seed enters, so its bounds
@@ -479,7 +503,7 @@ def test_writer_converts_like_artifacts(tmp_path):
     }
     _write_json(tmp_path, "doc.json", payload)
     text = (tmp_path / "doc.json").read_text()
-    assert text == dumps(jsonable(dict(payload, schema_version=3))) + "\n"
+    assert text == dumps(jsonable(dict(payload, schema_version=4))) + "\n"
     assert text == dumps(json.loads(text)) + "\n"
 
 

@@ -257,49 +257,43 @@ class TestCyclicityProfile:
 
 
 class TestObstructionBound:
+    # formula oracles: the bound is |S_hat(0)| / ||S||_{A_q}, whatever f is
     def test_oracle(self):
         S = CoeffSeq(np.ones(3, dtype=complex), 1)
-        f = TrigPoly({3: 1.0})
-        bound, residual = obstruction_bound(S, f, 1.5, 1)
-        assert residual == 0.0
+        bound = obstruction_bound(S, TrigPoly({3: 1.0}), 1.5)  # q = 3
         assert bound == pytest.approx(3.0 ** (-1.0 / 3.0), abs=1e-10)
 
     def test_bound_is_respected_by_solver(self):
-        # S = delta_hat at 0 pairs residual-free with a far spectrum f;
-        # the certified bound 1 is attained by P = 0
+        # S = 2 delta_0 gives 1; f's spectrum sits at 9 and 10, so a
+        # multiplier of degree <= 4 leaves 1 - P*f's mean at 1 and the
+        # solver reaches no less
         S = CoeffSeq(np.array([2.0 + 0j]), 0)
         f = TrigPoly({9: 0.4, 10: 1.0})
-        bound, residual = obstruction_bound(S, f, 1.5, 4)
-        assert residual == 0.0
+        bound = obstruction_bound(S, f, 1.5)
         assert bound == pytest.approx(1.0)
         value, _ = multiplier_deficit(f, 1.5, 4)
         assert value.hi >= bound - 1e-9
 
-    def test_nonannihilating_pair_has_residual(self):
-        S = ONE_MINUS_Z.as_coeffseq()
-        bound, residual = obstruction_bound(S, ONE_MINUS_Z, 2.0, 1)
-        assert residual > 0.1
-
     def test_mean_zero_s_is_vacuous(self):
         S = CoeffSeq(np.array([0.5, 0.0, 0.5], dtype=complex), 1)
-        bound, _ = obstruction_bound(S, TrigPoly({5: 1.0}), 1.5, 0)
-        assert bound == 0.0
+        assert obstruction_bound(S, TrigPoly({5: 1.0}), 1.5) == 0.0
 
-    def test_tail_slack_enters_residual(self):
-        S = CoeffSeq(np.ones(3, dtype=complex), 1, 1e-2, 2.0)
-        f = TrigPoly({3: 1.0})
-        _, residual = obstruction_bound(S, f, 1.5, 1)
-        assert residual > 0.0
+    def test_tail_counts_at_the_norm_hi(self):
+        # the tail may add |n|^-2 / 2 at every |n| >= 2: the A_3 norm is
+        # only enclosed, and the bound must divide by its upper end
+        S = CoeffSeq(np.ones(3, dtype=complex), 1, 0.5, 2.0)
+        aq = S.a_p_norm(3.0)
+        bound = obstruction_bound(S, TrigPoly({3: 1.0}), 1.5)
+        assert bound == 1.0 / aq.hi
+        assert bound < 1.0 / aq.lo - 1e-3
 
     def test_preconditions(self):
         S = CoeffSeq(np.ones(3, dtype=complex), 1)
         with pytest.raises(PreconditionError):
-            obstruction_bound(S, ONE_MINUS_Z, 1.0, 1)
-        with pytest.raises(PreconditionError):
-            obstruction_bound(S, ONE_MINUS_Z, 1.5, -1)
+            obstruction_bound(S, ONE_MINUS_Z, 1.0)
         with pytest.raises(PreconditionError):
             obstruction_bound(CoeffSeq(np.zeros(1, dtype=complex), 0),
-                              ONE_MINUS_Z, 1.5, 1)
+                              ONE_MINUS_Z, 1.5)
 
 
 class TestPowerIntegrals:
@@ -377,21 +371,22 @@ class TestSmoothWitness:
         assert 0.0 < rep["weighted_l1_bound"] < math.inf
         assert rep["eps_smooth"] == 1.0
 
-    def test_obstruction_ladder_integration(self, half_circle, make_witness,
-                                            monkeypatch):
+    def test_obstruction_integration(self, half_circle, make_witness,
+                                     monkeypatch):
         # an annihilator genuinely carried by K: the witness of the
         # complement vanishes off K, so it passes the support check
         S, _ = make_witness(half_circle.complement())
         monkeypatch.setattr(cyclicity, "_OUTSIDE_TOL", 1e-5)
-        monkeypatch.setattr(cyclicity, "_WITNESS_LADDER", (1, 2, 4))
-        f, rep = smooth_noncyclic_witness(half_circle, S, 1.0)
+        f, rep = smooth_noncyclic_witness(half_circle, S, 1.0, p=1.5)
         assert rep["s_outside_max"] <= 1e-5
-        assert not rep["s_hat0_vacuous"]
-        assert rep["ladder_positive"]
-        ds = [d for d, _, _ in rep["ladder"]]
-        assert ds == [1, 2, 4]
-        for _, bound, residual in rep["ladder"]:
-            assert bound >= 0.0 and residual >= 0.0
+        assert rep["obstruction_bound"] == obstruction_bound(S, f, 1.5)
+        assert rep["obstruction_bound_l2"] == obstruction_bound(S, f, 2.0)
+        # ||S||_3 <= ||S||_2, so the p row is at least the l2 row
+        assert rep["obstruction_bound"] >= rep["obstruction_bound_l2"] > 0.0
+        assert rep["obstruction_rigour"].startswith("structural + enclosure")
+        for d in (0, 2):
+            value, _ = multiplier_deficit(f, 1.5, d)
+            assert value.hi >= rep["obstruction_bound"]
 
     def test_rejects_unsupported_s(self, half_circle):
         S = TrigPoly.const(1.0).as_coeffseq()
