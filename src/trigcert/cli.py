@@ -33,6 +33,7 @@ from .helson import extension_probe, helson_certificate, run_stages
 from .kahane import build_rho
 from .principal import PrincipalConfig, run_principal
 from .riesz import (
+    DEFAULT_C1_THEORETICAL,
     RieszSpec,
     choose_nu,
     grid_space,
@@ -180,6 +181,24 @@ def _load_json(path) -> dict:
         raise PreconditionError(f"invalid JSON in {path}: {exc}", field=str(path))
 
 
+def _sub_config(value) -> dict:
+    """A pipeline's config, given as a file name or inline in a run
+    config, without its schema_version."""
+    doc = _load_json(value) if isinstance(value, (str, Path)) else value
+    if not isinstance(doc, dict):
+        raise PreconditionError("a config must be a JSON object", field="config")
+    doc = dict(doc)
+    doc.pop("schema_version", None)
+    return doc
+
+
+def _check_keys(doc: dict, known, what: str) -> None:
+    """A key that its reader does not read is an error, not ignored."""
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise PreconditionError(f"unknown {what} keys {unknown}", field=unknown[0])
+
+
 def _poly_arg(value) -> TrigPoly:
     named = {
         "one": TrigPoly.const(1),
@@ -223,7 +242,7 @@ def _validate_env() -> None:
 
 
 def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg.get("out") or "out")
+    out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -241,7 +260,7 @@ def _do_phi(cfg: dict) -> str:
 def _do_kahane(cfg: dict) -> str:
     out = _out_dir(cfg)
     a, b = _rational(cfg["a"]), _rational(cfg["b"])
-    kmax = int(cfg.get("kmax", 200))
+    kmax = int(cfg["kmax"])
     rho = build_rho(a, b, _rational(cfg["delta"]))
     _write_json(out, "measure.json", {
         "measure": rho.to_json_dict(),
@@ -257,10 +276,13 @@ def _do_kahane(cfg: dict) -> str:
 def _space_from_config(cfg: dict):
     kind = cfg.get("space", "coins")
     if kind == "coins":
+        _check_keys(cfg, {"space", "alphas", "N", "p_plus"}, "coins config")
         space, xs = DiscreteProbSpace.coin_product(
             _rational(cfg.get("p_plus", "3/4")), int(cfg["N"]))
         return space, xs
     if kind == "riesz":
+        _check_keys(cfg, _RIESZ_SPEC_KEYS | {"space", "alphas", "s"},
+                    "riesz space config")
         spec = _riesz_spec(cfg)
         space, xs, _ = grid_space(spec, _rational(cfg.get("s", "1/4")))
         return space, xs
@@ -269,8 +291,7 @@ def _space_from_config(cfg: dict):
 
 def _do_bernstein(cfg: dict) -> str:
     out = _out_dir(cfg)
-    sub = cfg.get("config")
-    sub = _load_json(sub) if isinstance(sub, (str, Path)) else (sub or {})
+    sub = _sub_config(cfg["config"])
     space, xs = _space_from_config(sub)
     battery = bernstein_battery(space, xs, alphas=sub.get("alphas"),
                                 seed=master_seed(cfg))
@@ -286,20 +307,23 @@ def _do_bernstein(cfg: dict) -> str:
     return f"bernstein: N={battery['N']} rows={len(rows)} -> {out / 'report.csv'}"
 
 
+_RIESZ_SPEC_KEYS = {"phi", "w", "N", "nu"}
+
+
 def _riesz_spec(cfg: dict) -> RieszSpec:
     phi = _poly_arg(cfg.get("phi", "cos"))
     w = _poly_arg(cfg.get("w", "one"))
     N = int(cfg["N"])
     nu = int(cfg["nu"]) if "nu" in cfg else choose_nu(phi, w, N)
-    return RieszSpec(phi, w, N, nu, cfg.get("mode", "exact"))
+    return RieszSpec(phi, w, N, nu)
 
 
 def _do_riesz(cfg: dict) -> str:
     out = _out_dir(cfg)
-    sub = cfg.get("spec")
-    sub = _load_json(sub) if isinstance(sub, (str, Path)) else (sub or {})
+    sub = _sub_config(cfg["spec"])
+    _check_keys(sub, _RIESZ_SPEC_KEYS | {"c1", "conc_mode"}, "riesz spec")
     spec = _riesz_spec(sub)
-    check = cfg.get("check", "moments")
+    check = cfg["check"]
     # the moment check takes any s in (0, 1), the concentration check only
     # s inside (1/4, 1/3), whose midpoint is 7/24
     s = _rational(cfg.get("s", "1/4" if check == "moments" else "7/24"))
@@ -316,9 +340,8 @@ def _do_riesz(cfg: dict) -> str:
     if check == "concentration":
         rep = l2_concentration_check(
             spec, s,
-            c1=float(sub.get("c1", 2e-5)),
+            c1=float(sub.get("c1", DEFAULT_C1_THEORETICAL)),
             mode=sub.get("conc_mode", "theoretical"),
-            grid_bits=int(sub.get("grid_bits", 22)),
         )
         _write_csv(out, "report.csv",
                    ("lhs", "rhs", "holds", "mode", "method", "resolution"),
@@ -331,9 +354,7 @@ def _do_riesz(cfg: dict) -> str:
 
 def _do_principal(cfg: dict) -> str:
     out = _out_dir(cfg)
-    sub = cfg.get("config")
-    sub = _load_json(sub) if isinstance(sub, (str, Path)) else dict(sub or {})
-    sub.pop("schema_version", None)
+    sub = _sub_config(cfg["config"])
     if "q" not in sub or "eps" not in sub:
         raise PreconditionError("principal config needs q and eps", field="config")
     sub["u"] = _poly_arg(sub.get("u", "cos"))
@@ -422,7 +443,7 @@ def _do_witness(cfg: dict) -> str:
     out = _out_dir(cfg)
     K = ArcSet.from_json_dict(_load_json(cfg["k"]))
     S = CoeffSeq.from_json_dict(_load_json(cfg["s"]))
-    f, rep = smooth_noncyclic_witness(K, S, float(cfg.get("eps_smooth", 1.0)),
+    f, rep = smooth_noncyclic_witness(K, S, float(cfg["eps_smooth"]),
                                       p=float(cfg["p"]))
     _write_json(out, "witness.json", f.to_json_dict())
     _write_json(out, "report.json", rep)
@@ -432,9 +453,9 @@ def _do_witness(cfg: dict) -> str:
 
 def _do_demo(cfg: dict) -> str:
     out = _out_dir(cfg)
-    q = float(cfg.get("q", 4.0))
-    p = float(cfg.get("p", 4.0 / 3.0))
-    J = int(cfg.get("stages", 2))
+    q = float(cfg["q"])
+    p = float(cfg["p"])
+    J = int(cfg["stages"])
     seed = master_seed(cfg)
 
     _, S, K, certs = run_stages(q, J)
@@ -517,25 +538,25 @@ _PIPELINES = {
 
 
 def _do_run(cfg: dict) -> str:
-    doc = _load_json(cfg["config"])
+    doc = _sub_config(cfg["config"])
     name = doc.pop("pipeline", None)
     if name not in _PIPELINES:
         raise PreconditionError(f"unknown pipeline {name!r}", field="pipeline")
-    doc.pop("schema_version", None)
-    # the config's keys are the flags of the pipeline's subcommand
+    # run's --out and --seed fill what the config leaves out
+    for key in ("out", "seed"):
+        if key not in doc and cfg.get(key) is not None:
+            doc[key] = cfg[key]
+    # the config's keys are the flags of the pipeline's subcommand, and
+    # the subcommand's defaults fill the flags it leaves out
     flags = [a for a in _build_parser()[1][name]._actions if a.dest != "help"]
-    unknown = sorted(set(doc) - {a.dest for a in flags})
-    if unknown:
-        raise PreconditionError(f"unknown {name} config keys {unknown}",
-                                field=unknown[0])
+    _check_keys(doc, {a.dest for a in flags}, f"{name} config")
     missing = [a.dest for a in flags if a.required and a.dest not in doc]
     if missing:
         raise PreconditionError(f"{name} config misses keys {missing}",
                                 field=missing[0])
-    if "out" not in doc and cfg.get("out"):
-        doc["out"] = cfg["out"]
-    if cfg.get("seed") is not None:
-        doc["seed"] = cfg["seed"]
+    for a in flags:
+        if a.dest not in doc and a.default is not None:
+            doc[a.dest] = a.default
     return _PIPELINES[name](doc)
 
 
@@ -557,13 +578,12 @@ def _build_parser():
         for flag, kw in flags.items():
             sp.add_argument(f"--{flag.replace('_', '-')}", dest=flag, **kw)
         sp.add_argument("--out", default="out")
-        sp.add_argument("--seed", default=None)
         return sp
 
     add("construct-phi", ["phi"], q={"required": True}, gamma={"required": True})
     add("kahane", a={"required": True}, b={"required": True},
         delta={"required": True}, kmax={"default": "200"})
-    add("bernstein", config={"required": True})
+    add("bernstein", config={"required": True}, seed={})
     add("riesz", spec={"required": True}, s={},
         check={"choices": ["moments", "concentration"], "default": "moments"})
     add("principal", config={"required": True})
@@ -575,7 +595,7 @@ def _build_parser():
     add("witness", k={"required": True}, s={"required": True},
         p={"required": True}, eps_smooth={"default": "1.0"})
     add("demo-corollary", q={"default": "4"}, p={"default": "1.3333333333333333"},
-        stages={"default": "2"})
+        stages={"default": "2"}, seed={})
     runp = sub.add_parser("run")
     runp.add_argument("config")
     runp.add_argument("--out", default=None)

@@ -19,7 +19,6 @@ roundoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,15 +215,6 @@ class ArcSet:
 # -- certified sup ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SupCertificate:
-    bound: float
-    grid_size: int
-    grid_max: float
-    grid_min: float
-    method: str
-
-
 def uniform_grid(M: int) -> np.ndarray:
     """The M angles 2pi k / M, k = 0..M-1, as one array of float64."""
     return np.arange(M) * (TWO_PI / M)
@@ -258,21 +248,8 @@ def grid_scan_real(half: np.ndarray, M: int):
     return gmax, gmin
 
 
-def _grid_extrema(f: TrigPoly, M: int):
-    if f.is_real():
-        return grid_scan_real(_half_spectrum(f), M)
-    if M > _MAX_SYNTH:
-        raise ResourceError(
-            f"complex grid scan of size {M} exceeds the synthesis budget",
-            budget=_MAX_SYNTH,
-            required=M,
-        )
-    vals = np.abs(f.eval_grid(M))
-    return float(vals.max()), -float(vals.max())
-
-
-def sup_certificate(f: TrigPoly, grid_factor: int = 4) -> SupCertificate:
-    """Certified upper bound on sup |f| from one grid scan.
+def certified_sup(f: TrigPoly, grid_factor: int = 4) -> float:
+    """Certified upper bound on sup |f| for a real f, from one grid scan.
 
     Two valid bounds are combined: the l^1 norm of the coefficients and
     the arcsine Bernstein transport G / cos(pi d / M) (valid once M > 2d).
@@ -281,29 +258,23 @@ def sup_certificate(f: TrigPoly, grid_factor: int = 4) -> SupCertificate:
     """
     if grid_factor < 4:
         raise PreconditionError("grid_factor must be >= 4", field="grid_factor")
+    if not f.is_real():
+        raise PreconditionError("certified_sup needs a real polynomial", field="f")
     if not f.freqs.size:
-        return SupCertificate(0.0, 0, 0.0, 0.0, "zero")
+        return 0.0
     d = f.degree
     crude = f.coeff_l1()
     if d == 0:
-        return SupCertificate(crude, 1, crude, crude, "constant")
+        return crude
     M = _grid_for(d, grid_factor)
     x = math.pi * d / M
     if x >= 1.0:
         raise PreconditionError(
             f"grid too coarse: pi*deg/M = {x:.3f} >= 1", field="grid_factor"
         )
-    gmax, gmin = _grid_extrema(f, M)
+    gmax, gmin = grid_scan_real(_half_spectrum(f), M)
     G = max(abs(gmax), abs(gmin)) * (1.0 + _FP_PAD)
-    secant = G / math.cos(x)
-    bound = min(crude, secant)
-    method = "l1" if bound == crude else "secant"
-    return SupCertificate(bound, M, gmax, gmin, method)
-
-
-def certified_sup(f: TrigPoly, grid_factor: int = 4) -> float:
-    """Upper bound on ||f||_inf; see sup_certificate."""
-    return sup_certificate(f, grid_factor).bound
+    return min(crude, G / math.cos(x))
 
 
 # -- certified minimum and sign over an ArcSet ------------------------------

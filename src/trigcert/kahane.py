@@ -68,17 +68,6 @@ class AtomicMeasure:
             "n": self.n,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "AtomicMeasure":
-        return cls(
-            knots=tuple(Fraction(s) for s in data["knots"]),
-            masses=tuple(Fraction(m) for m in data["masses"]),
-            a=Fraction(data["a"]),
-            b=Fraction(data["b"]),
-            delta=Fraction(data["delta"]),
-            n=int(data["n"]),
-        )
-
 
 def interval_constant(a, b) -> float:
     """c = ln(2 e b / (b-a)) / ln(1/(2b)): the exponent tying the TV

@@ -27,7 +27,7 @@ from .gridcert import (
     superlevel_arcs,
 )
 from .kahane import build_rho, interval_constant
-from .riesz import RieszSpec, c2_constant, choose_nu, riesz_lambda
+from .riesz import DEFAULT_C1_THEORETICAL, RieszSpec, c2_constant, choose_nu, riesz_lambda
 from .rudin_shapiro import build_phi
 from .trigpoly import TWO_PI, CoeffSeq, TrigPoly, next_pow2
 
@@ -38,6 +38,14 @@ _MAX_WINDOW = 1 << 22
 
 # _dilation_margin reports at most this much room around E
 _MARGIN_CAP = 0.5
+
+# the construction's fixed parameters: the flat polynomial's A_q target
+# gamma, the mollifier order r (an r-fold box autoconvolution), the degree
+# cap of the Fejer weights and the superlevel cutoff c1 of each mode
+_GAMMA = 0.5
+_MOLLIFIER_ORDER = 4
+_W_DEGREE_BUDGET = 4096
+_C1 = {"theoretical": DEFAULT_C1_THEORETICAL, "empirical": 0.05}
 
 
 @dataclass(frozen=True)
@@ -63,12 +71,6 @@ class PrincipalConfig:
     u: TrigPoly
     N: int
     mode: str = "empirical"
-    c1: float = 0.0  # 0 means: default for the mode
-    gamma: float = 0.5
-    r: int = 4  # mollifier order (r-fold box autoconvolution)
-    eta: float = 0.0  # mollifier support width; 0 means auto from the margin
-    window: int = 0  # f coefficient window; 0 means auto
-    w_degree_budget: int = 4096
 
     def __post_init__(self):
         if self.q <= 2:
@@ -79,24 +81,14 @@ class PrincipalConfig:
             raise PreconditionError("N must be >= 1", field="N")
         if self.mode not in ("theoretical", "empirical"):
             raise PreconditionError("mode must be theoretical or empirical", field="mode")
-        if not 0 < self.gamma < 1:
-            raise PreconditionError("gamma must lie in (0, 1)", field="gamma")
-        if self.r < 2:
-            raise PreconditionError("mollifier order must be >= 2", field="r")
         if not isinstance(self.u, TrigPoly) or not self.u.freqs.size:
             raise PreconditionError("u must be a nonzero TrigPoly", field="u")
         if not self.u.is_real():
             raise PreconditionError("u must be real", field="u")
-        if self.mode == "theoretical" and c2_constant(self.c1_value) <= 0:
-            raise PreconditionError(
-                "theoretical mode needs c2(c1) > 0; take c1 < 3.7e-5", field="c1"
-            )
 
     @property
     def c1_value(self) -> float:
-        if self.c1 > 0:
-            return self.c1
-        return 2e-5 if self.mode == "theoretical" else 0.05
+        return _C1[self.mode]
 
     @property
     def c3(self) -> float:
@@ -114,7 +106,7 @@ class PrincipalConfig:
     def c5(self) -> float:
         # smallest exponent the chain tolerates; when c2 <= 0 (empirical
         # cutoffs) only the gamma^q/q branch is meaningful
-        branch = self.gamma**self.q / self.q
+        branch = _GAMMA**self.q / self.q
         if self.c2 > 0:
             branch = min(branch, self.c2 / (2.0 * self.c4))
         return 0.9 * branch
@@ -216,8 +208,7 @@ def energy_threshold(N: int, mode: str) -> float:
     return 0.5
 
 
-def build_w(u: TrigPoly, N: int, c3: float, mode: str = "empirical",
-            degree_budget: int = 4096):
+def build_w(u: TrigPoly, N: int, c3: float, mode: str = "empirical"):
     """Real weight with certified sup <= 1, certified sign dichotomy at
     level c3 against u, and L2 mass above the mode threshold.
 
@@ -274,7 +265,7 @@ def build_w(u: TrigPoly, N: int, c3: float, mode: str = "empirical",
         # level, which needs roughly m > 8 / (c3 * gap)
         m = 1 << max(3, math.ceil(math.log2(8.0 / (c3 * gap))))
         l2_reached = False
-        while m <= degree_budget:
+        while m <= _W_DEGREE_BUDGET:
             w = _fejer_step_weight(plus, minus, m)
             l2 = _l2_mass(w)
             if l2 >= threshold:
@@ -290,7 +281,7 @@ def build_w(u: TrigPoly, N: int, c3: float, mode: str = "empirical",
             break
     raise ResourceError(
         "no weight within the degree budget met the threshold",
-        budget=degree_budget, required=2 * degree_budget,
+        budget=_W_DEGREE_BUDGET, required=2 * _W_DEGREE_BUDGET,
     )
 
 
@@ -361,7 +352,7 @@ def run_principal(config: PrincipalConfig) -> PrincipalOutput:
         report.append((name, value))
 
     # 1. flat auxiliary polynomial
-    bundle = build_phi(q, config.gamma)
+    bundle = build_phi(q, _GAMMA)
     phi = bundle.to_trigpoly()
     phi_l1 = phi.coeff_l1()
     note("phi_k", bundle.k)
@@ -371,7 +362,7 @@ def run_principal(config: PrincipalConfig) -> PrincipalOutput:
     # 2. weight; the dichotomy level is c3/l1(phi) so that the sign chain
     # |P w| > 1 => |w| > c3/l1(phi) closes for any phi scale
     tau = c3 / phi_l1
-    w, w_cert = build_w(config.u, N, tau, mode, config.w_degree_budget)
+    w, w_cert = build_w(config.u, N, tau, mode)
     note("w_method", w_cert.method)
     note("w_l2", w_cert.l2)
 
@@ -385,7 +376,7 @@ def run_principal(config: PrincipalConfig) -> PrincipalOutput:
     note("delta", config.delta)
 
     # 5. lambda averaged against rho
-    spec = RieszSpec(phi, w, N, nu, mode="exact")
+    spec = RieszSpec(phi, w, N, nu)
     lam = TrigPoly.zero()
     for s_j, m_j in zip(rho.knots, rho.masses):
         lam = lam + riesz_lambda(spec, s_j).scale(float(m_j))
@@ -401,7 +392,7 @@ def run_principal(config: PrincipalConfig) -> PrincipalOutput:
 
     # defect of lambda against the atomic-moment bound
     lam_defect = _a_q_window_norm(lam, q)
-    lam_bound = config.delta * math.exp(config.gamma**q * N / q)
+    lam_bound = config.delta * math.exp(_GAMMA**q * N / q)
     note("lambda_a_q_defect", lam_defect)
     note("lambda_defect_bound", lam_bound)
 
@@ -426,7 +417,7 @@ def run_principal(config: PrincipalConfig) -> PrincipalOutput:
     if margin <= 0:
         raise CertificateError("margin", margin, 0.0,
                                "no certified gap between E and {X > c3}")
-    eta = config.eta if config.eta > 0 else 1.8 * margin
+    eta = 1.8 * margin
     K = E.dilate(eta / 2.0)
     if not K.subset_of(G3):
         raise CertificateError("containment", eta / 2.0, margin,
@@ -437,8 +428,8 @@ def run_principal(config: PrincipalConfig) -> PrincipalOutput:
 
     # 9. restricted coefficients of lambda over E, exactly
     lam_seq = lam.as_coeffseq()
-    r = config.r
-    M_f, capped = (config.window, False) if config.window else _auto_window(eta, r)
+    r = _MOLLIFIER_ORDER
+    M_f, capped = _auto_window(eta, r)
     h_hat = restricted_fourier(lam_seq.window, lam_seq.M, E, M_f)
     note("f_window", M_f)
     note("f_window_capped", capped)

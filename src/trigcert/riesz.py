@@ -24,6 +24,9 @@ from .trigpoly import QComplex, TrigPoly, _window_convolve, next_pow2
 # exact expansion cap: the dense window of lambda_s must stay addressable
 _EXACT_DEGREE_BUDGET = 1 << 20
 
+# dyadic grid of l2_concentration_check's inner superlevel set
+_GRID_BITS = 22
+
 S_RANGE = (Fraction(1, 4), Fraction(1, 3))
 
 DEFAULT_C1_THEORETICAL = 2e-5
@@ -45,13 +48,10 @@ class RieszSpec:
     w: TrigPoly
     N: int
     nu: int
-    mode: str = "exact"
 
     def __post_init__(self):
         if self.N < 1:
             raise PreconditionError("N must be >= 1", field="N")
-        if self.mode not in ("exact", "sampled"):
-            raise PreconditionError("mode must be exact or sampled", field="mode")
         if not self.phi.is_real():
             raise PreconditionError("phi must be real", field="phi")
         if not self.w.is_real():
@@ -66,7 +66,7 @@ class RieszSpec:
             raise PreconditionError("phi must have certified sup <= 1", field="phi")
         if certified_sup(self.w, 8) > 1 + 1e-6:
             raise PreconditionError("w must have certified sup <= 1", field="w")
-        if self.mode == "exact" and self.total_degree > _EXACT_DEGREE_BUDGET:
+        if self.total_degree > _EXACT_DEGREE_BUDGET:
             raise ResourceError(
                 "exact expansion exceeds the coefficient budget "
                 f"(total degree about nu^N = {self.nu}^{self.N})",
@@ -102,12 +102,9 @@ def _check_s(s):
     return s
 
 
-def riesz_lambda(spec: RieszSpec, s):
-    """The product itself: a TrigPoly in exact mode, a pointwise
-    evaluator in sampled mode."""
+def riesz_lambda(spec: RieszSpec, s) -> TrigPoly:
+    """The product itself, expanded; Fraction inputs come out exact."""
     _check_s(s)
-    if spec.mode == "sampled":
-        return lambda_evaluator(spec, s)
     lam = TrigPoly.const(1)
     for j in range(1, spec.N + 1):
         factor = TrigPoly.const(1) + (spec.w * spec.phi.dilate(spec.nu**j)).scale(s)
@@ -133,9 +130,8 @@ def verify_moment_formula(spec: RieszSpec, s, A):
     """lhs = E[prod_{j in A} X_j] under d mu_s = lambda_s dm; rhs is the
     closed form (s ||phi||_L2^2)^|A| * mean(w^(2|A|)).
 
-    Exact mode multiplies polynomials; Fraction inputs come out exact.
-    Sampled mode integrates on a grid strictly finer than the integrand
-    degree, which is again exact by disjointness of spectra.
+    lhs is the mean of the expanded integrand; Fraction inputs come out
+    exact.
     """
     _check_s(s)
     A = sorted(set(int(j) for j in A))
@@ -149,26 +145,10 @@ def verify_moment_formula(spec: RieszSpec, s, A):
         rhs = (s * l2) ** len(A) * w2a.mean()
     else:
         rhs = (float(s) * float(l2)) ** len(A) * w2a.mean()
-    if spec.mode == "exact":
-        integrand = riesz_lambda(spec, s)
-        for j in A:
-            integrand = integrand * spec.variable_poly(j)
-        lhs = integrand.mean()
-    else:
-        deg = spec.total_degree + sum(
-            spec.nu**j * spec.phi.degree + spec.w.degree for j in A
-        )
-        M = next_pow2(deg + 2)
-        if M > (1 << 24):
-            raise PreconditionError(
-                f"sampled-mode quadrature needs a grid of {M} > 2^24 points",
-                field="spec",
-            )
-        t = uniform_grid(M)
-        vals = lambda_evaluator(spec, s)(t)
-        for j in A:
-            vals = vals * spec.variable_poly(j).eval_at(t).real
-        lhs = float(vals.mean())
+    integrand = riesz_lambda(spec, s)
+    for j in A:
+        integrand = integrand * spec.variable_poly(j)
+    lhs = integrand.mean()
     lhs, rhs = _as_real(lhs), _as_real(rhs)
     if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
         err = float(abs(lhs - rhs))
@@ -216,15 +196,14 @@ def l2_concentration_check(
     s,
     c1: float = DEFAULT_C1_THEORETICAL,
     mode: str = "theoretical",
-    grid_bits: int = 22,
 ) -> ConcentrationReport:
     """Upper-bound integral of lambda_s^2 over {X < c1} against 2 e^{-c2 N}.
 
-    Exact path: ||lambda||_2^2 minus the integral of lambda^2 over an
-    inner (certified) superlevel set of X, computed through indicator
-    Fourier coefficients; the result is an upper bound on the true lhs,
-    so `holds` is a sound claim.  Sampled path: plain grid quadrature at
-    a reported resolution, no certification.
+    lhs is ||lambda||_2^2 minus the integral of lambda^2 over an inner
+    (certified) superlevel set of X, snapped inward to the dyadic grid of
+    _GRID_BITS bits and computed through indicator Fourier coefficients;
+    it is an upper bound on the true integral, so `holds` is a sound
+    claim.
     """
     _check_s(s)
     sf = float(s)
@@ -241,29 +220,19 @@ def l2_concentration_check(
         raise PreconditionError("mode must be theoretical or empirical", field="mode")
     rhs = 2.0 * math.exp(-c2 * spec.N)
     X = spec.average_poly()
-    if spec.mode == "exact":
-        lam = riesz_lambda(spec, s)
-        seq = lam.as_coeffseq()
-        D = seq.M
-        inner, _ = superlevel_arcs(X, c1, grid_factor=8)
-        total = float(seq.l2_norm_sq_window())
-        if inner:
-            snapped = inner.snap_inward(grid_bits)
-            sq = _window_convolve(seq.window, seq.window)
-            ind = indicator_coeffs(snapped, 2 * D, grid_bits)
-            on_inner = float(np.real(np.vdot(ind, sq)))
-        else:
-            on_inner = 0.0
-        lhs = max(0.0, total - on_inner)
-        method, resolution = "exact-arcs", 1 << grid_bits
+    seq = riesz_lambda(spec, s).as_coeffseq()
+    inner, _ = superlevel_arcs(X, c1, grid_factor=8)
+    total = float(seq.l2_norm_sq_window())
+    if inner:
+        snapped = inner.snap_inward(_GRID_BITS)
+        sq = _window_convolve(seq.window, seq.window)
+        ind = indicator_coeffs(snapped, 2 * seq.M, _GRID_BITS)
+        on_inner = float(np.real(np.vdot(ind, sq)))
     else:
-        M = min(max(next_pow2(2 * spec.total_degree + 2), 1 << 14), 1 << 22)
-        t = uniform_grid(M)
-        lam_vals = lambda_evaluator(spec, s)(t)
-        x_vals = X.eval_at(t).real
-        lhs = float(np.mean(lam_vals**2 * (x_vals < c1)))
-        method, resolution = "grid", M
-    return ConcentrationReport(lhs, rhs, lhs <= rhs, c1, c2, mode, method, resolution)
+        on_inner = 0.0
+    lhs = max(0.0, total - on_inner)
+    return ConcentrationReport(lhs, rhs, lhs <= rhs, c1, c2, mode, "exact-arcs",
+                               1 << _GRID_BITS)
 
 
 # -- bridge to finite probability spaces -------------------------------------

@@ -144,7 +144,7 @@ def _random_spec(rng):
         w = TrigPoly.const(0.4) + TrigPoly.cosine(1, 0.4)
     else:
         w = TrigPoly.const(float(rng.uniform(0.3, 1.0)))
-    spec = RieszSpec(phi, w, N, choose_nu(phi, w, N), "exact")
+    spec = RieszSpec(phi, w, N, choose_nu(phi, w, N))
     return spec, float(rng.uniform(0.05, 0.95))
 
 
@@ -159,7 +159,7 @@ def test_criterion_04_moment_formula():
     # worked example in rational arithmetic
     phi = TrigPoly.cosine(1, exact=True)
     w = TrigPoly.const(QComplex(1))
-    spec = RieszSpec(phi, w, 2, 3, "exact")
+    spec = RieszSpec(phi, w, 2, 3)
     lhs, rhs, err = verify_moment_formula(spec, Fraction(1, 4), [1, 2])
     assert lhs == Fraction(1, 64)
     assert rhs == Fraction(1, 64)
@@ -174,7 +174,7 @@ def test_criterion_05_bernstein_bound():
         assert all(row["tail"] <= row["bound"] for row in battery["rows"])
     phi, w = TrigPoly.cosine(1), TrigPoly.const(1)
     for N in (3, 5):
-        spec = RieszSpec(phi, w, N, choose_nu(phi, w, N), "exact")
+        spec = RieszSpec(phi, w, N, choose_nu(phi, w, N))
         space, xs, deviation = grid_space(spec, Fraction(7, 24))
         assert deviation < 1e-12  # quadrature grid is exact for these degrees
         report = check_almost_multiplicative(space, xs, eps=1.0)
@@ -189,7 +189,7 @@ def test_criterion_06_l2_concentration():
     s = Fraction(7, 24)
     empirical = []
     for N in (3, 4, 5):
-        spec = RieszSpec(phi, w, N, choose_nu(phi, w, N), "exact")
+        spec = RieszSpec(phi, w, N, choose_nu(phi, w, N))
         th = l2_concentration_check(spec, s, mode="theoretical")
         assert th.lhs >= 0 and th.rhs == pytest.approx(2.0, abs=1e-3)
         assert th.holds

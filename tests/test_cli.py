@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trigcert
+from trigcert import principal
 from trigcert.cli import _PIPELINES, _build_parser, _csv_cell, _encode, _write_json, main
 from trigcert.gridcert import ArcSet
 from trigcert.trigpoly import CoeffSeq, Interval, QComplex, TrigPoly, f17
@@ -54,6 +55,12 @@ def probe_dir(helson_dir, tmp_path_factory):
     assert run_cli("extension-probe", "--k", helson_dir / "K.json",
                    "--p", P43, "--eps", 0.05, "--d", 256, "--out", out) == 0
     return out
+
+
+@pytest.fixture
+def small_window(monkeypatch):
+    # a principal window capped at 2^16 keeps a run short
+    monkeypatch.setattr(principal, "_MAX_WINDOW", 1 << 16)
 
 
 # -- artifact shape ---------------------------------------------------------
@@ -153,7 +160,7 @@ def test_bernstein_seed_flag_and_env(tmp_path, monkeypatch):
 
 def test_riesz_moment_report(tmp_path):
     spec = tmp_path / "spec.json"
-    spec.write_text('{"phi": "cos", "w": "one", "N": 3, "mode": "exact"}\n')
+    spec.write_text('{"phi": "cos", "w": "one", "N": 3}\n')
     assert run_cli("riesz", "--spec", spec, "--s", "1/4",
                    "--check", "moments", "--out", tmp_path) == 0
     rows = read_csv(tmp_path / "report.csv")
@@ -163,7 +170,7 @@ def test_riesz_moment_report(tmp_path):
 
 def test_riesz_concentration_report(tmp_path):
     spec = tmp_path / "spec.json"
-    spec.write_text('{"phi": "cos", "w": "one", "N": 3, "mode": "exact"}\n')
+    spec.write_text('{"phi": "cos", "w": "one", "N": 3}\n')
     assert run_cli("riesz", "--spec", spec, "--s", "7/24",
                    "--check", "concentration", "--out", tmp_path) == 0
     doc = read_json(tmp_path / "concentration.json")
@@ -187,10 +194,32 @@ def test_riesz_default_s_per_check(tmp_path):
             assert (default / name).read_bytes() == (given / name).read_bytes(), name
 
 
-def test_principal_artifacts(tmp_path):
+@pytest.mark.parametrize("command, flag, doc, field", [
+    # principal's fixed parameters are no config keys
+    ("principal", "--config", {"q": 4, "eps": 0.9, "u": "cos", "N": 3,
+                               "gamma": 0.5}, "config"),
+    # the Riesz product is always expanded exactly, on a fixed grid
+    ("riesz", "--spec", {"phi": "cos", "w": "one", "N": 3, "mode": "exact"}, "mode"),
+    ("riesz", "--spec", {"phi": "cos", "w": "one", "N": 3, "grid_bits": 20},
+     "grid_bits"),
+    ("riesz", "--spec", {"phi": "cos", "w": "one", "N": 3, "nuu": 9}, "nuu"),
+    ("bernstein", "--config", {"space": "coins", "N": 4, "p_plus": "3/4",
+                               "alphaz": [0.1]}, "alphaz"),
+    ("bernstein", "--config", {"space": "riesz", "N": 2, "phi": "cos",
+                               "mode": "sampled"}, "mode"),
+], ids=["principal-gamma", "riesz-mode", "riesz-grid_bits", "riesz-nuu",
+        "coins-alphaz", "riesz-space-mode"])
+def test_config_rejects_unread_keys(tmp_path, capsys, command, flag, doc, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(doc, schema_version=4)))
+    assert run_cli(command, flag, cfg, "--out", tmp_path / "out") == 2
+    assert f"[{field}]" in capsys.readouterr().err
+
+
+def test_principal_artifacts(tmp_path, small_window):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"q": 4.0, "eps": 0.35, "u": "cos", "N": 2,
-                               "mode": "empirical", "window": 1 << 16}))
+                               "mode": "empirical"}))
     assert run_cli("principal", "--config", cfg, "--out", tmp_path) == 0
     K = ArcSet.from_json_dict(read_json(tmp_path / "K.json"))
     assert K.measure > 0
@@ -282,6 +311,43 @@ def test_every_pipeline_has_a_subcommand():
     assert set(_PIPELINES) <= set(subparsers)
 
 
+def test_seed_flag_only_where_a_seed_is_drawn():
+    _, subparsers = _build_parser()
+    seeded = {name for name, sp in subparsers.items()
+              if any(a.dest == "seed" for a in sp._actions)}
+    assert seeded == {"bernstein", "demo-corollary", "run"}
+
+
+def test_kahane_rejects_seed(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("kahane", "--a", "1/5", "--b", "2/5", "--delta", "1/8",
+                "--seed", 1, "--out", tmp_path)
+    assert exc.value.code == 2
+
+
+def test_run_seed_for_unseeded_pipeline(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pipeline": "kahane", "a": "1/5", "b": "2/5",
+                               "delta": "1/8", "out": str(tmp_path / "out")}))
+    assert run_cli("run", cfg, "--seed", 1) == 2
+    assert "[seed]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_fills_subcommand_defaults(tmp_path, monkeypatch):
+    # a config with only the required keys runs with the subcommand's
+    # defaults: kmax 200 and the output directory out/
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("kahane", "--a", "1/5", "--b", "2/5", "--delta", "1/8",
+                   "--out", "direct") == 0
+    Path("cfg.json").write_text(json.dumps({"pipeline": "kahane", "a": "1/5",
+                                            "b": "2/5", "delta": "1/8"}))
+    assert run_cli("run", "cfg.json") == 0
+    for name in ("measure.json", "report.csv"):
+        assert Path("out", name).read_bytes() == Path("direct", name).read_bytes()
+    assert len(read_csv(Path("out", "report.csv"))) == 200
+
+
 @pytest.mark.parametrize("doc, field", [
     # a misspelled key is neither ignored nor a traceback
     ({"pipeline": "kahane", "a": "1/5", "b": "2/5", "delta": "1/8",
@@ -289,6 +355,9 @@ def test_every_pipeline_has_a_subcommand():
     ({"pipeline": "extension-probe", "k": "K.json", "p": P43,
       "epsilon": 0.05, "d": 8}, "epsilon"),
     ({"pipeline": "probe", "k": "K.json", "p": P43, "d": 8}, "eps"),
+    # a pipeline that draws no random number takes no seed
+    ({"pipeline": "kahane", "a": "1/5", "b": "2/5", "delta": "1/8",
+      "seed": 1}, "seed"),
 ])
 def test_run_checks_config_keys(tmp_path, monkeypatch, capsys, doc, field):
     # a readable K.json, so that a probe config gets as far as its keys
@@ -324,10 +393,10 @@ def test_precondition_exit_code(tmp_path):
                    "--out", tmp_path) == 2
 
 
-def test_certificate_exit_code(tmp_path):
+def test_certificate_exit_code(tmp_path, small_window):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"q": 4.0, "eps": 0.01, "u": "one", "N": 2,
-                               "mode": "theoretical", "window": 1 << 16}))
+                               "mode": "theoretical"}))
     assert run_cli("principal", "--config", cfg, "--out", tmp_path) == 3
 
 
@@ -365,10 +434,14 @@ def test_usage_error_exits_2():
 
 
 def test_demo_corollary_seeded_reruns_identical(tmp_path):
+    # the rerun goes through a run config with only the seed, which takes
+    # the subcommand's defaults q 4, p 4/3 and 2 stages
     a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        assert run_cli("demo-corollary", "--q", 4, "--p", P43, "--stages", 2,
-                       "--seed", 7, "--out", out) == 0
+    assert run_cli("demo-corollary", "--q", 4, "--p", P43, "--stages", 2,
+                   "--seed", 7, "--out", a) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pipeline": "demo-corollary", "seed": 7, "out": str(b)}))
+    assert run_cli("run", cfg) == 0
     names = ("f_noncyclic.json", "g_cyclic.json", "zero_set.json",
              "certificates.json", "report.csv")
     for name in names:

@@ -24,7 +24,6 @@ from trigcert.gridcert import (
     grid_scan_real,
     indicator_coeffs,
     restricted_fourier,
-    sup_certificate,
     superlevel_arcs,
     uniform_grid,
 )
@@ -435,10 +434,9 @@ class TestArcSet:
 
 class TestCertifiedSup:
     def test_cosine_tight(self):
-        f = TrigPoly.cosine(1)
-        cert = sup_certificate(f, grid_factor=32)
-        assert cert.grid_size == 64
-        assert 1.0 <= cert.bound <= 1.0517
+        # the 64-point grid scan gives 1 / cos(pi / 64)
+        bound = certified_sup(TrigPoly.cosine(1), grid_factor=32)
+        assert 1.0 <= bound <= 1.0517
 
     def test_zero_and_const(self):
         assert certified_sup(TrigPoly.zero()) == 0.0
@@ -461,10 +459,8 @@ class TestCertifiedSup:
                 assert y <= x + 1e-12
 
     def test_complex_poly(self):
-        f = TrigPoly({2: 1.0, -3: 0.5j})
-        bound = certified_sup(f, 16)
-        dense = np.abs(f.eval_grid(8192)).max()
-        assert dense - 1e-9 <= bound <= 1.5 + 1e-12
+        with pytest.raises(PreconditionError, match="real"):
+            certified_sup(TrigPoly({2: 1.0, -3: 0.5j}), 16)
 
     def test_staggered_scan_matches_single(self, monkeypatch):
         import trigcert.gridcert as gc

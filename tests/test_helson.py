@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from trigcert import CertificateError, PreconditionError, TrigPoly, descent, helson
+from trigcert import CertificateError, PreconditionError, TrigPoly, descent, helson, principal
 from trigcert.gridcert import ArcSet, outside_report
 from trigcert.helson import (
     _atoms_uniform,
@@ -129,10 +129,12 @@ class TestRunStages:
         assert (seen[0].q, seen[0].N, seen[0].eps) == (4.0, 2, 0.99 * 0.25)
 
     def test_stage_failure_names_stage(self, monkeypatch):
-        # theoretical mode cannot reach this eps at toy sizes
+        # theoretical mode cannot reach this eps at toy sizes; a window
+        # capped at 2^16 keeps the run short and can only raise the defect
         real = helson.run_principal
+        monkeypatch.setattr(principal, "_MAX_WINDOW", 1 << 16)
         monkeypatch.setattr(helson, "run_principal", lambda cfg: real(dataclasses.replace(
-            cfg, u=TrigPoly.const(1.0), mode="theoretical", eps=0.01, window=1 << 16)))
+            cfg, u=TrigPoly.const(1.0), mode="theoretical", eps=0.01)))
         with pytest.raises(CertificateError, match="stage 1"):
             run_stages(4.0, 1)
 

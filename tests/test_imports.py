@@ -115,25 +115,47 @@ def test_every_function_referenced():
     assert sorted(set(KEEP) - set(dead)) == []
 
 
-# Defaulted parameters that no call in src/ sets, on purpose.
+# Defaulted parameters and dataclass fields that no call in src/ sets, on
+# purpose.
 KEEP_OPTIONS = {
     "cli.main.argv": "the benchmark and the tests pass the command line",
+    "principal.PrincipalConfig.mode":
+        "the benchmark's principal-n3 config sets it to empirical, and "
+        "theoretical selects the paper's constants",
 }
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if (getattr(d, "id", None) or getattr(d, "attr", None)) == "dataclass":
+            return True
+    return False
 
 
 def unset_options(sources: dict) -> list:
     """'module.function.param' (or 'module.Class.method.param') for each
-    defaulted parameter of a function or method in the given sources
-    (module name -> text) that no call in them passes, by keyword or by
-    position.  A call counts when it names a function of the same name,
-    directly or as an attribute, or the class for an ``__init__``; a
+    defaulted parameter of a function or method, and 'module.Class.field'
+    for each dataclass field with a default, in the given sources (module
+    name -> text) that no call in them passes, by keyword or by position.
+    A call counts when it names a function of the same name, directly or
+    as an attribute, or the class for an ``__init__`` or a dataclass; a
     method's positions start after self.  A call that unpacks ``*args``
-    or ``**kwargs`` is taken to pass everything."""
+    or ``**kwargs`` is taken to pass every parameter, but no dataclass
+    field: a config unpacked into a dataclass sets what its user writes,
+    not what a caller in the sources does."""
     defs, calls = [], {}
 
     def visit(node, prefix, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
+                if _is_dataclass(child):
+                    fields = [item for item in child.body
+                              if isinstance(item, ast.AnnAssign)
+                              and isinstance(item.target, ast.Name)]
+                    params = [(i, f.target.id) for i, f in enumerate(fields)
+                              if f.value is not None]
+                    defs.append((f"{prefix}.{child.name}", child.name, params, False))
                 visit(child, f"{prefix}.{child.name}", child.name)
                 continue
             if not isinstance(child, ast.FunctionDef):
@@ -151,7 +173,7 @@ def unset_options(sources: dict) -> list:
                        if d is not None]
             name = owner if owner and child.name == "__init__" else child.name
             qual = f"{prefix}.{child.name}"
-            defs.append((qual, name, params))
+            defs.append((qual, name, params, True))
             visit(child, qual, None)
 
     for module, source in sources.items():
@@ -163,16 +185,20 @@ def unset_options(sources: dict) -> list:
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
 
-    def passes(call, index, param):
-        if any(isinstance(a, ast.Starred) for a in call.args) or any(
-                k.arg is None for k in call.keywords):
+    def passes(call, index, param, unpack):
+        # positions up to the first *args are known
+        known = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)),
+                     len(call.args))
+        if unpack and (known < len(call.args)
+                       or any(k.arg is None for k in call.keywords)):
             return True
         return (any(k.arg == param for k in call.keywords)
-                or (index is not None and index < len(call.args)))
+                or (index is not None and index < known))
 
-    return sorted(f"{qual}.{param}" for qual, name, params in defs
+    return sorted(f"{qual}.{param}" for qual, name, params, unpack in defs
                   for index, param in params
-                  if not any(passes(c, index, param) for c in calls.get(name, [])))
+                  if not any(passes(c, index, param, unpack)
+                             for c in calls.get(name, [])))
 
 
 def test_option_checker_flags_unset():
@@ -191,6 +217,22 @@ def test_option_checker_flags_unset():
     assert unset_options(sources) == ["a.C.__init__.u", "a.C.m.j", "a.C.s.k"]
     sources["b"] = sources["b"].replace("    return f(*kw)\n", "    return None\n")
     assert unset_options(sources) == ["a.C.__init__.u", "a.C.m.j", "a.C.s.k", "a.f.z"]
+
+
+def test_option_checker_flags_unset_dataclass_fields():
+    sources = {
+        "a": "from dataclasses import dataclass\n\n"
+             "@dataclass(frozen=True)\nclass D:\n"
+             "    x: int\n    y: int = 1\n    z: int = 2\n    w: int = 3\n\n"
+             "@dataclass\nclass E:\n    v: int = 0\n\n"
+             "class Plain:\n    v: int = 0\n",
+        "b": "from a import D, E\n\n"
+             "def h(cfg):\n    D(1, 2)\n    D(x=1, w=4)\n    E(*cfg)\n"
+             "    return D(**cfg)\n",
+    }
+    # D(1, 2) sets y by position and D(x=1, w=4) sets w; neither D(**cfg)
+    # nor E(*cfg) sets a field, and a plain class has no fields
+    assert unset_options(sources) == ["a.D.z", "a.E.v"]
 
 
 def test_every_option_set_in_src():

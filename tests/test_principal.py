@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from trigcert import CertificateError, PreconditionError
+from trigcert import CertificateError, PreconditionError, principal
 from trigcert.gridcert import ArcSet, certified_min
 from trigcert.principal import (
     PrincipalConfig,
@@ -51,8 +51,6 @@ class TestConfig:
             dict(eps=0.0),
             dict(N=0),
             dict(mode="exact"),
-            dict(gamma=1.0),
-            dict(r=1),
             dict(u=TrigPoly.zero()),
             dict(u=TrigPoly({1: 1j})),
         ],
@@ -62,10 +60,6 @@ class TestConfig:
         base.update(kw)
         with pytest.raises(PreconditionError):
             PrincipalConfig(**base)
-
-    def test_theoretical_rejects_large_c1(self):
-        with pytest.raises(PreconditionError, match="c2"):
-            PrincipalConfig(q=4.0, eps=1.0, u=COS, N=2, mode="theoretical", c1=0.05)
 
 
 class TestEnergyThreshold:
@@ -323,17 +317,22 @@ class TestAutoWindow:
 
 
 class TestTheoreticalMode:
+    @pytest.fixture(autouse=True)
+    def small_window(self, monkeypatch):
+        # a window capped at 2^16 keeps these runs short and can only
+        # raise the defect
+        monkeypatch.setattr(principal, "_MAX_WINDOW", 1 << 16)
+
     def test_small_case_asserts_and_fails_honestly(self):
         # theoretical constants at tiny N cannot reach eps; the run must
         # raise a certificate failure rather than return weakened output
         u = TrigPoly.const(1.0)
-        cfg = PrincipalConfig(q=4.0, eps=0.01, u=u, N=2, mode="theoretical",
-                              window=1 << 16)
+        cfg = PrincipalConfig(q=4.0, eps=0.01, u=u, N=2, mode="theoretical")
         with pytest.raises(CertificateError):
             run_principal(cfg)
 
     def test_empirical_reports_instead(self):
         u = TrigPoly.const(1.0)
-        cfg = PrincipalConfig(q=4.0, eps=0.01, u=u, N=2, window=1 << 16)
+        cfg = PrincipalConfig(q=4.0, eps=0.01, u=u, N=2)
         out = run_principal(cfg)
         assert out.achieved_eps > 0.01  # reported, not asserted

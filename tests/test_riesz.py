@@ -24,10 +24,10 @@ COS_EXACT = TrigPoly.cosine(1, exact=True)
 ONE = TrigPoly.const(1)
 
 
-def spec_cos(N=2, nu=None, mode="exact", w=None):
+def spec_cos(N=2, nu=None, w=None):
     w = ONE if w is None else w
     nu = nu if nu is not None else choose_nu(COS_EXACT, w, N)
-    return RieszSpec(COS_EXACT, w, N, nu, mode)
+    return RieszSpec(COS_EXACT, w, N, nu)
 
 
 class TestChooseNu:
@@ -155,14 +155,6 @@ class TestMoments:
                 prod = math.prod(singles[j - 1] for j in A)
                 assert lhs >= prod - 1e-12
 
-    def test_sampled_mode_agrees(self):
-        spec_e = spec_cos(N=2, nu=3)
-        spec_s = spec_cos(N=2, nu=3, mode="sampled")
-        le, re_, _ = verify_moment_formula(spec_e, 0.25, [1, 2])
-        ls, rs, err = verify_moment_formula(spec_s, 0.25, [1, 2])
-        assert ls == pytest.approx(float(le), abs=1e-12)
-        assert err <= 1e-10
-
     def test_empty_subset_rejected(self):
         with pytest.raises(PreconditionError):
             verify_moment_formula(spec_cos(), 0.25, [])
@@ -202,11 +194,15 @@ class TestConcentration:
         assert rep.c2 == pytest.approx(c2_constant(0.02))
 
     def test_exact_upper_bounds_grid_value(self):
-        spec_e = spec_cos(N=3, nu=3)
-        spec_g = spec_cos(N=3, nu=3, mode="sampled")
-        exact = l2_concentration_check(spec_e, 0.3, c1=0.02, mode="empirical")
-        grid = l2_concentration_check(spec_g, 0.3, c1=0.02, mode="empirical")
-        assert exact.lhs >= grid.lhs - 1e-9
+        # the certified lhs bounds the plain quadrature of lambda^2 over
+        # {X < c1} on a grid finer than the integrand degree
+        spec = spec_cos(N=3, nu=3)
+        exact = l2_concentration_check(spec, 0.3, c1=0.02, mode="empirical")
+        t = 2 * math.pi * np.arange(1 << 14) / (1 << 14)
+        lam = lambda_evaluator(spec, 0.3)(t)
+        below = spec.average_poly().eval_at(t).real < 0.02
+        grid = float(np.mean(lam**2 * below))
+        assert exact.lhs >= grid - 1e-9
 
     def test_s_outside_range_rejected(self):
         spec = spec_cos(N=2, nu=3)
