@@ -51,6 +51,8 @@ class TestConfig:
             dict(eps=0.0),
             dict(N=0),
             dict(mode="exact"),
+            dict(u="cos"),
+            dict(u=TrigPoly({1: 1.0})),
             dict(u=TrigPoly.zero()),
             dict(u=TrigPoly({1: 1j})),
         ],
