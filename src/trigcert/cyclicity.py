@@ -46,44 +46,53 @@ def _deficit_value(f: CoeffSeq, P_hat: np.ndarray, d: int, p: float) -> Interval
     return one.add(P_seq.multiply(f), -1.0).a_p_norm(p)
 
 
-def _toeplitz_solve(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Solve T x = y for the Hermitian Toeplitz T with first column a,
-    T_jk = a[j - k] and a[-m] = conj(a[m]), by Levinson's recursion.
+def _toeplitz_inverse(a: np.ndarray):
+    """The map y -> T^-1 y for the Hermitian positive definite Toeplitz T
+    with first column a, T_jk = a[j - k] and a[-m] = conj(a[m]).
 
-    Step k extends the solutions of the leading k x k block: f and b solve
-    it against the first and the last unit vector, x against y's head.
-    Plain numpy sums, no LAPACK or BLAS call, so the bits do not depend
-    on the thread count.
+    T is factored once as T^-1 = U diag(1/b_k[k]) U^H: column k of the
+    upper triangular U is Levinson's backward vector b_k, which solves the
+    leading (k+1) x (k+1) block against its last unit vector, so U^H T U
+    is diagonal with the real, positive b_k[k].  Step k of the recursion
+    extends b and the forward vector f, which solves the block against
+    its first unit vector.  Factor and map use plain numpy products and
+    sums, no LAPACK or BLAS call, so the bits do not depend on the thread
+    count.
     """
+    n = len(a)
+    U = np.zeros((n, n), dtype=complex)
     ac = a.conj()
     f = b = np.array([1.0 / a[0]])
-    x = y[:1] / a[0]
-    for k in range(1, len(a)):
-        row = a[k:0:-1]  # row k of T, left of the diagonal
-        ef = np.sum(row * f)
+    U[0, 0] = b[0]
+    for k in range(1, n):
+        ef = np.sum(a[k:0:-1] * f)  # row k of T, left of the diagonal, at f
         eb = np.sum(ac[1 : k + 1] * b)
         f0, b0 = np.append(f, 0.0), np.insert(b, 0, 0.0)
         den = 1.0 - ef * eb
         f, b = (f0 - ef * b0) / den, (b0 - eb * f0) / den
-        x = np.append(x, 0.0) + (y[k] - np.sum(row * x)) * b
-    return x
+        U[: k + 1, k] = b
+    inv_diag = 1.0 / np.diagonal(U).real
+    Uc = U.conj()
+
+    def solve(y):
+        return np.sum(U * (np.sum(Uc * y[:, None], axis=0) * inv_diag), axis=1)
+
+    return solve
 
 
-def _p2_multiplier(fw: np.ndarray, M: int, d: int):
+def _p2_multiplier(fw: np.ndarray, M: int, d: int, solve):
     """Exact least-squares multiplier for the window part.
 
     The columns of C are the 2d+1 shifts of the f window, so C^H C is
     Hermitian Toeplitz with the window's autocorrelation as its first
-    column, and the normal equations are solved by _toeplitz_solve; C is
-    never formed.  They square C's condition number, so the residual's
-    orthogonality to every column, which holds at the optimum, is checked.
+    column, and solve, that matrix's _toeplitz_inverse, solves the normal
+    equations; C is never formed.  They square C's condition number, so
+    the residual's orthogonality to every column, which holds at the
+    optimum, is checked.
     """
     e0 = np.zeros(2 * (M + d) + 1, dtype=complex)
     e0[M + d] = 1.0
-    # correlate conjugates its second argument: entry k of the first is
-    # sum_n fw[n + k] conj(fw[n]), and the second is C^H e0
-    auto = np.correlate(np.pad(fw, (0, 2 * d)), fw, mode="valid")
-    P_hat = _toeplitz_solve(auto, np.correlate(e0, fw, mode="valid"))
+    P_hat = solve(np.correlate(e0, fw, mode="valid"))  # C^H e0
     r = e0 - np.convolve(P_hat, fw)
     ortho = float(np.abs(np.correlate(r, fw, mode="valid")).max())
     if ortho > 1e-8 * max(1.0, float(np.abs(fw).max())):
@@ -91,7 +100,7 @@ def _p2_multiplier(fw: np.ndarray, M: int, d: int):
     return P_hat
 
 
-def _multiplier_search(fw: np.ndarray, M: int, d: int, p: float):
+def _multiplier_search(fw: np.ndarray, M: int, d: int, p: float, solve):
     """(objective, gradient, line, residual, gap) for smoothed_descent on
     sum (|r|^2 + mu^2)^{p/2}, r = e0 - P*f over the window.
 
@@ -105,14 +114,14 @@ def _multiplier_search(fw: np.ndarray, M: int, d: int, p: float):
     smoothed_descent's certificate: hi = ||r||_p unsmoothed at P, and
     lo = |S'_{M+d}| / ||S'||_q, q = p/(p-1), for S = (|r|^2 + mu^2)^{(p-2)/2} r
     (C^H S is the gradient over -p) projected onto null(C^H) as
-    S' = S - C T^-1 C^H S, T = C^H C the Toeplitz autocorrelation of
-    _p2_multiplier.  Every r = e0 - C P then has <S', r> = conj(S'_{M+d}),
-    and Holder gives the bound for every multiplier of degree <= d.
+    S' = S - C T^-1 C^H S by _project_null, with solve the T^-1 of
+    _p2_multiplier, factored once a rung.  Every r = e0 - C P then has
+    <S', r> = conj(S'_{M+d}), and Holder gives the bound for every
+    multiplier of degree <= d.
     """
     e0 = np.zeros(2 * (M + d) + 1, dtype=complex)
     e0[M + d] = 1.0
     q = p / (p - 1.0)
-    auto = np.correlate(np.pad(fw, (0, 2 * d)), fw, mode="valid")
     last = [None, None]  # a point and its residual
     smooth = [None, None, None]  # a residual, mu and |r|^2 + mu^2
 
@@ -148,15 +157,19 @@ def _multiplier_search(fw: np.ndarray, M: int, d: int, p: float):
         return trial
 
     def gap(P, mu):
-        S = dual_vector(P, mu)
-        x = _toeplitz_solve(auto, np.correlate(S, fw, mode="valid"))
-        S = S - np.convolve(x, fw)  # C^H S = 0 now
+        S = _project_null(dual_vector(P, mu), fw, solve)
         dual = float(np.sum(np.abs(S) ** q)) ** (1.0 / q)
         lo = float(abs(S[M + d])) / dual if dual > 0.0 else 0.0
         hi = float(np.sum(np.abs(residual(P)) ** p)) ** (1.0 / p)
         return lo, hi, P
 
     return objective, gradient, line, residual, gap
+
+
+def _project_null(S: np.ndarray, fw: np.ndarray, solve) -> np.ndarray:
+    """S - C T^-1 C^H S, S's projection onto null(C^H): C^H of it is 0 up
+    to roundoff, which the gap's dual bound does not count."""
+    return S - np.convolve(solve(np.correlate(S, fw, mode="valid")), fw)
 
 
 def _check_multiplier_problem(f: CoeffSeq, p: float, d: int) -> None:
@@ -180,11 +193,14 @@ def multiplier_deficit(f, p: float, d: int):
     Returns (value, P); value is an Interval that encloses that minimum
     for a windowed f.  At p = 2 the window minimum is the exact
     least-squares solution, verified by orthogonality of the residual, and
-    value is [hi, hi].  For p in (1, 2) the solver minimizes the smoothed
-    coefficient objective (continuation mu = 1e-2, 1e-4, 1e-8, monotone
-    backtracking, warm started at the p = 2 solution), and smoothed_descent
-    checks _multiplier_search's window bracket at the start and every
-    GAP_EVERY steps of a stage; it stops once hi - lo <= GAP_REL * lo, or
+    value is [hi, hi].  The window's autocorrelation and the factor of its
+    Toeplitz matrix (_toeplitz_inverse) are formed once, and serve that
+    solve and every gap check of the search.  For p in (1, 2) the solver
+    minimizes the smoothed coefficient objective (continuation mu = 1e-2,
+    1e-4, 1e-8, monotone backtracking, warm started at the p = 2
+    solution), and smoothed_descent checks _multiplier_search's window
+    bracket at the start and after GAP_FIRST, 2 GAP_FIRST, 4 GAP_FIRST,
+    ... steps of each stage; it stops once hi - lo <= GAP_REL * lo, or
     else on a stage's own rule (step, stall after 50 iterations of
     relative decrease below 1e-10, or cap).  value is then [lo, hi]: lo
     the descent's dual end, a float bound with roundoff not counted, and
@@ -206,10 +222,15 @@ def multiplier_deficit(f, p: float, d: int):
     _check_multiplier_problem(f, p, d)
     scale = float(np.abs(f.window).max())
     fw = f.window / scale
-    P_hat = _p2_multiplier(fw, f.M, d)
+    # correlate conjugates its second argument: entry k is
+    # sum_n fw[n + k] conj(fw[n]), the first column of T = C^H C
+    solve = _toeplitz_inverse(np.correlate(np.pad(fw, (0, 2 * d)), fw,
+                                           mode="valid"))
+    P_hat = _p2_multiplier(fw, f.M, d, solve)
     lo = None
     if p < 2.0:
-        objective, gradient, line, _, gap = _multiplier_search(fw, f.M, d, p)
+        objective, gradient, line, _, gap = _multiplier_search(fw, f.M, d, p,
+                                                               solve)
         P_hat, (lo, _), _ = smoothed_descent(P_hat, objective, gradient,
                                              stall_rel=1e-10, line=line, gap=gap)
     P_hat = P_hat / scale

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import CertificateError
 
-GAP_EVERY = 100  # accepted steps of a stage between two gap checks
+GAP_FIRST = 10  # a stage's gap checks come after 10, 20, 40, ... steps
 GAP_REL = 1e-5  # the descent ends once hi - lo <= GAP_REL * lo
 
 
@@ -36,8 +36,11 @@ def smoothed_descent(x0, objective, gradient, stall_rel: float,
     gap(x, mu), when given, returns (lo, hi, y): a bracket of the
     unsmoothed minimum and the point y whose value is hi, x itself or a
     better point the hook found.  It is checked at x0 with mu = 1e-2,
-    after every GAP_EVERY accepted steps of a stage and, when no check
-    has closed, once at the exit point with the last stage's mu.  Once
+    after GAP_FIRST, 2 GAP_FIRST, 4 GAP_FIRST, ... accepted steps of each
+    stage (9 checks in a stage at the cap) and, when no check has closed,
+    once at the exit point with the last stage's mu.  The doubling
+    schedule ends a stage soon after its bracket closes, yet keeps the
+    checks few where a hook is dear and a stage runs long.  Once
     hi - lo <= GAP_REL * lo the whole descent ends there: no later stage
     can improve on a point already certified near-optimal, and a
     certified x0 leaves the one stage record {mu 1e-2, steps 0, stop "gap"}.
@@ -59,8 +62,9 @@ def smoothed_descent(x0, objective, gradient, stall_rel: float,
         F = objective(x, mu)
         step = 1.0
         steps = stall = 0
+        next_check = GAP_FIRST
         prev_x = prev_g = None
-        for k in range(1, 5001):
+        for _ in range(5000):
             g = gradient(x, mu)
             if prev_g is not None:
                 dx, dg = x - prev_x, g - prev_g
@@ -81,7 +85,8 @@ def smoothed_descent(x0, objective, gradient, stall_rel: float,
             rel = (F - Fc) / max(F, 1e-300)
             x, F = cand, Fc
             steps += 1
-            if gap is not None and k % GAP_EVERY == 0:
+            if gap is not None and steps == next_check:
+                next_check *= 2
                 check = gap(x, mu)
                 if _closed(check):
                     stop = "gap"

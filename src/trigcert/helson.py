@@ -375,13 +375,13 @@ def extension_probe(K: ArcSet, points, values, p: float, eps: float, d: int):
     back onto the affine interpolation constraints, and backtracking keeps
     the objective monotone over the accepted points.  The probe's gap hook
     forms the bracket below, and smoothed_descent checks it at the start
-    point and every 100 accepted steps, ends once the relative duality gap
-    is at most 1e-5, and returns the last check's point and bracket.  Each
-    check also runs _kkt_newton from the descent's multiplier: at most 8
-    damped Newton steps on the 2m + 1 real KKT equations of the m points,
-    which converge quadratically where the descent converges sublinearly,
-    so a check at the start usually certifies it and the descent takes no
-    step.  The descent stays the globalizer: where Newton fails, it goes
+    point and after 10, 20, 40, ... accepted steps of each stage, ends
+    once the relative duality gap is at most 1e-5, and returns the last
+    check's point and bracket.  Each check also runs _kkt_newton from the
+    descent's multiplier: at most 8 damped Newton steps on the 2m + 1 real
+    KKT equations of the m points, which converge quadratically where the
+    descent converges sublinearly, so a check at the start usually
+    certifies it and the descent takes no step.  The descent stays the globalizer: where Newton fails, it goes
     on.  The 2d+1 complex coefficients make the program feasible whenever
     the points are distinct and at most 2d+1.  The projection is
     c - A^H G^-1 A c, with A the rows exp(i n x_j) and G = A A^H the

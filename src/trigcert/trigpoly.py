@@ -607,18 +607,16 @@ class CoeffSeq:
         M_out = int(M_out)
         if M_out >= self.M:
             return self
-        dropped = np.concatenate(
-            [self.window[: self.M - M_out], self.window[self.M + M_out + 1 :]]
-        )
-        idx = np.concatenate(
-            [np.arange(-self.M, -M_out), np.arange(M_out + 1, self.M + 1)]
-        )
-        window = self.window[self.M - M_out : self.M + M_out + 1].copy()
+        M = self.M
+        window = self.window[M - M_out : M + M_out + 1].copy()
         if self.tail_const:
             exp = self.tail_exp
         else:
             exp = max(self.tail_exp, 2.0)
-        measured = float(np.max(np.abs(dropped) * np.abs(idx) ** exp, initial=0.0))
+        # the two dropped halves, each in increasing |n|, share |n|^exp
+        weight = np.arange(M_out + 1, M + 1) ** exp
+        measured = max(float(np.max(np.abs(self.window[: M - M_out][::-1]) * weight)),
+                       float(np.max(np.abs(self.window[M + M_out + 1 :]) * weight)))
         # old tail restated at the same exponent stays valid verbatim
         const = max(measured, self.tail_const)
         return CoeffSeq(window, M_out, const, exp)

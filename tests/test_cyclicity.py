@@ -10,6 +10,7 @@ from trigcert.cyclicity import (
     _multiplier_search,
     _p2_multiplier,
     _power_integrals,
+    _toeplitz_inverse,
     cyclicity_profile,
     multiplier_deficit,
     obstruction_bound,
@@ -21,6 +22,16 @@ from trigcert.descent import GAP_REL, smoothed_descent
 from trigcert.gridcert import ArcSet
 
 TWO_PI = 2.0 * math.pi
+
+
+def autocorrelation(fw, d):
+    """The first column of the Toeplitz C^H C of the window's 2d+1 shifts."""
+    return np.correlate(np.pad(fw, (0, 2 * d)), fw, mode="valid")
+
+
+def solver(fw, d):
+    return _toeplitz_inverse(autocorrelation(fw, d))
+
 
 ONE_MINUS_Z = TrigPoly({0: 1.0, 1: -1.0})
 
@@ -66,7 +77,7 @@ class TestMultiplierDeficit:
         # the smoothed descent's exact result on one p < 2 problem
         f = TrigPoly({0: 1.0, 1: -0.9, 3: 0.4})
         value, _ = multiplier_deficit(f, 4.0 / 3.0, 4)
-        assert value.hi == pytest.approx(0.4088567111861746, abs=1e-12)
+        assert value.hi == pytest.approx(0.40885487550032695, abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 6, 14])
     def test_p32_bracket_holds_the_closed_form(self, d):
@@ -93,7 +104,7 @@ class TestMultiplierDeficit:
         assert value.lo < value.hi
         assert value.hi - value.lo <= 1e-5 * value.lo
         assert stages[-1]["stop"] == "gap"
-        assert sum(s["steps"] for s in stages) == 200
+        assert sum(s["steps"] for s in stages) == 260
         # a descent run to its stall rule reached 0.40885459253425877, a
         # primal value the dual must not exceed
         assert value.lo <= 0.40885459253425877
@@ -106,8 +117,9 @@ class TestMultiplierDeficit:
         w = _random_window(M)
         f = CoeffSeq(w, M)
         value, _ = multiplier_deficit(f, p, d)
-        objective, gradient, line, _, _ = _multiplier_search(w, M, d, p)
-        P, _, stages = smoothed_descent(_p2_multiplier(w, M, d), objective,
+        solve = solver(w, d)
+        objective, gradient, line, _, _ = _multiplier_search(w, M, d, p, solve)
+        P, _, stages = smoothed_descent(_p2_multiplier(w, M, d, solve), objective,
                                         gradient, stall_rel=1e-14, line=line)
         longer = _deficit_value(f, P, d, p).hi
         assert value.lo <= longer <= value.hi
@@ -129,8 +141,8 @@ class TestMultiplierDeficit:
         f = CoeffSeq(w, 3)
         exact, _ = multiplier_deficit(f, 2.0, 4)
         scale = float(np.abs(w).max())
-        objective, gradient, line, _, gap = _multiplier_search(w / scale, 3, 4,
-                                                               2.0)
+        objective, gradient, line, _, gap = _multiplier_search(
+            w / scale, 3, 4, 2.0, solver(w / scale, 4))
         start = np.zeros(9, dtype=complex)
         P, _, _ = smoothed_descent(start, objective, gradient, stall_rel=1e-10,
                                    line=line, gap=gap)
@@ -189,7 +201,7 @@ class TestP2Multiplier:
     @pytest.mark.parametrize("name", sorted(P2_WINDOWS))
     def test_levinson_matches_lstsq(self, name, d):
         fw, M = P2_WINDOWS[name]
-        got = _p2_multiplier(fw, M, d)
+        got = _p2_multiplier(fw, M, d, solver(fw, d))
         assert got.shape == (2 * d + 1,)
         assert np.abs(got - shift_matrix_multiplier(fw, M, d)).max() <= 1e-12
 
@@ -199,7 +211,9 @@ class TestP2Multiplier:
         # e0 - P*f to roundoff
         M, d, p = 64, 16, 4.0 / 3.0
         fw = _random_window(M)
-        objective, gradient, line, residual, _ = _multiplier_search(fw, M, d, p)
+        solve = solver(fw, d)
+        objective, gradient, line, residual, _ = _multiplier_search(fw, M, d, p,
+                                                                    solve)
         e0 = np.zeros(2 * (M + d) + 1, dtype=complex)
         e0[M + d] = 1.0
         drift = []
@@ -208,13 +222,53 @@ class TestP2Multiplier:
             drift.append(float(np.abs(residual(P) - (e0 - np.convolve(P, fw))).max()))
             return objective(P, mu)
 
-        P, _, stages = smoothed_descent(_p2_multiplier(fw, M, d), checked,
+        P, _, stages = smoothed_descent(_p2_multiplier(fw, M, d, solve), checked,
                                         gradient, stall_rel=1e-10, line=line)
         assert [s["mu"] for s in stages] == [1e-2, 1e-4, 1e-8]
         checked(P, 1e-8)
         assert len(drift) > 100
         # the carried residual is in use: it is not the convolution's bits
         assert 0.0 < max(drift) <= 1e-12
+
+    @pytest.mark.parametrize("d", [0, 1, 4, 64])
+    @pytest.mark.parametrize("name", sorted(P2_WINDOWS))
+    def test_factor_matches_dense_solve(self, name, d):
+        # the factor, formed once a rung, applied to y against LAPACK on
+        # the dense Toeplitz matrix T_jk = a[j - k]
+        fw, _ = P2_WINDOWS[name]
+        a = autocorrelation(fw, d)
+        n = 2 * d + 1
+        jk = np.subtract.outer(np.arange(n), np.arange(n))
+        T = np.where(jk >= 0, a[np.abs(jk)], a[np.abs(jk)].conj())
+        rng = np.random.default_rng(d)
+        y = rng.normal(size=n) + 1j * rng.normal(size=n)
+        want = np.linalg.solve(T, y)
+        got = _toeplitz_inverse(a)(y)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d", [4, 64])
+    @pytest.mark.parametrize("name", sorted(P2_WINDOWS))
+    def test_projected_dual_annihilates_the_shifts(self, name, d, monkeypatch):
+        # the gap's dual bound rests on C^H S' = 0 for its projected dual
+        # S'; at every check of a real descent it must hold to roundoff
+        # relative to max|S| ||fw||_1 (the random window's d = 64 search
+        # checks 19 times, at up to 2.9e-16)
+        fw, M = P2_WINDOWS[name]
+        p = 4.0 / 3.0
+        seen = []
+        project = cyclicity._project_null
+
+        def recorded(S, fw, solve):
+            out = project(S, fw, solve)
+            seen.append((S, out))
+            return out
+
+        monkeypatch.setattr(cyclicity, "_project_null", recorded)
+        multiplier_deficit(CoeffSeq(fw, M), p, d)
+        assert seen
+        for S, projected in seen:
+            ortho = np.abs(np.correlate(projected, fw, mode="valid")).max()
+            assert ortho <= 1e-13 * np.abs(S).max() * np.abs(fw).sum()
 
 
 class TestCyclicityProfile:

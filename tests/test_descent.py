@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trigcert import CertificateError
-from trigcert.descent import GAP_EVERY, smoothed_descent
+from trigcert.descent import GAP_FIRST, smoothed_descent
 
 
 def quadratic():
@@ -51,9 +51,9 @@ def test_certified_start_takes_no_step():
 
 
 def test_uncertified_start_descends_as_without_a_hook():
-    # a gap that never closes is checked at the start, every GAP_EVERY
-    # steps and once at exit, and leaves the path bit for bit that of the
-    # hook-less descent
+    # a gap that never closes is checked at the start, after GAP_FIRST,
+    # 2 GAP_FIRST, 4 GAP_FIRST, ... steps of each stage and once at exit,
+    # and leaves the path bit for bit that of the hook-less descent
     objective, gradient = quadratic()
     x0 = np.array([3.0, -2.0])
     calls = []
@@ -69,7 +69,37 @@ def test_uncertified_start_descends_as_without_a_hook():
     assert np.array_equal(x, x_ref) and bracket_ref is None
     assert stages == stages_ref
     assert calls[0] == 1e-2 and calls[-1] == stages[-1]["mu"]
-    assert len(calls) == 2 + sum(s["steps"] // GAP_EVERY for s in stages)
+    # (steps // GAP_FIRST).bit_length() counts the j with GAP_FIRST 2^j <= steps
+    assert len(calls) == 2 + sum((s["steps"] // GAP_FIRST).bit_length()
+                                 for s in stages)
+
+
+def test_gap_schedule_doubles_in_each_stage():
+    # -sum(x) has no minimum and a constant gradient: every step of length
+    # 1 is accepted, so each stage runs to the 5000-step cap, where the
+    # doubling schedule makes 9 checks
+    def objective(x, mu):
+        return -float(np.sum(x))
+
+    steps = []  # the mu of each iteration
+
+    def gradient(x, mu):
+        steps.append(mu)
+        return -np.ones_like(x)
+
+    calls = []
+
+    def gap(x, mu):
+        calls.append((mu, steps.count(mu)))
+        return 0.0, 1.0, x
+
+    _, _, stages = smoothed_descent(np.zeros(2), objective, gradient,
+                                    stall_rel=1e-12, gap=gap)
+    mus = (1e-2, 1e-4, 1e-8)
+    assert stages == [{"mu": mu, "steps": 5000, "stop": "cap"} for mu in mus]
+    assert calls == ([(1e-2, 0)]
+                     + [(mu, 10 * 2**j) for mu in mus for j in range(9)]
+                     + [(1e-8, 5000)])
 
 
 def test_exit_check_point_and_bracket_are_returned():
