@@ -212,11 +212,16 @@ def _poly_arg(value) -> TrigPoly:
     return TrigPoly.from_json_dict(value)
 
 
-def _rational(text) -> Fraction:
+def _number(cfg: dict, key: str, kind, default=None):
+    """cfg[key], or default when the key is absent, read from its text as
+    kind (int, float or Fraction); a value that does not read as one, a
+    bool or a list say, fails naming the key."""
+    raw = cfg.get(key, default)
     try:
-        return Fraction(str(text))
+        return kind(str(raw))
     except (ValueError, ZeroDivisionError):
-        raise PreconditionError(f"not a rational: {text!r}")
+        what = {int: "an integer", float: "a number", Fraction: "a rational"}[kind]
+        raise PreconditionError(f"not {what}: {raw!r}", field=key)
 
 
 # -- environment ---------------------------------------------------------------
@@ -224,13 +229,9 @@ def _rational(text) -> Fraction:
 
 def master_seed(cfg: dict) -> int:
     """--seed wins over MASTER_SEED; both must be unsigned 64-bit."""
-    raw = cfg.get("seed")
-    if raw is None:
-        raw = os.environ.get("MASTER_SEED", "0")
-    try:
-        seed = int(raw)
-    except (TypeError, ValueError):
-        raise PreconditionError(f"seed must be an integer: {raw!r}", field="seed")
+    if cfg.get("seed") is None:
+        cfg = {"seed": os.environ.get("MASTER_SEED", "0")}
+    seed = _number(cfg, "seed", int)
     if not 0 <= seed < 1 << 64:
         raise PreconditionError("seed out of unsigned 64-bit range", field="seed")
     return seed
@@ -252,16 +253,16 @@ def _out_dir(cfg: dict) -> Path:
 
 def _do_phi(cfg: dict) -> str:
     out = _out_dir(cfg)
-    bundle = build_phi(float(cfg["q"]), float(cfg["gamma"]))
+    bundle = build_phi(_number(cfg, "q", float), _number(cfg, "gamma", float))
     _write_json(out, "phi.json", bundle.to_json_dict())
     return f"phi: k={bundle.k} A_q={bundle.a_norm:.6g} -> {out / 'phi.json'}"
 
 
 def _do_kahane(cfg: dict) -> str:
     out = _out_dir(cfg)
-    a, b = _rational(cfg["a"]), _rational(cfg["b"])
-    kmax = int(cfg["kmax"])
-    rho = build_rho(a, b, _rational(cfg["delta"]))
+    a, b = _number(cfg, "a", Fraction), _number(cfg, "b", Fraction)
+    kmax = _number(cfg, "kmax", int)
+    rho = build_rho(a, b, _number(cfg, "delta", Fraction))
     _write_json(out, "measure.json", {
         "measure": rho.to_json_dict(),
         "tv": float(rho.total_variation()),
@@ -277,14 +278,13 @@ def _space_from_config(cfg: dict):
     kind = cfg.get("space", "coins")
     if kind == "coins":
         _check_keys(cfg, {"space", "alphas", "N", "p_plus"}, "coins config")
-        space, xs = DiscreteProbSpace.coin_product(
-            _rational(cfg.get("p_plus", "3/4")), int(cfg["N"]))
-        return space, xs
+        return DiscreteProbSpace.coin_product(
+            _number(cfg, "p_plus", Fraction, "3/4"), _number(cfg, "N", int))
     if kind == "riesz":
         _check_keys(cfg, _RIESZ_SPEC_KEYS | {"space", "alphas", "s"},
                     "riesz space config")
         spec = _riesz_spec(cfg)
-        space, xs, _ = grid_space(spec, _rational(cfg.get("s", "1/4")))
+        space, xs, _ = grid_space(spec, _number(cfg, "s", Fraction, "1/4"))
         return space, xs
     raise PreconditionError(f"unknown space kind {kind!r}", field="space")
 
@@ -292,16 +292,20 @@ def _space_from_config(cfg: dict):
 def _do_bernstein(cfg: dict) -> str:
     out = _out_dir(cfg)
     sub = _sub_config(cfg["config"])
+    alphas = sub.get("alphas")
+    # type() and not isinstance(), which counts a bool as an int
+    if alphas is not None and not (
+            isinstance(alphas, list) and all(type(a) in (int, float) for a in alphas)):
+        raise PreconditionError(f"not a list of numbers: {alphas!r}", field="alphas")
     space, xs = _space_from_config(sub)
-    battery = bernstein_battery(space, xs, alphas=sub.get("alphas"),
-                                seed=master_seed(cfg))
+    battery = bernstein_battery(space, xs, alphas=alphas)
     rows = [(r["alpha"], r["tail"], r["bound"]) for r in battery["rows"]]
     _write_csv(out, "report.csv", ("alpha", "tail", "bound"), rows)
     _write_json(out, "battery.json", {
         "N": battery["N"],
         "mu": battery["mu"],
         "deviation": battery["deviation"],
-        "exhaustive": battery["exhaustive"],
+        "exhaustive": True,  # always, and dropped at the next schema
         "violations": sum(1 for r in battery["rows"] if r["tail"] > r["bound"]),
     })
     return f"bernstein: N={battery['N']} rows={len(rows)} -> {out / 'report.csv'}"
@@ -313,8 +317,8 @@ _RIESZ_SPEC_KEYS = {"phi", "w", "N", "nu"}
 def _riesz_spec(cfg: dict) -> RieszSpec:
     phi = _poly_arg(cfg.get("phi", "cos"))
     w = _poly_arg(cfg.get("w", "one"))
-    N = int(cfg["N"])
-    nu = int(cfg["nu"]) if "nu" in cfg else choose_nu(phi, w, N)
+    N = _number(cfg, "N", int)
+    nu = _number(cfg, "nu", int) if "nu" in cfg else choose_nu(phi, w, N)
     return RieszSpec(phi, w, N, nu)
 
 
@@ -326,7 +330,7 @@ def _do_riesz(cfg: dict) -> str:
     check = cfg["check"]
     # the moment check takes any s in (0, 1), the concentration check only
     # s inside (1/4, 1/3), whose midpoint is 7/24
-    s = _rational(cfg.get("s", "1/4" if check == "moments" else "7/24"))
+    s = _number(cfg, "s", Fraction, "1/4" if check == "moments" else "7/24")
     if check == "moments":
         rows = []
         worst = 0.0
@@ -340,7 +344,7 @@ def _do_riesz(cfg: dict) -> str:
     if check == "concentration":
         rep = l2_concentration_check(
             spec, s,
-            c1=float(sub.get("c1", DEFAULT_C1_THEORETICAL)),
+            c1=_number(sub, "c1", float, DEFAULT_C1_THEORETICAL),
             mode=sub.get("conc_mode", "theoretical"),
         )
         _write_csv(out, "report.csv",
@@ -382,8 +386,8 @@ def _do_principal(cfg: dict) -> str:
 
 def _do_helson(cfg: dict) -> str:
     out = _out_dir(cfg)
-    q = float(cfg["q"])
-    J = int(cfg["stages"])
+    q = _number(cfg, "q", float)
+    J = _number(cfg, "stages", int)
     stages, S, K, certs = run_stages(q, J)
     _write_json(out, "K.json", K.to_json_dict() if K else {"arcs": []})
     # full window: downstream certificates (witness support check) need the
@@ -417,7 +421,8 @@ def _skeleton(K: ArcSet) -> np.ndarray:
 def _do_probe(cfg: dict) -> str:
     out = _out_dir(cfg)
     K = ArcSet.from_json_dict(_load_json(cfg["k"]))
-    p, eps, d = float(cfg["p"]), float(cfg["eps"]), int(cfg["d"])
+    p, eps = _number(cfg, "p", float), _number(cfg, "eps", float)
+    d = _number(cfg, "d", int)
     pts = _skeleton(K)
     f, rep = extension_probe(K, pts, np.ones(len(pts)), p, eps, d)
     _write_json(out, "f.json", f.to_json_dict())
@@ -429,7 +434,7 @@ def _do_probe(cfg: dict) -> str:
 def _do_probe_cyclicity(cfg: dict) -> str:
     out = _out_dir(cfg)
     f = CoeffSeq.from_json_dict(_load_json(cfg["f"]))
-    p, dmax = float(cfg["p"]), int(cfg["dmax"])
+    p, dmax = _number(cfg, "p", float), _number(cfg, "dmax", int)
     rows = cyclicity_profile(f, p, dmax)
     _write_csv(out, "profile.csv", ("d", "lo", "hi"),
                [(d, v.lo, v.hi) for d, v in rows])
@@ -443,8 +448,8 @@ def _do_witness(cfg: dict) -> str:
     out = _out_dir(cfg)
     K = ArcSet.from_json_dict(_load_json(cfg["k"]))
     S = CoeffSeq.from_json_dict(_load_json(cfg["s"]))
-    f, rep = smooth_noncyclic_witness(K, S, float(cfg["eps_smooth"]),
-                                      p=float(cfg["p"]))
+    f, rep = smooth_noncyclic_witness(K, S, _number(cfg, "eps_smooth", float),
+                                      p=_number(cfg, "p", float))
     _write_json(out, "witness.json", f.to_json_dict())
     _write_json(out, "report.json", rep)
     return (f"witness: obstruction_bound={rep['obstruction_bound']:.6g} "
@@ -453,9 +458,9 @@ def _do_witness(cfg: dict) -> str:
 
 def _do_demo(cfg: dict) -> str:
     out = _out_dir(cfg)
-    q = float(cfg["q"])
-    p = float(cfg["p"])
-    J = int(cfg["stages"])
+    q = _number(cfg, "q", float)
+    p = _number(cfg, "p", float)
+    J = _number(cfg, "stages", int)
     seed = master_seed(cfg)
 
     _, S, K, certs = run_stages(q, J)
@@ -583,7 +588,7 @@ def _build_parser():
     add("construct-phi", ["phi"], q={"required": True}, gamma={"required": True})
     add("kahane", a={"required": True}, b={"required": True},
         delta={"required": True}, kmax={"default": "200"})
-    add("bernstein", config={"required": True}, seed={})
+    add("bernstein", config={"required": True})
     add("riesz", spec={"required": True}, s={},
         check={"choices": ["moments", "concentration"], "default": "moments"})
     add("principal", config={"required": True})

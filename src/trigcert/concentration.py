@@ -6,8 +6,9 @@ product satisfies |E[prod_A X_j] / mu^|A| - 1| <= eps, then
 
     P{ (1/N) sum X_j < mu - alpha } <= exp(-alpha^2 N / 8) + eps exp(N / 4).
 
-This module supplies the finite spaces, the exhaustive subset check
-measuring eps, the exact tail, and the bound itself.
+This module supplies the finite spaces and their variables as numpy
+arrays, the check measuring eps over every subset, the exact tail, and
+the bound itself.
 """
 
 from __future__ import annotations
@@ -17,76 +18,72 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from itertools import product as iter_product
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceError
 
 _SUBSET_CAP = 20
-_SAMPLED_SUBSETS = 100_000
+
+
+def _exact(values: np.ndarray) -> bool:
+    """All ints and Fractions: by dtype, or by a scan of an object array."""
+    if values.dtype == object:
+        return all(isinstance(x, (int, Fraction)) for x in values.flat)
+    return values.dtype.kind in "biu"
 
 
 class DiscreteProbSpace:
     """Finite sample space with nonnegative weights summing to 1.
 
-    Weights may be floats or Fractions; exact weights keep tail sums
-    exact.  Points are opaque labels (indices, grid angles, tuples).
+    Weights may be floats or exact; exact weights keep tail sums exact.
     """
 
-    def __init__(self, points, weights):
-        points = list(points)
-        weights = list(weights)
-        if len(points) != len(weights):
-            raise PreconditionError("points and weights must align", field="weights")
-        weights_float = np.array(weights, dtype=float)
+    def __init__(self, weights):
+        weights = np.array(weights)  # a copy of the caller's, read-only below
+        weights_float = weights.astype(float, copy=False)
         # a NaN weight passes every comparison below, so reject it first
         if not np.isfinite(weights_float).all():
             raise PreconditionError("weights must be finite", field="weights")
-        if any(w < 0 for w in weights):
+        if (weights < 0).any():
             raise PreconditionError("weights must be nonnegative", field="weights")
-        total = sum(weights) if self._exact(weights) else math.fsum(weights)
+        self.exact = _exact(weights)
+        total = sum(weights.tolist()) if self.exact else math.fsum(weights_float)
         if abs(float(total) - 1.0) > 1e-12:
             raise PreconditionError(
                 f"weights sum to {float(total)!r}, not 1", field="weights"
             )
-        self.points = points
-        self.weights = weights
-        weights_float.flags.writeable = False
-        self.weights_float = weights_float
-
-    @staticmethod
-    def _exact(seq) -> bool:
-        return all(isinstance(x, (int, Fraction)) for x in seq)
+        weights.flags.writeable = weights_float.flags.writeable = False
+        self.weights, self.weights_float = weights, weights_float
 
     def __len__(self):
-        return len(self.points)
+        return len(self.weights)
 
     def expectation(self, values):
-        if self._exact(self.weights) and self._exact(list(values)):
+        values = np.asarray(values)
+        if self.exact and _exact(values):
             return sum(
-                (Fraction(w) * Fraction(v) for w, v in zip(self.weights, values)),
+                (Fraction(w) * Fraction(v)
+                 for w, v in zip(self.weights.tolist(), values.tolist())),
                 Fraction(0),
             )
-        return float(np.dot(self.weights_float, np.asarray(values, dtype=float)))
+        return float(np.dot(self.weights_float, values.astype(float)))
 
     @classmethod
     def coin_product(cls, p_heads, n: int):
         """Product of n independent coins; returns (space, variables)
-        where variable j is +1 on heads and -1 on tails of coin j.  Exact
-        when p_heads is."""
-        if n < 1 or n > 24:
-            raise PreconditionError("n must be in 1..24", field="n")
+        where variables[j] is +1 on heads and -1 on tails of coin j.
+        Exact when p_heads is."""
+        if not 1 <= n <= _SUBSET_CAP:
+            raise PreconditionError(f"n must be in 1..{_SUBSET_CAP}", field="n")
         p = Fraction(p_heads) if not isinstance(p_heads, float) else p_heads
         q = 1 - p
-        outcomes = list(iter_product(range(2), repeat=n))
-        weights = []
-        for om in outcomes:
-            heads = sum(om)
-            weights.append(p**heads * q ** (n - heads))
-        space = cls(outcomes, weights)
-        variables = [[1 if om[j] == 1 else -1 for om in outcomes] for j in range(n)]
-        return space, variables
+        # coin j is bit n-1-j of outcome i: the outcomes in the order of
+        # itertools.product(range(2), repeat=n)
+        heads = (np.arange(1 << n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
+        table = np.array([p**h * q ** (n - h) for h in range(n + 1)],
+                         dtype=float if isinstance(p, float) else object)
+        return cls(table[heads.sum(axis=0)]), 2 * heads - 1
 
 
 def bernstein_bound(N: int, alpha: float, eps: float) -> float:
@@ -102,7 +99,7 @@ def bernstein_bound(N: int, alpha: float, eps: float) -> float:
 
 def _validated_variables(space: DiscreteProbSpace, variables):
     try:
-        X = np.array(variables, dtype=float)
+        X = np.asarray(variables, dtype=float)
     except (TypeError, ValueError):
         raise PreconditionError("variables must be real sequences of one length",
                                 field="X")
@@ -129,54 +126,39 @@ class MultiplicativeReport:
     mu: float
     max_deviation: float
     verdict: str
-    exhaustive: bool
     subsets_checked: int
 
 
 def check_almost_multiplicative(
-    space: DiscreteProbSpace, variables, eps: float, seed: int = 0
+    space: DiscreteProbSpace, variables, eps: float
 ) -> MultiplicativeReport:
     """Measure max over nonempty subsets A of |E[prod_A X]/mu^|A| - 1|.
-
-    Exhaustive for N <= _SUBSET_CAP; larger N checks _SAMPLED_SUBSETS
-    uniform random subsets and says so in the report.
-    """
+    Only eps over every subset gives the bound, so more than _SUBSET_CAP
+    variables raise ResourceError."""
     X, w, mu = _validated_variables(space, variables)
     N = len(X)
+    if N > _SUBSET_CAP:
+        raise ResourceError(
+            f"{N} variables have 2^{N} - 1 subsets; the exhaustive check "
+            f"stops at {_SUBSET_CAP} variables",
+            budget=_SUBSET_CAP, required=N)
     worst = 0.0
-    if N <= _SUBSET_CAP:
-        checked = (1 << N) - 1
-        # depth-first over include/skip so each node costs one vector
-        # product; vec carries the weights, so a leaf's expectation is a
-        # plain sum, whose order (unlike a BLAS dot) does not depend on
-        # the BLAS thread count
-        stack = [(0, w, 0)]
-        while stack:
-            j, vec, size = stack.pop()
-            if j == N:
-                if size:
-                    ratio = float(vec.sum()) / mu**size
-                    worst = max(worst, abs(ratio - 1.0))
-                continue
-            stack.append((j + 1, vec, size))
-            stack.append((j + 1, vec * X[j], size + 1))
-        exhaustive = True
-    else:
-        checked = _SAMPLED_SUBSETS
-        rng = np.random.default_rng(seed)
-        for _ in range(checked):
-            mask = rng.integers(1, 1 << N, dtype=np.uint64)
-            idx = [j for j in range(N) if (int(mask) >> j) & 1]
-            vec = w
-            for j in idx:
-                vec = vec * X[j]
-            ratio = float(vec.sum()) / mu ** len(idx)
-            worst = max(worst, abs(ratio - 1.0))
-        exhaustive = False
+    # depth-first over include/skip so each node costs one vector
+    # product; vec carries the weights, so a leaf's expectation is a
+    # plain sum, whose order (unlike a BLAS dot) does not depend on
+    # the BLAS thread count
+    stack = [(0, w, 0)]
+    while stack:
+        j, vec, size = stack.pop()
+        if j == N:
+            if size:
+                ratio = float(vec.sum()) / mu**size
+                worst = max(worst, abs(ratio - 1.0))
+            continue
+        stack.append((j + 1, vec, size))
+        stack.append((j + 1, vec * X[j], size + 1))
     verdict = "pass" if worst <= eps else "fail"
-    if not exhaustive:
-        verdict += " (sampled)"
-    return MultiplicativeReport(mu, worst, verdict, exhaustive, checked)
+    return MultiplicativeReport(mu, worst, verdict, (1 << N) - 1)
 
 
 def _tails(space: DiscreteProbSpace, variables, X, mu: float, alphas) -> list:
@@ -186,10 +168,12 @@ def _tails(space: DiscreteProbSpace, variables, X, mu: float, alphas) -> list:
     if any(a != a for a in alphas):
         raise PreconditionError("alpha must not be NaN", field="alpha")
     N = len(X)
-    if space._exact(space.weights) and all(space._exact(var) for var in variables):
+    variables = np.asarray(variables)
+    if space.exact and _exact(variables):
         # outcomes with one exact sum share a mean: weigh each distinct mean
         mass = {}
-        for wt, total in zip(space.weights, map(sum, zip(*variables))):
+        for wt, total in zip(space.weights.tolist(),
+                             variables.sum(axis=0).tolist()):
             mass[total] = mass.get(total, 0) + wt
         totals = sorted(mass)
         means = [Fraction(t) / N for t in totals]
@@ -209,13 +193,13 @@ def tail_probability(space: DiscreteProbSpace, variables, alpha: float):
     return _tails(space, variables, X, mu, [alpha])[0]
 
 
-def bernstein_battery(space: DiscreteProbSpace, variables, alphas=None, seed: int = 0):
+def bernstein_battery(space: DiscreteProbSpace, variables, alphas=None):
     """Rows of (alpha, exact tail, bound at the measured deviation) for a
     grid of alphas; the CSV surface behind the CLI."""
     X, _, mu = _validated_variables(space, variables)
     N = len(X)
     # X is already checked and float, so the check does not convert again
-    report = check_almost_multiplicative(space, X, eps=math.inf, seed=seed)
+    report = check_almost_multiplicative(space, X, eps=math.inf)
     eps_hat = report.max_deviation
     alphas = [0.05 * k for k in range(1, 41)] if alphas is None else list(alphas)
     rows = []
@@ -232,6 +216,5 @@ def bernstein_battery(space: DiscreteProbSpace, variables, alphas=None, seed: in
         "N": N,
         "mu": mu,
         "deviation": report.max_deviation,
-        "exhaustive": report.exhaustive,
         "rows": rows,
     }

@@ -240,8 +240,9 @@ def l2_concentration_check(
 
 def grid_space(spec: RieszSpec, s):
     """(space, variables, normalization deviation): weights proportional
-    to lambda_s on a grid strictly finer than every integrand degree, so
-    subset-product expectations by quadrature are exact.
+    to lambda_s on a grid of M points strictly finer than every integrand
+    degree, so subset-product expectations by quadrature are exact, and
+    the N variables as one (N, M) float array.
     """
     _check_s(s)
     deg = 2 * spec.total_degree
@@ -253,6 +254,6 @@ def grid_space(spec: RieszSpec, s):
     total = float(lam_vals.sum())
     deviation = abs(total / M - 1.0)
     weights = lam_vals / total
-    space = DiscreteProbSpace(t.tolist(), weights.tolist())
-    variables = [spec.variable_poly(j).eval_at(t).real.tolist() for j in range(1, spec.N + 1)]
-    return space, variables, deviation
+    variables = np.array([spec.variable_poly(j).eval_at(t).real
+                          for j in range(1, spec.N + 1)])
+    return DiscreteProbSpace(weights), variables, deviation

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -143,11 +144,13 @@ def test_demo_artifacts_independent_of_blas_threads(tmp_path):
 
 
 def test_bernstein_seed_flag_and_env(tmp_path, monkeypatch):
+    # the battery draws no random number: a rerun, and a run under
+    # MASTER_SEED, write the same bytes
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"space": "coins", "N": 8, "p_plus": "3/4"}\n')
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    assert run_cli("bernstein", "--config", cfg, "--seed", 3, "--out", a) == 0
-    assert run_cli("bernstein", "--config", cfg, "--seed", 3, "--out", b) == 0
+    assert run_cli("bernstein", "--config", cfg, "--out", a) == 0
+    assert run_cli("bernstein", "--config", cfg, "--out", b) == 0
     monkeypatch.setenv("MASTER_SEED", "3")
     assert run_cli("bernstein", "--config", cfg, "--out", c) == 0
     for name in ("battery.json", "report.csv"):
@@ -156,6 +159,25 @@ def test_bernstein_seed_flag_and_env(tmp_path, monkeypatch):
         assert blob == (c / name).read_bytes()
     battery = read_json(a / "battery.json")
     assert battery["violations"] == 0
+    assert battery["exhaustive"] is True
+
+
+def test_bernstein_rejects_seed(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"space": "coins", "N": 8, "p_plus": "3/4"}\n')
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bernstein", "--config", cfg, "--seed", 3, "--out", tmp_path / "out")
+    assert exc.value.code == 2
+
+
+def test_bernstein_coins_past_the_subset_cap(tmp_path, capsys):
+    # eps needs every subset, so 21 coins are refused before any work
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"space": "coins", "N": 21}\n')
+    start = time.perf_counter()
+    assert run_cli("bernstein", "--config", cfg, "--out", tmp_path / "out") == 2
+    assert time.perf_counter() - start < 1.0
+    assert "[n]" in capsys.readouterr().err
 
 
 def test_riesz_moment_report(tmp_path):
@@ -315,7 +337,7 @@ def test_seed_flag_only_where_a_seed_is_drawn():
     _, subparsers = _build_parser()
     seeded = {name for name, sp in subparsers.items()
               if any(a.dest == "seed" for a in sp._actions)}
-    assert seeded == {"bernstein", "demo-corollary", "run"}
+    assert seeded == {"demo-corollary", "run"}
 
 
 def test_kahane_rejects_seed(tmp_path):
@@ -357,6 +379,8 @@ def test_run_fills_subcommand_defaults(tmp_path, monkeypatch):
     ({"pipeline": "probe", "k": "K.json", "p": P43, "d": 8}, "eps"),
     # a pipeline that draws no random number takes no seed
     ({"pipeline": "kahane", "a": "1/5", "b": "2/5", "delta": "1/8",
+      "seed": 1}, "seed"),
+    ({"pipeline": "bernstein", "config": {"space": "coins", "N": 4},
       "seed": 1}, "seed"),
 ])
 def test_run_checks_config_keys(tmp_path, monkeypatch, capsys, doc, field):
@@ -416,6 +440,31 @@ def test_non_finite_tail_exit_code(tmp_path):
         code = run_cli("probe-cyclicity", "--f", art, "--p", 1.5, "--dmax", 1,
                        "--out", tmp_path / const)
         assert code == (0 if const == "1" else 2)
+
+
+@pytest.mark.parametrize("argv, config, field", [
+    (["helson", "--q", 4, "--stages", "x"], None, "stages"),
+    (["kahane", "--a", "1/5", "--b", "2/5", "--delta", "1/8", "--kmax", "2.5"],
+     None, "kmax"),
+    (["construct-phi", "--q", "four", "--gamma", 0.5], None, "q"),
+    (["riesz", "--spec"], {"phi": "cos", "w": "one", "N": 3, "nu": "x"}, "nu"),
+    (["bernstein", "--config"], {"space": "coins", "N": "x"}, "N"),
+    (["bernstein", "--config"], {"space": "coins", "N": 4, "alphas": ["0.1"]},
+     "alphas"),
+    (["bernstein", "--config"], {"space": "coins", "N": 4, "alphas": 0.1},
+     "alphas"),
+    # a bool is no number, though Python counts True as 1
+    (["bernstein", "--config"], {"space": "coins", "N": 4, "alphas": [True]},
+     "alphas"),
+], ids=["helson-stages", "kahane-kmax", "phi-q", "riesz-nu", "coins-N",
+        "alphas-string", "alphas-scalar", "alphas-bool"])
+def test_bad_number_exits_2(tmp_path, capsys, argv, config, field):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + [cfg]
+    assert run_cli(*argv, "--out", tmp_path / "out") == 2
+    assert f"[{field}]" in capsys.readouterr().err
 
 
 def test_env_validation(tmp_path, monkeypatch):

@@ -1,12 +1,13 @@
 """Tail bound vs exact tails on finite spaces."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from trigcert import PreconditionError
+from trigcert import PreconditionError, ResourceError
 from trigcert.concentration import (
     DiscreteProbSpace,
     bernstein_battery,
@@ -45,19 +46,19 @@ class TestBound:
 class TestSpace:
     def test_weight_validation(self):
         with pytest.raises(PreconditionError):
-            DiscreteProbSpace([1, 2], [0.6, 0.6])
+            DiscreteProbSpace([0.6, 0.6])
         with pytest.raises(PreconditionError):
-            DiscreteProbSpace([1, 2], [-0.5, 1.5])
+            DiscreteProbSpace([-0.5, 1.5])
 
     def test_non_finite_weights_rejected(self):
         # the NaN once made the weight sum NaN, which no comparison caught
         with pytest.raises(PreconditionError, match="finite"):
-            DiscreteProbSpace([0, 1, 2], [0.5, 0.5, math.nan])
+            DiscreteProbSpace([0.5, 0.5, math.nan])
         with pytest.raises(PreconditionError, match="finite"):
-            DiscreteProbSpace([0, 1], [math.inf, 1.0])
+            DiscreteProbSpace([math.inf, 1.0])
 
     def test_exact_expectation(self):
-        space = DiscreteProbSpace([0, 1], [Fraction(3, 4), Fraction(1, 4)])
+        space = DiscreteProbSpace([Fraction(3, 4), Fraction(1, 4)])
         assert space.expectation([1, -1]) == Fraction(1, 2)
 
     def test_coin_product_weights(self):
@@ -65,6 +66,33 @@ class TestSpace:
         assert sum(space.weights) == 1
         assert len(space) == 8
         assert space.expectation(xs[0]) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("p", [Fraction(3, 4), 0.3], ids=["exact", "float"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_coin_product_matches_itertools_order(self, p, n):
+        # the outcomes in itertools.product order, coin j at position j;
+        # the order fixes the float summation order downstream
+        q = 1 - p
+        outcomes = list(itertools.product(range(2), repeat=n))
+        weights = [p ** sum(om) * q ** (n - sum(om)) for om in outcomes]
+        variables = [[1 if om[j] else -1 for om in outcomes] for j in range(n)]
+        space, xs = DiscreteProbSpace.coin_product(p, n)
+        assert space.weights.tolist() == weights
+        assert [type(w) for w in space.weights.tolist()] == [type(w) for w in weights]
+        assert space.exact == isinstance(p, Fraction)
+        assert xs.tolist() == variables
+        assert len(space) == 1 << n
+
+    def test_coin_product_cap(self):
+        for n in (0, 21):
+            with pytest.raises(PreconditionError, match="1..20"):
+                DiscreteProbSpace.coin_product(Fraction(3, 4), n)
+
+    def test_exact_decided_by_dtype_or_scan(self):
+        assert DiscreteProbSpace([Fraction(1, 2), Fraction(1, 2)]).exact
+        assert DiscreteProbSpace(np.array([0, 1])).exact
+        assert not DiscreteProbSpace(np.array([0.5, 0.5])).exact
+        assert not DiscreteProbSpace([Fraction(1, 2), 0.5]).exact
 
 
 class TestMultiplicative:
@@ -74,43 +102,47 @@ class TestMultiplicative:
         assert rep.mu == pytest.approx(0.5)
         assert rep.max_deviation <= 1e-12
         assert rep.verdict == "pass"
-        assert rep.exhaustive and rep.subsets_checked == 7
+        assert rep.subsets_checked == 7
 
     def test_fully_dependent_pair(self):
         # X1 = X2 = +-1 coin with mean 1/2: E[X1 X2] = 1 against mu^2 = 1/4
-        space = DiscreteProbSpace([0, 1], [Fraction(3, 4), Fraction(1, 4)])
+        space = DiscreteProbSpace([Fraction(3, 4), Fraction(1, 4)])
         x = [1.0, -1.0]
         rep = check_almost_multiplicative(space, [x, x], eps=0.5)
         assert rep.max_deviation == pytest.approx(3.0, abs=1e-12)
         assert rep.verdict == "fail"
 
     def test_cap_enforced(self):
-        space = DiscreteProbSpace([0, 1], [0.5, 0.5])
+        # eps is measured over every subset or not at all: 21 variables
+        # exceed the 20-variable budget
+        space = DiscreteProbSpace([0.5, 0.5])
         xs = [[1.0, 0.5]] * 21
-        rep = check_almost_multiplicative(space, xs, eps=2.0)
-        assert not rep.exhaustive
-        assert "sampled" in rep.verdict
+        with pytest.raises(ResourceError) as exc:
+            check_almost_multiplicative(space, xs, eps=2.0)
+        assert (exc.value.budget, exc.value.required) == (20, 21)
+        with pytest.raises(ResourceError):
+            bernstein_battery(space, xs)
 
     def test_bound_precondition(self):
-        space = DiscreteProbSpace([0, 1], [0.5, 0.5])
+        space = DiscreteProbSpace([0.5, 0.5])
         with pytest.raises(PreconditionError):
             check_almost_multiplicative(space, [[1.5, 0.5]], eps=0.1)
 
     def test_nan_variable_rejected(self):
         # NaN fell through the bound, mean and max checks: deviation 0, "pass"
-        space = DiscreteProbSpace([0, 1], [0.5, 0.5])
+        space = DiscreteProbSpace([0.5, 0.5])
         with pytest.raises(PreconditionError, match="finite"):
             check_almost_multiplicative(space, [[1.0, 0.5], [0.75, math.nan]], eps=0.1)
         with pytest.raises(PreconditionError, match="finite"):
             bernstein_battery(space, [[1.0, 0.5], [0.75, math.nan]])
 
     def test_ragged_variables_rejected(self):
-        space = DiscreteProbSpace([0, 1], [0.5, 0.5])
+        space = DiscreteProbSpace([0.5, 0.5])
         with pytest.raises(PreconditionError):
             check_almost_multiplicative(space, [[1.0, 0.5], [0.75]], eps=0.1)
 
     def test_unequal_means_rejected(self):
-        space = DiscreteProbSpace([0, 1], [0.5, 0.5])
+        space = DiscreteProbSpace([0.5, 0.5])
         with pytest.raises(PreconditionError):
             check_almost_multiplicative(space, [[1.0, 0.0], [1.0, 0.5]], eps=0.1)
 
@@ -134,7 +166,7 @@ class TestTail:
         assert tail_probability(space, xs, Fraction(8, 5)) == 0
 
     def test_single_variable(self):
-        space = DiscreteProbSpace([0, 1], [Fraction(3, 5), Fraction(2, 5)])
+        space = DiscreteProbSpace([Fraction(3, 5), Fraction(2, 5)])
         got = tail_probability(space, [[1, -1]], Fraction(1, 2))
         assert got == Fraction(2, 5)
 
@@ -173,7 +205,7 @@ def _tied_float_space():
     weights = [0.05, 0.05, 0.1, 0.1, 0.15, 0.15, 0.2, 0.2]
     x1 = [1.0, 0.5, 1.0, -0.5, 0.5, 0.0, 1.0, -1.0]
     x2 = [0.5, 1.0, -0.5, 1.0, 0.0, 0.5, -1.0, 1.0]
-    return DiscreteProbSpace(range(8), weights), [x1, x2]
+    return DiscreteProbSpace(weights), [x1, x2]
 
 
 class TestOnePass:
@@ -226,7 +258,6 @@ class TestBattery:
     def test_bound_dominates_exact_tail(self):
         space, xs = DiscreteProbSpace.coin_product(Fraction(3, 4), 12)
         out = bernstein_battery(space, xs)
-        assert out["exhaustive"]
         assert out["deviation"] <= 1e-10
         for row in out["rows"]:
             assert row["tail"] <= row["bound"] + 1e-15
