@@ -1,8 +1,9 @@
 """The manifest of standard artifacts, kept in tests/baselines/artifacts.json:
 the sha256 of each file the standard runs write, their headline values
 (as the artifacts spell them, by f17), and the numpy and BLAS that wrote
-them.  `test_artifacts.py` regenerates the runs and names every entry that
-moved.  A change that moves artifacts on purpose rewrites the file with
+them.  `test_artifacts.py` compares the runs of one test session, built
+once by the `standard_runs` fixture in conftest.py, and names every entry
+that moved.  A change that moves artifacts on purpose rewrites the file with
 
     PYTHONPATH=src python tests/artifact_manifest.py
 
@@ -10,6 +11,7 @@ and lists each move and its cause in CHANGES.md.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -24,7 +26,7 @@ from trigcert.cli import main
 BASELINE = Path(__file__).resolve().parent / "baselines" / "artifacts.json"
 
 # name -> (subcommand and flags, the config file passed last or None,
-# {artifact: headline keys})
+# {artifact: headline keys}); a dotted key is a path into the artifact
 RUNS = {
     "bernstein-coins": (
         ["bernstein", "--config"], {"space": "coins", "N": 11, "p_plus": "3/4"},
@@ -33,6 +35,19 @@ RUNS = {
         ["bernstein", "--config"],
         {"space": "riesz", "N": 9, "s": "7/24", "phi": "cos", "w": "one"},
         {"battery.json": ["deviation", "mu"]}),
+    # the benchmark's principal-n3 config
+    "principal-n3": (
+        ["principal", "--config"],
+        {"q": 4, "eps": 0.9, "u": "cos", "N": 3, "mode": "empirical"},
+        {"certificates.json": ["certificates.a_q_defect", "certificates.min_X_on_K"]}),
+    "helson": (
+        ["helson", "--q", "4", "--stages", "2"], None,
+        {"certificates.json": ["final_norm", "step_norms", "outside_bound"]}),
+    "demo-corollary": (
+        ["demo-corollary", "--seed", "1"], None,
+        {"certificates.json": ["deficit_best", "delta_hat"],
+         "f_noncyclic.json": ["report.obstruction_bound", "report.obstruction_bound_l2"],
+         "g_cyclic.json": ["probe.b_norm_lo", "probe.b_norm_hi"]}),
 }
 
 
@@ -41,27 +56,42 @@ def toolchain() -> dict:
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
 
 
-def manifest(workdir: Path) -> dict:
-    """Run every standard run under workdir and describe what it wrote."""
+def run(name: str, workdir: Path) -> Path:
+    """Run one standard run under workdir; the directory it wrote."""
+    argv, config, _ = RUNS[name]
+    out = workdir / name
+    argv = list(argv)
+    if config is not None:
+        cfg = workdir / f"{name}.json"
+        cfg.write_text(json.dumps(config))
+        argv.append(str(cfg))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + ["--out", str(out)])
+    if code != 0:
+        raise RuntimeError(f"{name} exited {code}")
+    return out
+
+
+def describe(outs: dict) -> dict:
+    """The manifest of the standard runs written to outs (name -> directory)."""
     runs = {}
-    for name, (argv, config, headline) in RUNS.items():
-        out = workdir / name
-        argv = list(argv)
-        if config is not None:
-            cfg = workdir / f"{name}.json"
-            cfg.write_text(json.dumps(config))
-            argv.append(str(cfg))
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv + ["--out", str(out)])
-        if code != 0:
-            raise RuntimeError(f"{name} exited {code}")
+    for name, out in outs.items():
+        values = {}
+        for art, keys in RUNS[name][2].items():
+            doc = json.loads((out / art).read_text())
+            for key in keys:
+                values[key] = functools.reduce(lambda d, k: d[k], key.split("."), doc)
         runs[name] = {
             "sha256": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                        for p in sorted(out.iterdir())},
-            "values": {key: json.loads((out / art).read_text())[key]
-                       for art, keys in headline.items() for key in keys},
+            "values": values,
         }
     return {"toolchain": toolchain(), "runs": runs}
+
+
+def manifest(workdir: Path) -> dict:
+    """Run every standard run under workdir and describe what it wrote."""
+    return describe({name: run(name, workdir) for name in RUNS})
 
 
 def moved(want: dict, got: dict) -> list:

@@ -3,12 +3,12 @@ records, byte for byte, on the toolchain it names."""
 
 import json
 
-from artifact_manifest import BASELINE, manifest, moved
+from artifact_manifest import BASELINE, describe, moved
 
 
-def test_artifacts_match_manifest(tmp_path):
+def test_artifacts_match_manifest(standard_runs):
     # on another numpy or BLAS this fails and says so; it does not skip
-    assert moved(json.loads(BASELINE.read_text()), manifest(tmp_path)) == []
+    assert moved(json.loads(BASELINE.read_text()), describe(standard_runs)) == []
 
 
 def test_moved_names_each_entry():

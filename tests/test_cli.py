@@ -44,10 +44,9 @@ def read_csv(path):
 
 
 @pytest.fixture(scope="module")
-def helson_dir(tmp_path_factory):
-    out = tmp_path_factory.mktemp("helson")
-    assert run_cli("helson", "--q", 4, "--stages", 1, "--out", out) == 0
-    return out
+def helson_dir(standard_runs):
+    # helson --q 4 --stages 2, the standard run of the artifact manifest
+    return standard_runs["helson"]
 
 
 @pytest.fixture(scope="module")
@@ -255,7 +254,7 @@ def test_principal_artifacts(tmp_path, small_window):
 
 def test_helson_artifacts(helson_dir):
     stages = read_json(helson_dir / "stages.json")["stages"]
-    assert [s["step_budget"] for s in stages] == ["0.25"]
+    assert [s["step_budget"] for s in stages] == ["0.25", "0.125"]
     K = ArcSet.from_json_dict(read_json(helson_dir / "K.json"))
     assert K.measure > 0
     S = CoeffSeq.from_json_dict(read_json(helson_dir / "S.json"))
@@ -482,14 +481,14 @@ def test_usage_error_exits_2():
 # -- demo --------------------------------------------------------------------
 
 
-def test_demo_corollary_seeded_reruns_identical(tmp_path):
-    # the rerun goes through a run config with only the seed, which takes
-    # the subcommand's defaults q 4, p 4/3 and 2 stages
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run_cli("demo-corollary", "--q", 4, "--p", P43, "--stages", 2,
-                   "--seed", 7, "--out", a) == 0
+def test_demo_corollary_seeded_reruns_identical(standard_runs, tmp_path):
+    # the standard run `demo-corollary --seed 1` takes the subcommand's
+    # defaults; the rerun goes through a run config that spells them out,
+    # q 4, p 4/3 and 2 stages
+    a, b = standard_runs["demo-corollary"], tmp_path / "b"
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"pipeline": "demo-corollary", "seed": 7, "out": str(b)}))
+    cfg.write_text(json.dumps({"pipeline": "demo-corollary", "q": 4, "p": P43,
+                               "stages": 2, "seed": 1, "out": str(b)}))
     assert run_cli("run", cfg) == 0
     names = ("f_noncyclic.json", "g_cyclic.json", "zero_set.json",
              "certificates.json", "report.csv")
@@ -501,8 +500,6 @@ def test_demo_corollary_seeded_reruns_identical(tmp_path):
     assert certs["obstruction_rigour"].startswith("structural + enclosure")
     assert float(certs["delta_hat"]) > 0
     g_doc = read_json(a / "g_cyclic.json")
-    # the probe's path reads only K, which no seed enters, so its bounds
-    # are the seed-1 demo's
     probe = g_doc["probe"]
     lo, hi = float(probe["b_norm_lo"]), float(probe["b_norm_hi"])
     # Newton on the KKT system certifies the start, inside the bracket
@@ -635,11 +632,8 @@ def test_writer_rejects_unknown_types(tmp_path):
             _write_json(tmp_path, "bad.json", {"x": [bad]})
 
 
-def test_principal_n3_artifacts_are_json_dumps_text(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"q": 4, "eps": 0.9, "u": "cos", "N": 3, "mode": "empirical"}))
-    out = tmp_path / "out"
-    assert run_cli("principal", "--config", cfg, "--out", out) == 0
+def test_principal_n3_artifacts_are_json_dumps_text(standard_runs):
+    out = standard_runs["principal-n3"]
     names = sorted(p.name for p in out.glob("*.json"))
     assert names == ["K.json", "P.json", "certificates.json", "f.json"]
     for name in names:
