@@ -6,9 +6,10 @@ plain and arcsine/Szego forms).  Superlevel sets are returned as
 inner/outer sandwiches of arc unions, built by one adaptive bisection that
 decides a cell by the smaller of a Lipschitz and a second-order (chord)
 bound and evaluates a sparse polynomial at its midpoints as a real cosine
-series.  The certified minimum over an arc set, and the min-abs and sign
-verdicts built on it, bound each cell by the same rule in a branch and
-bound over cells clipped to the set.  Arc-restricted Fourier
+series.  The certified minimum over an arc set bounds each cell by the
+same rule in a branch and bound over cells clipped to the set.  The sup
+bound and both bisections start from one synthesis of the polynomial's
+grid, and halve their cells by one step.  Arc-restricted Fourier
 coefficients come from closed-form antiderivatives summed over arc
 endpoints on a dyadic grid, directly up to the measured crossover with the
 FFT and by one sparse FFT beyond, and are convolved with the function's
@@ -37,9 +38,6 @@ from .trigpoly import (
 # grid-derived sup bounds are padded by this relative amount to absorb
 # FFT synthesis roundoff (worst case ~1e-15 relative at our sizes)
 _FP_PAD = 1e-12
-
-# largest single FFT synthesis; larger grids are scanned in staggered passes
-_MAX_SYNTH = 1 << 22
 
 # superlevel bisection: cells narrower than this stay undecided, and a cell
 # still undecided after this many halvings means a tangential level set
@@ -231,50 +229,10 @@ def _half_spectrum(f: TrigPoly) -> np.ndarray:
     return half
 
 
-def grid_scan_real(half: np.ndarray, M: int):
-    """(max, min) over the uniform M-grid of the real polynomial whose
-    coefficient at frequency n >= 0 is half[n].
-
-    Large grids are scanned as staggered passes over a base grid whose
-    union is exactly the uniform M-grid, keeping memory bounded.
-    """
-    base = max(min(M, _MAX_SYNTH), next_pow2(2 * len(half)))
-    passes = max(1, M // base)
-    gmax, gmin = -math.inf, math.inf
-    for j in range(passes):
-        vals = synth_real(half, base, offset=TWO_PI * j / M)
-        gmax = max(gmax, float(vals.max()))
-        gmin = min(gmin, float(vals.min()))
-    return gmax, gmin
-
-
 def certified_sup(f: TrigPoly, grid_factor: int = 4) -> float:
-    """Certified upper bound on sup |f| for a real f, from one grid scan.
-
-    Two valid bounds are combined: the l^1 norm of the coefficients and
-    the arcsine Bernstein transport G / cos(pi d / M) (valid once M > 2d).
-    The minimum of valid upper bounds is an upper bound.  The linear
-    transport G / (1 - pi d / M) is never smaller, since cos x > 1 - x.
-    """
-    if grid_factor < 4:
-        raise PreconditionError("grid_factor must be >= 4", field="grid_factor")
-    if not f.is_real():
-        raise PreconditionError("certified_sup needs a real polynomial", field="f")
-    if not f.freqs.size:
-        return 0.0
-    d = f.degree
-    crude = f.coeff_l1()
-    if d == 0:
-        return crude
-    M = _grid_for(d, grid_factor)
-    x = math.pi * d / M
-    if x >= 1.0:
-        raise PreconditionError(
-            f"grid too coarse: pi*deg/M = {x:.3f} >= 1", field="grid_factor"
-        )
-    gmax, gmin = grid_scan_real(_half_spectrum(f), M)
-    G = max(abs(gmax), abs(gmin)) * (1.0 + _FP_PAD)
-    return min(crude, G / math.cos(x))
+    """Certified upper bound on sup |f| for a real f, from one synthesis of
+    its grid (see _cell_setup)."""
+    return _cell_setup(f, grid_factor)[0]
 
 
 # -- certified minimum and sign over an ArcSet ------------------------------
@@ -310,27 +268,11 @@ def certified_min(f: TrigPoly, K: ArcSet) -> Interval:
         bound = np.minimum(flo, fhi) - _cell_slack(width, lam, curv) - pad
         done = (bound >= best - _MIN_TOL * sup) | (width <= _BISECT_TOL)
         floor = min(floor, float(bound[done].min(initial=math.inf)))
-        lo, hi, flo, fhi = lo[~done], hi[~done], flo[~done], fhi[~done]
-        mid = 0.5 * (lo + hi)
-        fmid = _real_at(f, mid)
-        best = min(best, float(fmid.min(initial=math.inf)))
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        flo, fhi = np.concatenate([flo, fmid]), np.concatenate([fmid, fhi])
+        lo, hi, flo, fhi = _halve(f, ~done, lo, hi, flo, fhi)
+        # flo holds the kept cells' left values, none below best, and the
+        # new midpoint values
+        best = min(best, float(flo.min(initial=math.inf)))
     return Interval(floor, best)
-
-
-def certified_min_abs_and_sign(f: TrigPoly, K: ArcSet):
-    """(lower bound on inf_K |f|, sign verdict in {positive, negative,
-    mixed, unknown}) from the certified minima of f and -f over K: mixed
-    when values of both signs were evaluated, unknown when neither
-    minimum is certified positive and no such pair was seen."""
-    pos = certified_min(f, K)
-    if pos.lo > 0.0:
-        return pos.lo, "positive"
-    neg = certified_min(-f, K)
-    if neg.lo > 0.0:
-        return neg.lo, "negative"
-    return 0.0, "mixed" if max(pos.hi, neg.hi) < 0.0 else "unknown"
 
 
 def outside_report(f: CoeffSeq, K: ArcSet):
@@ -372,16 +314,30 @@ def superlevel_arcs(
 
 
 def _cell_setup(g: TrigPoly, grid_factor: int):
-    """What both bisections read off a real g before their first cell:
-    (sup bound, Lipschitz constant deg * sup via Bernstein, curv = sum
-    n^2 |g_n| bounding |g''|, roundoff pad, grid size M, g on the M-grid)."""
+    """What the sup bound and both bisections read off a real g, from one
+    synthesis of g on the M-grid: (sup bound, Lipschitz constant deg * sup
+    via Bernstein, curv = sum n^2 |g_n| bounding |g''|, roundoff pad, grid
+    size M, g on the M-grid).
+
+    The sup bound is the smaller of two valid ones: the l^1 norm of the
+    coefficients, and for deg d >= 1 the arcsine Bernstein transport
+    G / cos(pi d / M) of the padded grid maximum G, valid since M >= 4(d+1)
+    > 2d.  The linear transport G / (1 - pi d / M) is never smaller, since
+    cos x > 1 - x.
+    """
     if not g.is_real():
         raise PreconditionError("f must be real")
-    supbound = certified_sup(g, grid_factor)
+    if grid_factor < 4:
+        raise PreconditionError("grid_factor must be >= 4", field="grid_factor")
     d = max(g.degree, 1)
-    curv = float(np.sum(g.freqs**2 * np.abs(g._values()))) * (1.0 + 1e-12)
     M = _grid_for(d, grid_factor)
-    return supbound, d * supbound, curv, _FP_PAD * supbound, M, _real_grid(g, M)
+    vals = synth_real(_half_spectrum(g), M)
+    supbound = g.coeff_l1()
+    if g.degree:
+        G = max(abs(float(vals.max())), abs(float(vals.min()))) * (1.0 + _FP_PAD)
+        supbound = min(supbound, G / math.cos(math.pi * d / M))
+    curv = float(np.sum(g.freqs**2 * np.abs(g._values()))) * (1.0 + 1e-12)
+    return supbound, d * supbound, curv, _FP_PAD * supbound, M, vals
 
 
 def _level_cells(f: TrigPoly, c: float, grid_factor: int):
@@ -418,13 +374,7 @@ def _level_cells(f: TrigPoly, c: float, grid_factor: int):
         todo = rest & ~narrow
         if not np.any(todo):
             return
-        lo, hi, flo, fhi = lo[todo], hi[todo], flo[todo], fhi[todo]
-        mid = 0.5 * (lo + hi)
-        fmid = _real_at(g, mid)
-        lo = np.concatenate([lo, mid])
-        hi = np.concatenate([mid, hi])
-        flo = np.concatenate([flo, fmid])
-        fhi = np.concatenate([fmid, fhi])
+        lo, hi, flo, fhi = _halve(g, todo, lo, hi, flo, fhi)
         depth += 1
 
 
@@ -436,8 +386,15 @@ def _cell_slack(width, lam, curv):
     return np.minimum(lam * width / 2.0, curv * width * width / 8.0)
 
 
-def _real_grid(g: TrigPoly, M: int) -> np.ndarray:
-    return synth_real(_half_spectrum(g), M)
+def _halve(g: TrigPoly, keep, lo, hi, flo, fhi):
+    """The cells selected by keep, each split at its midpoint, where g is
+    evaluated by _real_at: (lo, hi, flo, fhi) of the left halves followed
+    by the right halves."""
+    lo, hi, flo, fhi = lo[keep], hi[keep], flo[keep], fhi[keep]
+    mid = 0.5 * (lo + hi)
+    fmid = _real_at(g, mid)
+    return (np.concatenate([lo, mid]), np.concatenate([mid, hi]),
+            np.concatenate([flo, fmid]), np.concatenate([fmid, fhi]))
 
 
 def _real_at(g: TrigPoly, t: np.ndarray) -> np.ndarray:

@@ -20,7 +20,6 @@ from .gridcert import (
     DYADIC_BITS,
     ArcSet,
     certified_min,
-    certified_min_abs_and_sign,
     certified_sup,
     outside_report,
     restricted_fourier,
@@ -163,9 +162,7 @@ def _certify_dichotomy(w: TrigPoly, u: TrigPoly, tau: float) -> str:
         lvl = float(complex(w.coeff(0)).real)
         if abs(lvl) < tau:
             return "certified"
-        _, verdict = certified_min_abs_and_sign(u, ArcSet.full_circle())
-        want = "positive" if lvl > 0 else "negative"
-        if verdict != want:
+        if not certified_min(u if lvl > 0 else -u, ArcSet.full_circle()).lo > 0.0:
             return "failed: constant weight against mixed-sign u"
         return "certified"
     for signed in (w, w.scale(-1.0)):
@@ -175,12 +172,10 @@ def _certify_dichotomy(w: TrigPoly, u: TrigPoly, tau: float) -> str:
             return f"failed: {exc}"
         if not hull:
             continue
-        _, vw = certified_min_abs_and_sign(signed, hull)
-        if vw != "positive":
+        if not certified_min(signed, hull).lo > 0.0:
             return "failed: weight sign not certified on its own hull"
         u_here = u if signed is w else u.scale(-1.0)
-        _, vu = certified_min_abs_and_sign(u_here, hull)
-        if vu != "positive":
+        if not certified_min(u_here, hull).lo > 0.0:
             return "failed: u changes sign where |w| >= tau"
     return "certified"
 
@@ -224,11 +219,10 @@ def build_w(u: TrigPoly, N: int, c3: float, mode: str = "empirical"):
     threshold = energy_threshold(N, mode)
     tmode = "theoretical" if mode == "theoretical" else "empirical-flagged"
 
-    _, u_verdict = certified_min_abs_and_sign(u, ArcSet.full_circle())
-    if u_verdict in ("positive", "negative"):
-        w = TrigPoly.const(1.0 if u_verdict == "positive" else -1.0)
-        cert = WeightCert("constant", 0, 1.0, 1.0, threshold, tmode, c3, "certified")
-        return w, cert
+    for sign, signed in ((1.0, u), (-1.0, -u)):
+        if certified_min(signed, ArcSet.full_circle()).lo > 0.0:
+            cert = WeightCert("constant", 0, 1.0, 1.0, threshold, tmode, c3, "certified")
+            return TrigPoly.const(sign), cert
 
     l1 = u.coeff_l1()
     w = u.scale(1.0 / l1)

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateError, PreconditionError, ResourceError
-from .gridcert import grid_scan_real
-from .trigpoly import TrigPoly, f17
+from .trigpoly import TrigPoly, f17, next_pow2, synth_real
 
 SIGN_RULE = "adjacent-pairs-shifted"
 
@@ -107,12 +106,12 @@ def build_Q(k: int):
     signs.flags.writeable = False
     half = np.zeros(len(signs) + 1, dtype=complex)
     half[1:] = signs / 2.0
-    # a grid value past B would disprove the code, not the bound
-    gmax, gmin = grid_scan_real(half, 1 << min(22, max(k + 4, 14)))
-    if max(abs(gmax), abs(gmin)) > B * (1.0 + 1e-12):
-        raise CertificateError(
-            "sup-bound", max(abs(gmax), abs(gmin)), B, "spot check violates structural bound"
-        )
+    # a grid value past B would disprove the code, not the bound; the grid
+    # takes at least two points per frequency
+    vals = synth_real(half, max(1 << min(22, max(k + 4, 14)), next_pow2(2 * len(half))))
+    peak = max(abs(float(vals.max())), abs(float(vals.min())))
+    if peak > B * (1.0 + 1e-12):
+        raise CertificateError("sup-bound", peak, B, "spot check violates structural bound")
     out = signs, FlatnessCert(B, B * (1.0 + _TARGET_TOL), k, SIGN_RULE)
     _BUILD_CACHE[k] = out
     return out

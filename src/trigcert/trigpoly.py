@@ -765,8 +765,8 @@ def next_pow2(n: int) -> int:
     return 1 << max(0, int(n) - 1).bit_length()
 
 
-def synth_real(half_spectrum: np.ndarray, M: int, offset: float = 0.0) -> np.ndarray:
-    """Real-polynomial synthesis on M points t_k = 2 pi k / M + offset.
+def synth_real(half_spectrum: np.ndarray, M: int) -> np.ndarray:
+    """Real-polynomial synthesis on the M points t_k = 2 pi k / M.
 
     ``half_spectrum[n]`` is the coefficient at frequency n >= 0 of a real
     polynomial (the negative side is implied by conjugate symmetry).
@@ -779,6 +779,4 @@ def synth_real(half_spectrum: np.ndarray, M: int, offset: float = 0.0) -> np.nda
         raise PreconditionError("half spectrum longer than grid resolution")
     spec = np.zeros(M // 2 + 1, dtype=complex)
     spec[:L] = half_spectrum
-    if offset != 0.0:
-        spec[:L] *= np.exp(1j * offset * np.arange(L))
     return M * np.fft.irfft(spec, n=M)

@@ -19,9 +19,7 @@ from trigcert.gridcert import (
     _grid_for,
     _real_at,
     certified_min,
-    certified_min_abs_and_sign,
     certified_sup,
-    grid_scan_real,
     indicator_coeffs,
     restricted_fourier,
     superlevel_arcs,
@@ -462,17 +460,26 @@ class TestCertifiedSup:
         with pytest.raises(PreconditionError, match="real"):
             certified_sup(TrigPoly({2: 1.0, -3: 0.5j}), 16)
 
-    def test_staggered_scan_matches_single(self, monkeypatch):
-        import trigcert.gridcert as gc
+    def test_one_synthesis_per_question(self, monkeypatch):
+        # the sup bound, the superlevel bisection and the certified minimum
+        # each read one synthesis of their grid; the bisections evaluate
+        # their midpoints by _real_at
+        calls = []
+        synth = gridcert.synth_real
 
-        rng = np.random.default_rng(3)
-        f = random_real_poly(rng, 5)
-        half = gc._half_spectrum(f)
-        ref_max, ref_min = grid_scan_real(half, 1024)
-        monkeypatch.setattr(gc, "_MAX_SYNTH", 64)
-        smax, smin = gc.grid_scan_real(half, 1024)
-        assert smax == pytest.approx(ref_max, abs=1e-11)
-        assert smin == pytest.approx(ref_min, abs=1e-11)
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return synth(*args, **kwargs)
+
+        monkeypatch.setattr(gridcert, "synth_real", counted)
+        f = TrigPoly.cosine(3) + TrigPoly.cosine(1).scale(0.5)
+        M = _grid_for(3, 8)
+        certified_sup(f, 8)
+        assert calls == [M]
+        superlevel_arcs(f, 0.2, 8)
+        assert calls == [M] * 2
+        certified_min(f, ArcSet([(0.5, 2.0)]))
+        assert calls == [M] * 3
 
 
 # -- certified min / sign ----------------------------------------------------
@@ -573,39 +580,27 @@ class TestCertifiedMin:
 
 
 class TestMinAbsSign:
+    """The sign certificates the principal pipeline reads: min_K (+-f) > 0."""
+
     def test_positive(self):
         f = TrigPoly.cosine(1) + 2.0
-        lo, verdict = certified_min_abs_and_sign(f, ArcSet.full_circle())
-        assert verdict == "positive"
+        lo = certified_min(f, ArcSet.full_circle()).lo
         assert 0.9 <= lo <= 1.0
+        assert not certified_min(-f, ArcSet.full_circle()).lo > 0.0
 
     def test_negative(self):
         f = TrigPoly.cosine(1).scale(-0.5) - 2.0
-        lo, verdict = certified_min_abs_and_sign(f, ArcSet.full_circle())
-        assert verdict == "negative"
-        assert lo >= 1.4
-
-    def test_mixed(self):
-        f = TrigPoly.cosine(1)
-        _, verdict = certified_min_abs_and_sign(f, ArcSet.full_circle())
-        assert verdict == "mixed"
-
-    def test_unknown_when_grazing(self):
-        f = TrigPoly.cosine(1) - 1.0  # <= 0, touches 0 at t = 0
-        k = ArcSet.from_raw([(-0.01, 0.01)])
-        lo, verdict = certified_min_abs_and_sign(f, k)
-        assert verdict == "unknown"
-        assert lo == 0.0
+        assert not certified_min(f, ArcSet.full_circle()).lo > 0.0
+        assert certified_min(-f, ArcSet.full_circle()).lo >= 1.4
 
     def test_lower_bound_sound(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
             f = random_real_poly(rng, 4).scale(0.25) + 6.0
             k = ArcSet([(0.5, 1.5), (3.0, 4.5)])
-            lo, verdict = certified_min_abs_and_sign(f, k)
+            lo = certified_min(f, k).lo
             pts = arc_samples(k, 1e-3)
-            assert lo <= np.abs(f.eval_at(pts).real).min() + 1e-9
-            assert verdict == "positive"
+            assert 0.0 < lo <= np.abs(f.eval_at(pts).real).min() + 1e-9
 
 
 # -- superlevel arcs ---------------------------------------------------------

@@ -240,10 +240,6 @@ def test_synth_real_matches_eval_grid():
     ref = f.eval_grid(M)
     assert np.max(np.abs(ref.imag)) < 1e-12
     assert np.max(np.abs(vals - ref.real)) < 1e-12
-    # offset synthesis agrees with direct evaluation
-    tau = 0.3
-    t = 2 * np.pi * np.arange(M) / M + tau
-    assert np.max(np.abs(synth_real(half, M, tau) - f.eval_at(t).real)) < 1e-11
 
 
 # -- structural properties ---------------------------------------------
