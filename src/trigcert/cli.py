@@ -262,6 +262,8 @@ def _do_kahane(cfg: dict) -> str:
     out = _out_dir(cfg)
     a, b = _number(cfg, "a", Fraction), _number(cfg, "b", Fraction)
     kmax = _number(cfg, "kmax", int)
+    if kmax < 1:
+        raise PreconditionError("must be >= 1", field="kmax")
     rho = build_rho(a, b, _number(cfg, "delta", Fraction))
     _write_json(out, "measure.json", {
         "measure": rho.to_json_dict(),

@@ -131,8 +131,8 @@ def phi_k_for(q: float, gamma: float) -> tuple[int, bool]:
     Returns (k, floored): floored means k = 0 would already satisfy the
     norm target but the construction starts at k = 1.
     """
-    if not q > 2:
-        raise PreconditionError("q must be > 2", field="q")
+    if not 2 < q < math.inf:
+        raise PreconditionError("q must be finite and > 2", field="q")
     if not 0 < gamma < 1:
         raise PreconditionError("gamma must be in (0, 1)", field="gamma")
     k = 1

@@ -446,6 +446,14 @@ def test_non_finite_tail_exit_code(tmp_path):
     (["kahane", "--a", "1/5", "--b", "2/5", "--delta", "1/8", "--kmax", "2.5"],
      None, "kmax"),
     (["construct-phi", "--q", "four", "--gamma", 0.5], None, "q"),
+    # kmax and q below pass as numbers but name no valid run: a kmax
+    # below 1 once wrote a header-only report.csv, and q = inf an A_q
+    # norm of 1 for the true 1/4
+    (["kahane", "--a", "1/5", "--b", "2/5", "--delta", "1/8", "--kmax", -3],
+     None, "kmax"),
+    (["kahane", "--a", "1/5", "--b", "2/5", "--delta", "1/8", "--kmax", 0],
+     None, "kmax"),
+    (["construct-phi", "--q", "inf", "--gamma", 0.5], None, "q"),
     (["riesz", "--spec"], {"phi": "cos", "w": "one", "N": 3, "nu": "x"}, "nu"),
     (["bernstein", "--config"], {"space": "coins", "N": "x"}, "N"),
     (["bernstein", "--config"], {"space": "coins", "N": 4, "alphas": ["0.1"]},
@@ -455,7 +463,8 @@ def test_non_finite_tail_exit_code(tmp_path):
     # a bool is no number, though Python counts True as 1
     (["bernstein", "--config"], {"space": "coins", "N": 4, "alphas": [True]},
      "alphas"),
-], ids=["helson-stages", "kahane-kmax", "phi-q", "riesz-nu", "coins-N",
+], ids=["helson-stages", "kahane-kmax", "phi-q", "kahane-kmax-negative",
+        "kahane-kmax-zero", "phi-q-inf", "riesz-nu", "coins-N",
         "alphas-string", "alphas-scalar", "alphas-bool"])
 def test_bad_number_exits_2(tmp_path, capsys, argv, config, field):
     if config is not None:

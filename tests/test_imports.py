@@ -1,9 +1,11 @@
 """Every name a trigcert module imports is used there or listed in its
-``__all__``, and every function and method it defines is referenced
+``__all__``, every module it imports is its own, numpy's or the standard
+library's, and every function and method it defines is referenced
 somewhere in the package, checked on the syntax tree with the standard
 library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,32 @@ def test_checker_flags_unused():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def foreign_imports(source: str) -> list:
+    """Top-level modules the source imports that are neither relative,
+    numpy, nor in the standard library: pyproject.toml declares numpy
+    alone, and each further import adds its load time to every run."""
+    tree = ast.parse(source)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return sorted(names - set(sys.stdlib_module_names) - {"numpy"})
+
+
+def test_dependency_checker_flags_foreign():
+    source = ("from __future__ import annotations\nimport math\nimport numpy as np\n"
+              "import scipy.linalg\nfrom scipy import fft\nfrom .trigpoly import TWO_PI\n"
+              "def f():\n    import sympy\n")
+    assert foreign_imports(source) == ["scipy", "sympy"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_numpy_and_stdlib(path):
+    assert foreign_imports(path.read_text()) == []
 
 
 # Defined in src/ and referenced only from outside it, on purpose.

@@ -182,3 +182,11 @@ class TestBuildPhi:
             build_phi(2.0, 0.5)
         with pytest.raises(PreconditionError):
             build_phi(3.0, 1.5)
+
+    @pytest.mark.parametrize("q", [math.inf, math.nan])
+    def test_non_finite_q_rejected(self, q):
+        # at q = inf the closed form once read 0 ** 0 = 1 for an A_inf
+        # norm of 1/4
+        with pytest.raises(PreconditionError) as err:
+            build_phi(q, 0.5)
+        assert err.value.field == "q"
