@@ -235,7 +235,7 @@ def certified_sup(f: TrigPoly, grid_factor: int = 4) -> float:
     return _cell_setup(f, grid_factor)[0]
 
 
-# -- certified minimum and sign over an ArcSet ------------------------------
+# -- certified minimum over an ArcSet ------------------------------------
 
 
 def certified_min(f: TrigPoly, K: ArcSet) -> Interval:

@@ -446,9 +446,8 @@ def test_non_finite_tail_exit_code(tmp_path):
     (["kahane", "--a", "1/5", "--b", "2/5", "--delta", "1/8", "--kmax", "2.5"],
      None, "kmax"),
     (["construct-phi", "--q", "four", "--gamma", 0.5], None, "q"),
-    # kmax and q below pass as numbers but name no valid run: a kmax
-    # below 1 once wrote a header-only report.csv, and q = inf an A_q
-    # norm of 1 for the true 1/4
+    # numbers that name no run: a kmax below 1 asks for no moment, and at
+    # q = inf phi's closed-form A_q norm reads 0 ** 0
     (["kahane", "--a", "1/5", "--b", "2/5", "--delta", "1/8", "--kmax", -3],
      None, "kmax"),
     (["kahane", "--a", "1/5", "--b", "2/5", "--delta", "1/8", "--kmax", 0],

@@ -185,8 +185,8 @@ class TestBuildPhi:
 
     @pytest.mark.parametrize("q", [math.inf, math.nan])
     def test_non_finite_q_rejected(self, q):
-        # at q = inf the closed form once read 0 ** 0 = 1 for an A_inf
-        # norm of 1/4
+        # at q = inf the closed form (sum |c_n|^q)^(1/q) reads 0 ** 0 = 1,
+        # where the A_inf norm is 1/4
         with pytest.raises(PreconditionError) as err:
             build_phi(q, 0.5)
         assert err.value.field == "q"
